@@ -1,0 +1,90 @@
+"""Golden CLI corpus: exit code, stdout and stderr of fixed invocations,
+compared byte for byte.
+
+Each case is stored as one transcript in tests/golden/<name>.txt.  After
+a deliberate change of output, rewrite them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "analyze-case1-acm": ["analyze", "--a", "8,5,7,9", "--m", "0"],
+    "analyze-case1-json": ["analyze", "--a", "8,5,7,9", "--m", "2", "--format", "json"],
+    "analyze-homogenize": ["analyze", "--a", "8,5,7,9", "--m", "0", "--homogenize"],
+    "analyze-d-input-json": [
+        "analyze", "--d", "1,1,1,2,1,1,1,1", "--m", "0", "--homogenize", "--format", "json"
+    ],
+    "analyze-basic-non-acm": ["analyze", "--a", "19,29,26,43", "--m", "0"],
+    "analyze-basic-m8": ["analyze", "--a", "19,29,26,43", "--m", "8"],
+    "analyze-basic-m60": ["analyze", "--a", "19,29,26,43", "--m", "60"],
+    "analyze-basic-m60-json": ["analyze", "--a", "19,29,26,43", "--m", "60", "--format", "json"],
+    "analyze-gcd-member": ["analyze", "--a", "19,29,26,43", "--m", "1"],
+    "analyze-gcd-input": ["analyze", "--a", "2,4,6,8", "--m", "0"],
+    "analyze-tied-max": ["analyze", "--a", "1,1,1,1", "--m", "0"],
+    "analyze-not-form": ["analyze", "--a", "2,3,4,5", "--m", "0"],
+    "family-basic-0-70": ["family", "--a", "19,29,26,43", "--m-range", "0..70"],
+    "family-big-json": ["family", "--a", "1191,1239,582,2303", "--m-range", "0..15",
+                        "--format", "json"],
+    "family-empty-range": ["family", "--a", "19,29,26,43", "--m-range", "5..4"],
+    "verify-case1": ["verify", "--a", "8,5,7,9", "--m-range", "0..10"],
+    "verify-basic-json": ["verify", "--a", "19,29,26,43", "--m-range", "0..10",
+                          "--format", "json"],
+    "gb-case1": ["gb", "--a", "8,5,7,9", "--m", "0"],
+    "gb-case2-json": ["gb", "--a", "1191,1239,582,2303", "--m", "0", "--format", "json"],
+    "gb-homogenize": ["gb", "--a", "8,5,7,9", "--m", "0", "--homogenize"],
+    "gb-oracle-homogenize": ["gb", "--a", "19,29,26,43", "--m", "0", "--oracle", "--homogenize"],
+    "gb-conditions-refused": ["gb", "--a", "19,29,26,43", "--m", "0"],
+    "recover-basic": ["recover", "--a", "19,29,26,43"],
+    "recover-big-json": ["recover", "--a", "1191,1239,582,2303", "--format", "json"],
+    "recover-reordered": ["recover", "--a", "107,133,106,131"],
+    "recover-not-form": ["recover", "--a", "2,3,4,5"],
+    "recover-not-form-json": ["recover", "--a", "2,3,4,5", "--format", "json"],
+    "usage-both-inputs": ["analyze", "--a", "8,5,7,9", "--d", "1,1,1,2,1,1,1,1", "--m", "0"],
+}
+
+
+def transcript(argv) -> str:
+    """Run the CLI in-process with no CURVELAB_* overrides and render its
+    exit code, stdout and stderr as one text."""
+    from curvelab.cli import main
+
+    saved = {k: os.environ.pop(k) for k in list(os.environ) if k.startswith("CURVELAB_")}
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            rc = main(list(argv), out=out)
+    finally:
+        os.environ.update(saved)
+    return (
+        f"$ curvelab {' '.join(argv)}\nexit: {rc}\n"
+        f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    assert transcript(CASES[name]) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert {p.stem for p in GOLDEN.glob("*.txt")} == set(CASES)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.txt").write_text(transcript(argv))
+    print(f"wrote {len(CASES)} transcripts to {GOLDEN}", file=sys.stderr)
