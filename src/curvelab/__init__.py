@@ -22,7 +22,6 @@ from .acm import (
     homogenize,
 )
 from .bresinsky import (
-    DEFAULT_D_CAP,
     BresinskyData,
     CaseConditions,
     ClosedFormBasis,

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .bresinsky import (
-    DEFAULT_D_CAP,
     SKIP_FORM,
     SKIP_GCD,
     SKIP_MAX,
@@ -30,7 +29,7 @@ from .bresinsky import (
     d_from_a_any_order,
     generators,
 )
-from .errors import AmbientMismatchError, DisagreementError, RefusalError
+from .errors import AmbientMismatchError, DisagreementError, RefusalError, StepBoundExceeded
 from .groebner import (
     DEFAULT_STEP_BOUND,
     Binomial,
@@ -39,6 +38,8 @@ from .groebner import (
     reduce_basis,
 )
 from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial
+
+SKIP_STEP_BOUND = "step bound exceeded"
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,6 @@ def analyze_member(
     data: BresinskyData,
     m: int,
     step_bound: int = DEFAULT_STEP_BOUND,
-    d_cap: int = DEFAULT_D_CAP,
 ) -> AcmReport:
     """Full dual-route analysis of one family member.
 
@@ -307,7 +307,7 @@ def analyze_member(
     mx = max(deg)
     if deg.count(mx) > 1:
         return _skip(m, deg, SKIP_MAX)
-    hits = d_from_a_any_order(deg, cap=d_cap)
+    hits = d_from_a_any_order(deg)
     if not hits:
         return _skip(m, deg, SKIP_FORM)
     perm, data2 = hits[0]
@@ -335,23 +335,21 @@ def cross_validate(
     data: BresinskyData,
     m_range: Iterable[int],
     step_bound: int = DEFAULT_STEP_BOUND,
-    d_cap: int = DEFAULT_D_CAP,
 ) -> list[AcmReport]:
     """Run the dual-route analysis across a range of shifts.
 
-    Per-member refusals and operational errors are recorded as skipped
-    rows; a verdict disagreement aborts the scan, since agreement is the
-    property the whole tool exists to certify.
+    Per-member refusals and reductions that run past the step bound are
+    recorded as skipped rows with a typed reason.  Anything else aborts
+    the scan: a verdict disagreement, a recovery anomaly and any bug
+    propagate, since a skip row must never hide them.
     """
     fam = ShiftFamily.from_data(data)
     reports = []
     for m in sorted(set(int(m) for m in m_range)):
         try:
-            reports.append(analyze_member(data, m, step_bound=step_bound, d_cap=d_cap))
-        except DisagreementError:
-            raise
+            reports.append(analyze_member(data, m, step_bound=step_bound))
         except RefusalError as exc:
             reports.append(_skip(m, fam.member(m).degrees, exc.reason))
-        except Exception as exc:  # recorded per member, the scan goes on
-            reports.append(_skip(m, fam.member(m).degrees, f"error: {exc}"))
+        except StepBoundExceeded:
+            reports.append(_skip(m, fam.member(m).degrees, SKIP_STEP_BOUND))
     return reports

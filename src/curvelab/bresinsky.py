@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable, Mapping, Optional
 
 from .errors import AnomalyError, RefusalError
 from .groebner import Binomial, BinomialBasis
 from .monomials import AFFINE_ORDER, Monomial
-
-#: Default cap on each of d1..d4 in the recovery search.
-DEFAULT_D_CAP = 64
 
 SKIP_GCD = "gcd>1"
 SKIP_MAX = "max-coordinate fails"
@@ -380,85 +377,81 @@ def _validated_vector(a: Iterable[int]) -> Vec4:
         raise ValueError(f"degree vector must have 4 entries, got {len(vec)}")
     if any(x < 1 for x in vec):
         raise ValueError(f"degree entries must be positive: {vec}")
+    if math.gcd(*vec) != 1:
+        raise RefusalError(SKIP_GCD, {"degrees": vec})
     return vec
 
 
-def _search_parameters(a: Vec4, cap: int) -> list[BresinskyData]:
-    """Exhaustive recovery of all parameter sets inducing `a`, with each
-    row sum capped.
+#: The critical binomials in role order, as (i, j, k) for
+#: d_i * a_i = d_ij * a_j + d_ik * a_k (0-based positions).
+_ROWS = ((0, 2, 3), (1, 0, 2), (2, 1, 3), (3, 0, 1))
 
-    The first degree equation a1 = d2*d4*d13 + d42*d14*d23 drives the
-    enumeration of (d2, d4, d13, d42, d14, d23); the second and third are
-    then linear in (d21, d41) and solved exactly, and the fourth is
-    verified on each candidate.
+
+def _least_representations(a: Vec4, i: int, j: int, k: int) -> Optional[tuple[int, list]]:
+    """The least c with c*a_i = x*a_j + y*a_k for some x, y >= 1, with
+    every such (x, y) at that c; None when there is none up to the bound.
+
+    For a vector of the parameter form, d_i is the least c with c*a_i in
+    the semigroup of the other three degrees (Herzog 1970, Bresinsky
+    1975).  At c = a_j / gcd(a_i, a_j) the product c*a_i is a multiple
+    of a_j, so d_i never exceeds the smaller of these over j and k; the
+    search stops there.  For each c, x is fixed modulo a_k / gcd(a_j, a_k)
+    by a modular inverse.
     """
-    a1, a2, a3, a4 = a
-    sols: list[BresinskyData] = []
-    d2_hi = min(cap, (a1 - 1) // 2, (a3 - 1) // 2)
-    for d2 in range(2, d2_hi + 1):
-        d4_hi = min(cap, (a1 - 1) // d2, (a2 - 1) // 2)
-        for d4 in range(2, d4_hi + 1):
-            d13_hi = min(cap - 1, (a1 - 1) // (d2 * d4))
-            for d13 in range(1, d13_hi + 1):
-                rem = a1 - d2 * d4 * d13  # = d42 * d14 * d23 >= 1
-                for d42 in range(1, d2):
-                    if rem % d42:
-                        continue
-                    rem2 = rem // d42
-                    for d14 in range(1, d4):
-                        if rem2 % d14:
-                            continue
-                        d23 = rem2 // d14
-                        if d13 + d23 > cap:
-                            continue
-                        d32 = d2 - d42
-                        d34 = d4 - d14
-                        d3 = d13 + d23
-                        # a2 = A*d21 + B*d41, a3 = C*d21 + D*d41
-                        A = d3 * d4
-                        B = d34 * d23
-                        C = d2 * d34 + d32 * d14
-                        D = d2 * d34
-                        det = A * D - B * C
-                        if det != 0:
-                            n21 = a2 * D - a3 * B
-                            n41 = A * a3 - C * a2
-                            if n21 % det or n41 % det:
-                                continue
-                            d21, d41 = n21 // det, n41 // det
-                            if d21 < 1 or d41 < 1:
-                                continue
-                            cands = [(d21, d41)]
-                        else:
-                            cands = []
-                            for d21 in range(1, cap):
-                                t = a2 - A * d21
-                                if t <= 0:
-                                    break
-                                if t % B == 0:
-                                    cands.append((d21, t // B))
-                        for d21, d41 in cands:
-                            if d21 + d41 > cap:
-                                continue
-                            data = BresinskyData(d21, d41, d32, d42, d13, d23, d14, d34)
-                            if a_from_d(data) == a:
-                                sols.append(data)
+    ai, aj, ak = a[i], a[j], a[k]
+    g = math.gcd(aj, ak)
+    step = ak // g
+    inv = pow(aj // g, -1, step)
+    bound = min(aj // math.gcd(ai, aj), ak // math.gcd(ai, ak))
+    for c in range(-(-(aj + ak) // ai), bound + 1):
+        t = c * ai
+        if t % g:
+            continue
+        x = (t // g) * inv % step or step
+        reps = []
+        while t - x * aj >= ak:
+            reps.append((x, (t - x * aj) // ak))
+            x += step
+        if reps:
+            return c, reps
+    return None
+
+
+def _solve_parameters(a: Vec4) -> list[BresinskyData]:
+    """All parameter sets inducing `a` in role order.
+
+    Each critical binomial gives its row sum and its two off-diagonal
+    parameters; every combination whose row sums match
+    (d1 = d21+d41, d2 = d32+d42, d3 = d13+d23, d4 = d14+d34) is kept if
+    it induces `a` again.
+    """
+    rows = []
+    for row in _ROWS:
+        found = _least_representations(a, *row)
+        if found is None:
+            return []
+        rows.append(found)
+    (d1, r1), (d2, r2), (d3, r3), (d4, r4) = rows
+    sols = []
+    for (d13, d14), (d21, d23), (d32, d34), (d41, d42) in product(r1, r2, r3, r4):
+        if (d21 + d41, d32 + d42, d13 + d23, d14 + d34) != (d1, d2, d3, d4):
+            continue
+        data = BresinskyData(d21, d41, d32, d42, d13, d23, d14, d34)
+        if a_from_d(data) == a:
+            sols.append(data)
     return sols
 
 
-def d_from_a(a: Iterable[int], cap: int = DEFAULT_D_CAP) -> Optional[BresinskyData]:
+def d_from_a(a: Iterable[int]) -> Optional[BresinskyData]:
     """Recover the parameters from a degree vector in role order.
 
-    Returns None when no parameter set with row sums within `cap` induces
-    the vector, i.e. the curve is not of this form in the given
-    coordinate order (or its parameters exceed the cap).  More than one
+    Returns None when no parameter set induces the vector, i.e. the curve
+    is not of this form in the given coordinate order.  More than one
     solution would contradict uniqueness of the parameter system and
     raises AnomalyError.
     """
     vec = _validated_vector(a)
-    if math.gcd(*vec) != 1:
-        raise RefusalError(SKIP_GCD, {"degrees": vec})
-    sols = _search_parameters(vec, cap)
+    sols = _solve_parameters(vec)
     if len(sols) > 1:
         raise AnomalyError(
             f"{len(sols)} parameter solutions for {vec}; the parameter system must be unique"
@@ -467,7 +460,7 @@ def d_from_a(a: Iterable[int], cap: int = DEFAULT_D_CAP) -> Optional[BresinskyDa
 
 
 def d_from_a_any_order(
-    a: Iterable[int], cap: int = DEFAULT_D_CAP
+    a: Iterable[int],
 ) -> list[tuple[tuple[int, int, int, int], BresinskyData]]:
     """Try every coordinate permutation that puts a strict maximum last.
 
@@ -477,22 +470,14 @@ def d_from_a_any_order(
     the empty list.
     """
     vec = _validated_vector(a)
-    if math.gcd(*vec) != 1:
-        raise RefusalError(SKIP_GCD, {"degrees": vec})
     hits = []
     seen: set[Vec4] = set()
     for perm in permutations(range(4)):
         b = tuple(vec[i] for i in perm)
-        if b in seen:
+        if b in seen or not all(b[3] > b[i] for i in range(3)):
             continue
         seen.add(b)
-        if not all(b[3] > b[i] for i in range(3)):
-            continue
-        sols = _search_parameters(b, cap)
-        if len(sols) > 1:
-            raise AnomalyError(
-                f"{len(sols)} parameter solutions for {b}; the parameter system must be unique"
-            )
-        if sols:
-            hits.append((perm, sols[0]))
+        data = d_from_a(b)
+        if data is not None:
+            hits.append((perm, data))
     return hits

@@ -2,7 +2,7 @@
 
 Subcommands: analyze, family, gb, recover, verify.  Exit codes are a
 contract: 0 success, 1 usage error, 2 mathematical refusal, 3 internal
-inconsistency (verdict disagreement or recovery anomaly).  All numeric
+inconsistency (verdict disagreement, recovery anomaly or any other bug).  All numeric
 I/O is exact integers; JSON output round-trips byte-identically.
 """
 
@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,7 +25,6 @@ from .acm import (
     homogenize,
 )
 from .bresinsky import (
-    DEFAULT_D_CAP,
     SKIP_FORM,
     SKIP_GCD,
     SKIP_MAX,
@@ -79,7 +79,6 @@ class RunConfig:
     homogenize: bool
     oracle: bool
     step_bound: int
-    d_cap: int
 
 
 def _env_int(name: str, default: int) -> int:
@@ -135,12 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=_env_int("STEP_BOUND", DEFAULT_STEP_BOUND),
             help="reduction step budget (env CURVELAB_STEP_BOUND)",
         )
-        p.add_argument(
-            "--d-cap",
-            type=int,
-            default=_env_int("D_CAP", DEFAULT_D_CAP),
-            help="recovery search cap on each row sum (env CURVELAB_D_CAP)",
-        )
 
     p_analyze = sub.add_parser("analyze", help="dual-route verdict for a single shift")
     add_common(p_analyze)
@@ -194,9 +187,9 @@ def _resolve_input(args: argparse.Namespace) -> tuple[BresinskyData, tuple[int, 
         raise RefusalError(SKIP_GCD, {"degrees": vec})
     if not all(vec[3] > vec[i] for i in range(3)):
         raise RefusalError(SKIP_MAX, {"degrees": vec})
-    data = d_from_a(vec, cap=args.d_cap)
+    data = d_from_a(vec)
     if data is None:
-        raise RefusalError(SKIP_FORM, {"degrees": vec, "d_cap": args.d_cap})
+        raise RefusalError(SKIP_FORM, {"degrees": vec})
     return data, vec
 
 
@@ -216,7 +209,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         homogenize=getattr(args, "homogenize", False),
         oracle=getattr(args, "oracle", False),
         step_bound=args.step_bound,
-        d_cap=args.d_cap,
     )
 
 
@@ -262,7 +254,7 @@ def _print_basis(basis: BinomialBasis, out) -> None:
 
 
 def cmd_analyze(cfg: RunConfig, out) -> int:
-    report = analyze_member(cfg.data, cfg.m, step_bound=cfg.step_bound, d_cap=cfg.d_cap)
+    report = analyze_member(cfg.data, cfg.m, step_bound=cfg.step_bound)
     hom = None
     if cfg.homogenize and report.applicable and report.verdict_criterion and not report.reordered:
         hom = homogeneous_basis(cfg.data, cfg.m)
@@ -291,9 +283,7 @@ def cmd_analyze(cfg: RunConfig, out) -> int:
 
 def _run_scan(cfg: RunConfig, out, hard_verify: bool) -> int:
     lo, hi = cfg.m_range
-    reports = cross_validate(
-        cfg.data, range(lo, hi + 1), step_bound=cfg.step_bound, d_cap=cfg.d_cap
-    )
+    reports = cross_validate(cfg.data, range(lo, hi + 1), step_bound=cfg.step_bound)
     if cfg.fmt == "json":
         doc = {"reports": [r.to_dict() for r in reports], "summary": _summary(reports)}
         print(to_canonical_json(doc), file=out)
@@ -353,18 +343,17 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
     vec = _parse_vector(args.a, 4, "--a")
     if any(x < 1 for x in vec):
         raise UsageError(f"--a entries must be positive: {vec}")
-    cap = args.d_cap
     if all(vec[3] > vec[i] for i in range(3)):
-        data = d_from_a(vec, cap=cap)
+        data = d_from_a(vec)
         hits = [((0, 1, 2, 3), data)] if data else []
     else:
-        hits = d_from_a_any_order(vec, cap=cap)
+        hits = d_from_a_any_order(vec)
     if not hits:
         if args.format == "json":
             print(to_canonical_json({"solutions": []}), file=out)
         else:
-            print(f"not Bresinsky form (within d-cap {cap})", file=out)
-        raise RefusalError(SKIP_FORM, {"degrees": vec, "d_cap": cap})
+            print(SKIP_FORM, file=out)
+        raise RefusalError(SKIP_FORM, {"degrees": vec})
     if args.format == "json":
         doc = {
             "solutions": [
@@ -423,6 +412,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except CurveLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except Exception as exc:  # a bug; exit 1 would pass it off as a usage error
+        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INCONSISTENT
 
 
 def main_entry() -> None:

@@ -1,9 +1,18 @@
 """Shared test utilities: monomial builders, an independent comparison
-oracle, and a seeded generator of valid parameter sets."""
+oracle, a brute-force recovery oracle, and a seeded generator of valid
+parameter sets."""
 
 from random import Random
 
-from curvelab import AFFINE_ORDER, Binomial, BresinskyData, Monomial, ShiftFamily, case_conditions
+from curvelab import (
+    AFFINE_ORDER,
+    Binomial,
+    BresinskyData,
+    Monomial,
+    ShiftFamily,
+    a_from_d,
+    case_conditions,
+)
 
 
 def m4(e1=0, e2=0, e3=0, e4=0) -> Monomial:
@@ -114,3 +123,66 @@ def sample_applicable(seed: int, count: int, max_row: int = 10, max_m: int = 10)
         if member.gcd_ok and member.max_ok:
             out.append((data, m))
     return out
+
+
+def brute_force_parameters(a, cap: int) -> list:
+    """Reference oracle for parameter recovery: exhaustive search for all
+    parameter sets inducing `a` in role order, with each row sum <= cap.
+
+    The first degree equation a1 = d2*d4*d13 + d42*d14*d23 drives the
+    enumeration of (d2, d4, d13, d42, d14, d23); the second and third are
+    then linear in (d21, d41) and solved exactly, and the fourth is
+    verified on each candidate.
+    """
+    a1, a2, a3, a4 = a
+    sols = []
+    d2_hi = min(cap, (a1 - 1) // 2, (a3 - 1) // 2)
+    for d2 in range(2, d2_hi + 1):
+        d4_hi = min(cap, (a1 - 1) // d2, (a2 - 1) // 2)
+        for d4 in range(2, d4_hi + 1):
+            d13_hi = min(cap - 1, (a1 - 1) // (d2 * d4))
+            for d13 in range(1, d13_hi + 1):
+                rem = a1 - d2 * d4 * d13  # = d42 * d14 * d23 >= 1
+                for d42 in range(1, d2):
+                    if rem % d42:
+                        continue
+                    rem2 = rem // d42
+                    for d14 in range(1, d4):
+                        if rem2 % d14:
+                            continue
+                        d23 = rem2 // d14
+                        if d13 + d23 > cap:
+                            continue
+                        d32 = d2 - d42
+                        d34 = d4 - d14
+                        d3 = d13 + d23
+                        # a2 = A*d21 + B*d41, a3 = C*d21 + D*d41
+                        A = d3 * d4
+                        B = d34 * d23
+                        C = d2 * d34 + d32 * d14
+                        D = d2 * d34
+                        det = A * D - B * C
+                        if det != 0:
+                            n21 = a2 * D - a3 * B
+                            n41 = A * a3 - C * a2
+                            if n21 % det or n41 % det:
+                                continue
+                            d21, d41 = n21 // det, n41 // det
+                            if d21 < 1 or d41 < 1:
+                                continue
+                            cands = [(d21, d41)]
+                        else:
+                            cands = []
+                            for d21 in range(1, cap):
+                                t = a2 - A * d21
+                                if t <= 0:
+                                    break
+                                if t % B == 0:
+                                    cands.append((d21, t // B))
+                        for d21, d41 in cands:
+                            if d21 + d41 > cap:
+                                continue
+                            data = BresinskyData(d21, d41, d32, d42, d13, d23, d14, d34)
+                            if a_from_d(data) == a:
+                                sols.append(data)
+    return sols

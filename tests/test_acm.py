@@ -130,6 +130,11 @@ class TestCrossValidate:
         assert r8.degrees == (107, 133, 106, 131)
         assert r8.case == 1
 
+    def test_step_bound_is_a_typed_skip(self, basic_data):
+        reports = cross_validate(basic_data, range(0, 3), step_bound=1)
+        assert [r.skip_reason for r in reports] == ["step bound exceeded", "gcd>1",
+                                                    "step bound exceeded"]
+
     def test_big_family(self, big_data):
         reports = cross_validate(big_data, range(0, 16))
         for r in reports:

@@ -1,4 +1,6 @@
 import math
+import time
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -21,7 +23,7 @@ from curvelab import (
     toric_membership,
 )
 from conftest import even_family_data, family_data
-from helpers import m4, pair_set, random_valid_data
+from helpers import brute_force_parameters, m4, pair_set, random_valid_data
 
 
 class TestData:
@@ -258,7 +260,7 @@ class TestRecovery:
             if math.gcd(*vec) != 1:
                 continue
             checked += 1
-            assert d_from_a(vec, cap=16) == data
+            assert d_from_a(vec) == data
 
     def test_any_order_identity_first(self, basic_data):
         hits = d_from_a_any_order((19, 29, 26, 43))
@@ -283,6 +285,45 @@ class TestRecovery:
         assert d_from_a_any_order((2, 3, 7, 7)) == []
         with pytest.raises(RefusalError):
             d_from_a_any_order((2, 2, 2, 2))
+
+    def test_matches_brute_force_on_every_strict_max_permutation(self):
+        # the oracle only sees row sums <= cap; larger solutions are
+        # beyond its reach, not wrong
+        cap = 16
+        rng = Random(5)
+        checked = found = 0
+        while checked < 120:
+            a = a_from_d(random_valid_data(rng, max_row=12))
+            if math.gcd(*a) != 1:
+                continue
+            for b in sorted(set(permutations(a))):
+                if not all(b[3] > b[i] for i in range(3)):
+                    continue
+                checked += 1
+                got = d_from_a(b)
+                found += got is not None
+                within = got is not None and max(got.d1, got.d2, got.d3, got.d4) <= cap
+                assert brute_force_parameters(b, cap) == ([got] if within else []), b
+        assert found >= 10  # the corpus is not vacuous
+
+    def test_large_vector_not_of_this_form_stops_at_the_bound(self):
+        # unbounded, row 1 would accept c = 100006 (2c = a3 + a4); the
+        # bound a3 / gcd(a1, a3) = 100005 ends it first
+        vec = (2, 100003, 100005, 100007)
+        start = time.perf_counter()
+        assert d_from_a(vec) is None
+        assert d_from_a_any_order(vec) == []
+        assert time.perf_counter() - start < 1.0
+
+    def test_recovery_is_cap_free(self, basic_data):
+        # every coprime member from m=8 on has its maximum in x2
+        fam = ShiftFamily.from_data(basic_data)
+        for m in (60, 200, 1002):
+            member = fam.member(m)
+            assert member.gcd_ok and not member.max_ok
+            [(perm, data)] = d_from_a_any_order(member.degrees)
+            assert a_from_d(data) == tuple(member.degrees[i] for i in perm)
+            assert max(data.d1, data.d2, data.d3, data.d4) > 64
 
 
 class TestShiftFamily:
@@ -317,6 +358,6 @@ def test_no_anomalies_on_fixture_corpus():
         if math.gcd(*vec) != 1:
             continue
         try:
-            d_from_a(vec, cap=16)
+            d_from_a(vec)
         except AnomalyError as exc:  # would indicate a real bug
             pytest.fail(f"anomaly reported for {vec}: {exc}")

@@ -38,6 +38,14 @@ class TestAnalyze:
         assert rc == 2
         assert "not Bresinsky form" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", [60, 200])
+    def test_far_shifted_member_is_reordered_and_agrees(self, m):
+        rc, out = run_cli("analyze", "--a", "19,29,26,43", "--m", str(m), "--format", "json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["applicable"] and doc["reordered"]
+        assert doc["verdict_criterion"] is False and doc["agree"] is True
+
     def test_homogenize_flag(self):
         rc, out = run_cli("analyze", "--a", "8,5,7,9", "--m", "0", "--homogenize")
         assert rc == 0
@@ -164,6 +172,14 @@ class TestRecover:
         perms = [tuple(s["permutation"]) for s in doc["solutions"]]
         assert (3, 1, 4, 2) in perms
 
+    def test_far_shifted_member_has_one_solution(self):
+        # the (19,29,26,43) member at m=200; its maximum sits in x2
+        rc, out = run_cli("recover", "--a", "2219,2629,2026,2243", "--format", "json")
+        assert rc == 0
+        [sol] = json.loads(out)["solutions"]
+        perm = [i - 1 for i in sol["permutation"]]
+        assert sol["a"] == [[2219, 2629, 2026, 2243][i] for i in perm]
+
     def test_requires_degree_vector(self):
         rc, _ = run_cli("recover")
         assert rc == 1
@@ -176,6 +192,10 @@ class TestUsage:
 
     def test_negative_m(self):
         rc, _ = run_cli("analyze", "--a", "8,5,7,9", "--m", "-3")
+        assert rc == 1
+
+    def test_unknown_option(self):
+        rc, _ = run_cli("recover", "--a", "19,29,26,43", "--no-such-option", "64")
         assert rc == 1
 
     def test_malformed_vector(self):
@@ -196,6 +216,30 @@ class TestExitCodeContract:
         monkeypatch.setattr(cli_mod, "cross_validate", boom)
         rc, _ = run_cli("family", "--a", "8,5,7,9", "--m-range", "0..1")
         assert rc == 3
+
+    def test_recovery_anomaly_in_scan_maps_to_3(self, monkeypatch, capsys):
+        from curvelab import AnomalyError
+        import curvelab.acm as acm_mod
+
+        def boom(*args, **kwargs):
+            raise AnomalyError("injected")
+
+        monkeypatch.setattr(acm_mod, "d_from_a_any_order", boom)
+        rc, out = run_cli("family", "--a", "19,29,26,43", "--m-range", "0..10")
+        assert rc == 3
+        assert out == ""
+        assert "internal inconsistency: injected" in capsys.readouterr().err
+
+    def test_bug_in_scan_maps_to_3(self, monkeypatch, capsys):
+        import curvelab.acm as acm_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(acm_mod, "d_from_a_any_order", boom)
+        rc, _ = run_cli("verify", "--a", "19,29,26,43", "--m-range", "0..10")
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("internal error: injected\n")
 
     def test_step_bound_exhaustion_maps_to_2(self):
         rc, _ = run_cli("gb", "--a", "8,5,7,9", "--m", "0", "--oracle", "--step-bound", "1")
@@ -229,12 +273,6 @@ class TestEnvOverrides:
         assert rc == 0
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
-
-    def test_d_cap_env(self, monkeypatch):
-        monkeypatch.setenv("CURVELAB_D_CAP", "3")
-        # the parameters of this vector need row sums up to 16
-        rc, _ = run_cli("recover", "--a", "1191,1239,582,2303")
-        assert rc == 2
 
     def test_step_bound_env(self, monkeypatch):
         monkeypatch.setenv("CURVELAB_STEP_BOUND", "1")
