@@ -34,6 +34,7 @@ CASES = {
     "analyze-gcd-input": ["analyze", "--a", "2,4,6,8", "--m", "0"],
     "analyze-tied-max": ["analyze", "--a", "1,1,1,1", "--m", "0"],
     "analyze-not-form": ["analyze", "--a", "2,3,4,5", "--m", "0"],
+    "analyze-reordered-acm": ["analyze", "--d", "4,2,4,1,5,1,7,1", "--m", "0"],
     "family-basic-0-70": ["family", "--a", "19,29,26,43", "--m-range", "0..70"],
     "family-big-json": ["family", "--a", "1191,1239,582,2303", "--m-range", "0..15",
                         "--format", "json"],
@@ -45,12 +46,17 @@ CASES = {
     "gb-case2-json": ["gb", "--a", "1191,1239,582,2303", "--m", "0", "--format", "json"],
     "gb-homogenize": ["gb", "--a", "8,5,7,9", "--m", "0", "--homogenize"],
     "gb-oracle-homogenize": ["gb", "--a", "19,29,26,43", "--m", "0", "--oracle", "--homogenize"],
+    "gb-oracle-json": ["gb", "--a", "19,29,26,43", "--m", "0", "--oracle", "--format", "json"],
+    "gb-oracle-homogenize-json": ["gb", "--a", "19,29,26,43", "--m", "0", "--oracle",
+                                  "--homogenize", "--format", "json"],
+    "gb-case2-homogenize": ["gb", "--a", "1191,1239,582,2303", "--m", "0", "--homogenize"],
     "gb-conditions-refused": ["gb", "--a", "19,29,26,43", "--m", "0"],
     "recover-basic": ["recover", "--a", "19,29,26,43"],
     "recover-big-json": ["recover", "--a", "1191,1239,582,2303", "--format", "json"],
     "recover-reordered": ["recover", "--a", "107,133,106,131"],
     "recover-not-form": ["recover", "--a", "2,3,4,5"],
     "recover-not-form-json": ["recover", "--a", "2,3,4,5", "--format", "json"],
+    "recover-gcd-input": ["recover", "--a", "2,4,6,8"],
     "usage-both-inputs": ["analyze", "--a", "8,5,7,9", "--d", "1,1,1,2,1,1,1,1", "--m", "0"],
 }
 
