@@ -12,14 +12,12 @@ implementation failure and aborts with a diagnostic dump.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .bresinsky import (
     SKIP_FORM,
     SKIP_GCD,
-    SKIP_MAX,
     BresinskyData,
     ConditionValue,
     ShiftFamily,
@@ -27,6 +25,7 @@ from .bresinsky import (
     case_conditions,
     closed_form_basis,
     d_from_a_any_order,
+    degree_refusal,
     generators,
 )
 from .errors import AmbientMismatchError, DisagreementError, RefusalError, StepBoundExceeded
@@ -35,6 +34,7 @@ from .groebner import (
     Binomial,
     BinomialBasis,
     buchberger,
+    canonical,
     reduce_basis,
 )
 from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial
@@ -118,12 +118,10 @@ def acm_by_criterion(data: BresinskyData, m: int) -> CriterionResult:
     is not the strict maximum; the criterion is only stated under those
     hypotheses.
     """
-    fam = ShiftFamily.from_data(data)
-    member = fam.member(m)
-    if not member.gcd_ok:
-        raise RefusalError(SKIP_GCD, {"m": m, "degrees": member.degrees})
-    if not member.max_ok:
-        raise RefusalError(SKIP_MAX, {"m": m, "degrees": member.degrees})
+    deg = ShiftFamily.from_data(data).member(m).degrees
+    reason = degree_refusal(deg)
+    if reason is not None:
+        raise RefusalError(reason, {"m": m, "degrees": deg})
     cc = case_conditions(data, m)
     return CriterionResult(acm=cc.all_pass, case=cc.case, w=cc.w, conditions=cc.conditions)
 
@@ -144,10 +142,9 @@ def acm_by_groebner(
     vec = tuple(int(x) for x in degrees)
     if len(vec) != 4 or any(x < 1 for x in vec):
         raise ValueError(f"degree vector must have 4 positive entries: {vec}")
-    if math.gcd(*vec) != 1:
-        raise RefusalError(SKIP_GCD, {"degrees": vec})
-    if not all(vec[3] > vec[i] for i in range(3)):
-        raise RefusalError(SKIP_MAX, {"degrees": vec})
+    reason = degree_refusal(vec)
+    if reason is not None:
+        raise RefusalError(reason, {"degrees": vec})
     reduced = reduce_basis(buchberger(gens, AFFINE_ORDER, step_bound), step_bound)
     x4_leads = tuple(mono for mono in reduced.leads() if mono.exponent(4) > 0)
     return GroebnerVerdict(acm=not x4_leads, x4_leads=x4_leads, basis=reduced)
@@ -216,6 +213,20 @@ class HomogeneousBasis(BinomialBasis):
                 raise ValueError(f"element fails homogeneous membership for {self.degrees}: {b}")
 
 
+def homogenized(basis: BinomialBasis, degrees: Vec4) -> HomogeneousBasis:
+    """Element-wise homogenization of a Groebner basis of the toric ideal
+    of `degrees`, sorted canonically under the extended order.  That order
+    is degree-compatible, so no lead gains x0: the result is a Groebner
+    basis, and reduced exactly when `basis` is."""
+    return HomogeneousBasis(
+        canonical((homogenize(b) for b in basis.elements), PROJECTIVE_ORDER),
+        PROJECTIVE_ORDER,
+        is_groebner_verified=basis.is_groebner_verified,
+        is_reduced=basis.is_reduced,
+        degrees=degrees,
+    )
+
+
 def homogeneous_basis(data: BresinskyData, m: int) -> HomogeneousBasis:
     """Element-wise homogenization of the closed-form basis at shift m.
 
@@ -232,17 +243,7 @@ def homogeneous_basis(data: BresinskyData, m: int) -> HomogeneousBasis:
             {"m": m, "condition": failing.name, "value": failing.value},
         )
     closed = closed_form_basis(data, m)
-    member = ShiftFamily.from_data(data).member(m)
-    elems = [homogenize(b) for b in closed.basis.elements]
-    key = PROJECTIVE_ORDER.key
-    elems.sort(key=lambda b: (key(b.lead), key(b.trail)))
-    return HomogeneousBasis(
-        tuple(elems),
-        PROJECTIVE_ORDER,
-        is_groebner_verified=True,
-        is_reduced=closed.case == 1,
-        degrees=member.degrees,
-    )
+    return homogenized(closed.basis, ShiftFamily.from_data(data).member(m).degrees)
 
 
 def _skip(m: int, degrees: Vec4, reason: str) -> AcmReport:
@@ -281,39 +282,22 @@ def analyze_member(
     parameter form; the verdicts are then labelled as permuted.  A
     disagreement between the two routes raises DisagreementError.
     """
-    fam = ShiftFamily.from_data(data)
-    member = fam.member(m)
-    deg = member.degrees
-    if not member.gcd_ok:
-        return _skip(m, deg, SKIP_GCD)
+    deg = ShiftFamily.from_data(data).member(m).degrees
+    reason = degree_refusal(deg)
+    if reason is None:
+        target, tm, tdeg = data, m, deg
+    elif reason == SKIP_GCD or deg.count(max(deg)) > 1:
+        return _skip(m, deg, reason)
+    else:
+        hits = d_from_a_any_order(deg)
+        if not hits:
+            return _skip(m, deg, SKIP_FORM)
+        perm, target = hits[0]
+        tm, tdeg = 0, tuple(deg[i] for i in perm)
 
-    if member.max_ok:
-        crit = acm_by_criterion(data, m)
-        gb = acm_by_groebner(deg, generators(data, m), step_bound)
-        report = AcmReport(
-            m=m,
-            degrees=deg,
-            applicable=True,
-            case=crit.case,
-            w=crit.w,
-            conditions=crit.conditions,
-            verdict_criterion=crit.acm,
-            verdict_groebner=gb.acm,
-            agree=crit.acm == gb.acm,
-            x4_initial=tuple(str(mono) for mono in gb.x4_leads),
-        )
-        return _agreement_checked(report, gb)
-
-    mx = max(deg)
-    if deg.count(mx) > 1:
-        return _skip(m, deg, SKIP_MAX)
-    hits = d_from_a_any_order(deg)
-    if not hits:
-        return _skip(m, deg, SKIP_FORM)
-    perm, data2 = hits[0]
-    permuted = tuple(deg[i] for i in perm)
-    crit = acm_by_criterion(data2, 0)
-    gb = acm_by_groebner(permuted, generators(data2, 0), step_bound)
+    reordered = reason is not None
+    crit = acm_by_criterion(target, tm)
+    gb = acm_by_groebner(tdeg, generators(target, tm), step_bound)
     report = AcmReport(
         m=m,
         degrees=deg,
@@ -324,8 +308,8 @@ def analyze_member(
         verdict_criterion=crit.acm,
         verdict_groebner=gb.acm,
         agree=crit.acm == gb.acm,
-        reordered=True,
-        permuted_degrees=permuted,
+        reordered=reordered,
+        permuted_degrees=tdeg if reordered else None,
         x4_initial=tuple(str(mono) for mono in gb.x4_leads),
     )
     return _agreement_checked(report, gb)

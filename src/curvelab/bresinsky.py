@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AnomalyError, RefusalError
-from .groebner import Binomial, BinomialBasis
+from .groebner import Binomial, BinomialBasis, canonical
 from .monomials import AFFINE_ORDER, Monomial
 
 SKIP_GCD = "gcd>1"
@@ -28,6 +28,17 @@ SKIP_MAX = "max-coordinate fails"
 SKIP_FORM = "not Bresinsky form"
 
 Vec4 = tuple[int, int, int, int]
+
+
+def degree_refusal(deg: Sequence[int]) -> Optional[str]:
+    """Why a degree vector is outside the hypotheses both decision routes
+    are stated under: SKIP_GCD when its entries share a factor, SKIP_MAX
+    when its fourth entry is not the strict maximum, None when it is in."""
+    if math.gcd(*deg) != 1:
+        return SKIP_GCD
+    if not all(deg[3] > deg[i] for i in range(3)):
+        return SKIP_MAX
+    return None
 
 
 @dataclass(frozen=True)
@@ -360,10 +371,8 @@ def closed_form_basis(data: BresinskyData, m: int) -> ClosedFormBasis:
     if cc.case == 2:
         elems.extend(extra_binomials(data, m).all())
 
-    key = AFFINE_ORDER.key
-    elems.sort(key=lambda b: (key(b.lead), key(b.trail)))
     basis = BinomialBasis(
-        tuple(elems),
+        canonical(elems, AFFINE_ORDER),
         AFFINE_ORDER,
         is_groebner_verified=True,
         is_reduced=cc.case == 1,
@@ -474,7 +483,7 @@ def d_from_a_any_order(
     seen: set[Vec4] = set()
     for perm in permutations(range(4)):
         b = tuple(vec[i] for i in perm)
-        if b in seen or not all(b[3] > b[i] for i in range(3)):
+        if b in seen or degree_refusal(b) is not None:
             continue
         seen.add(b)
         data = d_from_a(b)

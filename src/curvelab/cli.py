@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import traceback
@@ -22,18 +21,17 @@ from .acm import (
     analyze_member,
     cross_validate,
     homogeneous_basis,
-    homogenize,
+    homogenized,
 )
 from .bresinsky import (
     SKIP_FORM,
-    SKIP_GCD,
-    SKIP_MAX,
     BresinskyData,
     ShiftFamily,
     a_from_d,
     closed_form_basis,
     d_from_a,
     d_from_a_any_order,
+    degree_refusal,
     generators,
     shift_vector,
 )
@@ -45,7 +43,7 @@ from .errors import (
     StepBoundExceeded,
 )
 from .groebner import DEFAULT_STEP_BOUND, BinomialBasis, buchberger, reduce_basis
-from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER
+from .monomials import AFFINE_ORDER
 
 ENV_PREFIX = "CURVELAB_"
 
@@ -97,6 +95,13 @@ def _parse_vector(raw: str, n: int, flag: str) -> tuple[int, ...]:
         raise UsageError(f"{flag} expects {n} comma-separated integers, got {raw!r}")
     if len(vec) != n:
         raise UsageError(f"{flag} expects {n} comma-separated integers, got {len(vec)}")
+    return vec
+
+
+def _parse_a(raw: str) -> tuple[int, ...]:
+    vec = _parse_vector(raw, 4, "--a")
+    if any(x < 1 for x in vec):
+        raise UsageError(f"--a entries must be positive: {vec}")
     return vec
 
 
@@ -180,13 +185,10 @@ def _resolve_input(args: argparse.Namespace) -> tuple[BresinskyData, tuple[int, 
         except ValueError as exc:
             raise UsageError(str(exc))
         return data, ShiftFamily.from_data(data).base
-    vec = _parse_vector(a_raw, 4, "--a")
-    if any(x < 1 for x in vec):
-        raise UsageError(f"--a entries must be positive: {vec}")
-    if math.gcd(*vec) != 1:
-        raise RefusalError(SKIP_GCD, {"degrees": vec})
-    if not all(vec[3] > vec[i] for i in range(3)):
-        raise RefusalError(SKIP_MAX, {"degrees": vec})
+    vec = _parse_a(a_raw)
+    reason = degree_refusal(vec)
+    if reason is not None:
+        raise RefusalError(reason, {"degrees": vec})
     data = d_from_a(vec)
     if data is None:
         raise RefusalError(SKIP_FORM, {"degrees": vec})
@@ -315,13 +317,7 @@ def cmd_gb(cfg: RunConfig, out) -> int:
         tag = {"source": "closed-form", "case": closed.case, "reduced": basis.is_reduced}
     if cfg.homogenize:
         if cfg.oracle:
-            elems = tuple(homogenize(b) for b in basis.elements)
-            key = PROJECTIVE_ORDER.key
-            basis = BinomialBasis(
-                tuple(sorted(elems, key=lambda b: (key(b.lead), key(b.trail)))),
-                PROJECTIVE_ORDER,
-                is_groebner_verified=True,
-            )
+            basis = homogenized(basis, ShiftFamily.from_data(cfg.data).member(cfg.m).degrees)
         else:
             basis = homogeneous_basis(cfg.data, cfg.m)
         tag["homogenized"] = True
@@ -340,10 +336,8 @@ def cmd_gb(cfg: RunConfig, out) -> int:
 def cmd_recover(args: argparse.Namespace, out) -> int:
     if not args.a:
         raise UsageError("recover requires --a")
-    vec = _parse_vector(args.a, 4, "--a")
-    if any(x < 1 for x in vec):
-        raise UsageError(f"--a entries must be positive: {vec}")
-    if all(vec[3] > vec[i] for i in range(3)):
+    vec = _parse_a(args.a)
+    if degree_refusal(vec) is None:
         data = d_from_a(vec)
         hits = [((0, 1, 2, 3), data)] if data else []
     else:
@@ -400,15 +394,12 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RefusalError as exc:
+    except (RefusalError, StepBoundExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (DisagreementError, AnomalyError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except StepBoundExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
     except CurveLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED

@@ -78,6 +78,14 @@ class Binomial:
         return cls(Monomial.from_json(obj["lead"]), Monomial.from_json(obj["trail"]))
 
 
+def canonical(elements: Iterable[Binomial], order: MonomialOrder) -> tuple[Binomial, ...]:
+    """The canonical element order: ascending by lead, then by trail,
+    under `order`.  Every basis that is printed, serialized or flagged
+    reduced is in this order."""
+    key = order.key
+    return tuple(sorted(elements, key=lambda b: (key(b.lead), key(b.trail))))
+
+
 @dataclass(frozen=True)
 class BinomialBasis:
     """A finite set of oriented binomials under a fixed order.
@@ -113,8 +121,7 @@ class BinomialBasis:
         return tuple(b.lead for b in self.elements)
 
     def sorted_elements(self) -> tuple[Binomial, ...]:
-        key = self.order.key
-        return tuple(sorted(self.elements, key=lambda b: (key(b.lead), key(b.trail))))
+        return canonical(self.elements, self.order)
 
     def to_json(self) -> dict:
         return {
@@ -268,11 +275,8 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
             )
 
     order = basis.order
-    key = order.key
-    elems = sorted(basis.elements, key=lambda b: (key(b.lead), key(b.trail)))
-
     kept: list[Binomial] = []
-    for b in elems:
+    for b in canonical(basis.elements, order):
         # ascending lead order: any divisor of b.lead is already in kept
         if any(k.lead.divides(b.lead) for k in kept):
             continue
@@ -293,8 +297,7 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
                 raise StepBoundExceeded(f"tail reduction exceeded {step_bound} steps")
         out.append(Binomial(b.lead, t))
 
-    out.sort(key=lambda b: key(b.lead))
-    return BinomialBasis(tuple(out), order, is_groebner_verified=True, is_reduced=True)
+    return BinomialBasis(canonical(out, order), order, is_groebner_verified=True, is_reduced=True)
 
 
 def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> GroebnerCertificate:

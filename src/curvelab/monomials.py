@@ -124,6 +124,11 @@ class MonomialOrder:
     exponent at the first difference is the smaller one.  This is a
     multiplicative total order; two monomials compare equal only when
     their exponent vectors coincide.
+
+    `compare` (short-circuits on degree, for the reduction hot loop) and
+    `key` (for the pair heap and the canonical sorts) implement the order
+    twice on purpose: deriving either from the other slowed the long-basis
+    benchmark workload by 6-71%; the tests check that the two agree.
     """
 
     priority: tuple[int, ...]

@@ -1,6 +1,7 @@
 import pytest
 
 from curvelab import (
+    AFFINE_ORDER,
     PROJECTIVE_ORDER,
     AmbientMismatchError,
     Binomial,
@@ -9,15 +10,19 @@ from curvelab import (
     acm_by_criterion,
     acm_by_groebner,
     analyze_member,
+    buchberger,
     check_h_membership,
     closed_form_basis,
     cross_validate,
+    d_from_a,
     dehomogenize,
     generators,
     homogeneous_basis,
     homogenize,
     is_groebner,
+    reduce_basis,
 )
+from curvelab.acm import homogenized
 from conftest import family_data
 from helpers import bino, m4, m5, pair_set, sample_applicable
 
@@ -235,6 +240,18 @@ class TestHomogeneousBasis:
         hb = homogeneous_basis(family_data(2), 4)
         assert hb.order == PROJECTIVE_ORDER
         assert is_groebner(hb).ok
+
+    @pytest.mark.parametrize("a", [(19, 29, 26, 43), (1191, 1239, 582, 2303)])
+    def test_homogenized_oracle_basis_stays_reduced(self, a):
+        oracle = reduce_basis(buchberger(generators(d_from_a(a), 0), AFFINE_ORDER))
+        hb = homogenized(oracle, a)
+        assert hb.is_reduced and hb.order == PROJECTIVE_ORDER
+        assert is_groebner(hb).ok
+        assert reduce_basis(hb).elements == hb.elements
+
+    def test_closed_form_homogenization_flags_reduced_in_case1(self, big_data):
+        for data, m in ((family_data(2), 0), (family_data(2), 3), (big_data, 0), (big_data, 2)):
+            assert homogeneous_basis(data, m).is_reduced == (closed_form_basis(data, m).case == 1)
 
 
 def test_reports_serialize_without_floats(basic_data):
