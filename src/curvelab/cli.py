@@ -276,7 +276,8 @@ def cmd_analyze(cfg: RunConfig, out) -> int:
             print("homogeneous basis:", file=out)
             _print_basis(hom, out)
         elif cfg.homogenize:
-            print("homogeneous basis unavailable (not ACM)", file=out)
+            why = "reordered coordinates" if report.verdict_criterion else "not ACM"
+            print(f"homogeneous basis unavailable ({why})", file=out)
     if not report.applicable:
         raise RefusalError(report.skip_reason or "not applicable",
                            {"m": report.m, "degrees": report.degrees})

@@ -52,6 +52,16 @@ class TestAnalyze:
         assert "homogeneous basis:" in out
         assert "x2^3 - x0*x1*x3" in out
 
+    def test_homogenize_on_reordered_acm_member_names_the_reason(self):
+        argv = ("analyze", "--d", "4,2,4,1,5,1,7,1", "--m", "0", "--homogenize")
+        rc, out = run_cli(*argv)
+        assert rc == 0
+        assert "| T    | T    | y     | reordered" in out
+        assert "homogeneous basis unavailable (reordered coordinates)" in out
+        rc, out = run_cli(*argv, "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["homogeneous_basis"] is None
+
     def test_json_shape(self):
         rc, out = run_cli("analyze", "--a", "8,5,7,9", "--m", "2", "--format", "json")
         assert rc == 0

@@ -35,6 +35,8 @@ CASES = {
     "analyze-tied-max": ["analyze", "--a", "1,1,1,1", "--m", "0"],
     "analyze-not-form": ["analyze", "--a", "2,3,4,5", "--m", "0"],
     "analyze-reordered-acm": ["analyze", "--d", "4,2,4,1,5,1,7,1", "--m", "0"],
+    "analyze-reordered-homogenize": ["analyze", "--d", "4,2,4,1,5,1,7,1", "--m", "0",
+                                     "--homogenize"],
     "family-basic-0-70": ["family", "--a", "19,29,26,43", "--m-range", "0..70"],
     "family-big-json": ["family", "--a", "1191,1239,582,2303", "--m-range", "0..15",
                         "--format", "json"],
