@@ -7,7 +7,10 @@ ordered pairs of exponent vectors.  Zero is represented by None
 throughout; a Binomial with equal sides cannot be constructed.
 
 The engine uses the normal pair-selection strategy (smallest lcm of leads
-first) together with the coprime-lead skip.  Reduction is deterministic:
+first) together with Buchberger's coprime-lead and chain criteria, applied
+as the Gebauer-Moeller update (Cox-Little-O'Shea, Ideals, Varieties, and
+Algorithms, §2.10; Gebauer-Moeller 1988), so a pair those criteria prove
+redundant is never normal-formed.  Reduction is deterministic:
 the reducer with the smallest basis index is used, and the currently
 leading monomial is reduced before the trailing one.  Against a verified
 Groebner basis the normal form is independent of these choices; against
@@ -217,6 +220,13 @@ def normal_form(f: Binomial, basis: BinomialBasis, step_bound: int = DEFAULT_STE
     return _normal_form(f.oriented(basis.order), basis.elements, basis.order, step_bound)
 
 
+def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
+
+
 def buchberger(
     gens: Iterable[Binomial],
     order: MonomialOrder,
@@ -224,37 +234,77 @@ def buchberger(
 ) -> BinomialBasis:
     """Groebner basis of the ideal generated by `gens` under `order`.
 
-    Standard Buchberger with the normal selection strategy: the pending
-    pair whose lead-lcm is smallest in the order is processed first, and
-    pairs with coprime leads are never enqueued.
+    Buchberger's algorithm with the normal selection strategy (the pending
+    pair whose lead-lcm is smallest in the order is processed first) and
+    Buchberger's two criteria applied as the Gebauer-Moeller update
+    (Gebauer-Moeller 1988; Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, §2.10).  When an element t joins the basis:
+
+    - a pending pair (i, j) is dropped when lead_t divides its lcm and
+      both lcm(i, t) and lcm(j, t) differ from it (chain criterion);
+    - of the new pairs (i, t), only those whose lcm no other new pair's
+      lcm divides are kept, one per lcm, and none whose lcm some pair with
+      coprime leads shares (chain and coprime criteria);
+    - an element whose lead lead_t divides forms no further pairs.
+
+    Every element stays in the basis and serves as a reducer.
     """
-    basis = [g.oriented(order) for g in gens]
+    basis: list[Binomial] = []
+    leads: list[tuple[int, ...]] = []
+    live: list[int] = []  # indices that still form new pairs
+    heap: list[tuple[tuple, int, int]] = []
+    pending: dict[tuple[int, int], tuple[int, ...]] = {}  # pair -> lcm of its leads
+
+    def add(h: Binomial) -> None:
+        t = len(basis)
+        lt = h.lead.exponents
+        for (i, j), lcm in list(pending.items()):
+            if (
+                _divides(lt, lcm)
+                and tuple(map(max, leads[i], lt)) != lcm
+                and tuple(map(max, leads[j], lt)) != lcm
+            ):
+                del pending[(i, j)]
+        # one candidate pair per lcm (the last i), flagged when any pair
+        # with that lcm has coprime leads
+        candidates: dict[tuple[int, ...], tuple[int, bool]] = {}
+        dt = sum(lt)
+        for i in live:
+            lcm = tuple(map(max, leads[i], lt))
+            coprime = sum(lcm) == sum(leads[i]) + dt
+            if lcm in candidates:
+                coprime = coprime or candidates[lcm][1]
+            candidates[lcm] = (i, coprime)
+        minimal: list[tuple[int, ...]] = []
+        for lcm in sorted(candidates, key=sum):
+            if any(_divides(m, lcm) for m in minimal):
+                continue
+            minimal.append(lcm)
+            i, coprime = candidates[lcm]
+            if not coprime:  # coprime leads: S-binomial reduces to zero
+                pending[(i, t)] = lcm
+                heapq.heappush(heap, (order.key(Monomial(lcm)), i, t))
+        live[:] = [i for i in live if not _divides(lt, leads[i])]
+        live.append(t)
+        basis.append(h)
+        leads.append(lt)
+
+    for g in gens:
+        add(g.oriented(order))
     if not basis:
         raise ValueError("need at least one generator")
 
-    heap: list[tuple[tuple, int, int]] = []
-
-    def push_pairs(j: int) -> None:
-        fj = basis[j]
-        for i in range(j):
-            lcm = basis[i].lead.lcm(fj.lead)
-            if lcm.degree() == basis[i].lead.degree() + fj.lead.degree():
-                continue  # coprime leads: S-binomial reduces to zero
-            heapq.heappush(heap, (order.key(lcm), i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
-
     while heap:
         _, i, j = heapq.heappop(heap)
+        if pending.pop((i, j), None) is None:
+            continue  # dropped by a later element
         s = s_binomial(basis[i], basis[j], order)
         if s is None:
             continue
         h = _normal_form(s, basis, order, step_bound)
         if h is None:
             continue
-        basis.append(h)
-        push_pairs(len(basis) - 1)
+        add(h)
 
     return BinomialBasis(tuple(basis), order, is_groebner_verified=True)
 

@@ -1,7 +1,8 @@
 """Shared test utilities: monomial builders, an independent comparison
-oracle, a brute-force recovery oracle, and a seeded generator of valid
-parameter sets."""
+oracle, a brute-force recovery oracle, an all-pairs Buchberger oracle,
+and a seeded generator of valid parameter sets."""
 
+import heapq
 from random import Random
 
 from curvelab import (
@@ -10,9 +11,11 @@ from curvelab import (
     BresinskyData,
     Monomial,
     ShiftFamily,
+    BinomialBasis,
     a_from_d,
     case_conditions,
 )
+from curvelab import groebner
 
 
 def m4(e1=0, e2=0, e3=0, e4=0) -> Monomial:
@@ -125,6 +128,28 @@ def sample_applicable(seed: int, count: int, max_row: int = 10, max_m: int = 10)
     return out
 
 
+def sample_long_basis(seed: int, count: int):
+    """Deterministic corpus of (data, m) shaped like the long-basis bench
+    members: case 2 with d13 in 20..40, so d1 < d13 and the member is not
+    ACM, with coprime degrees and strictly maximal fourth degree; their
+    reduced bases run to dozens of elements."""
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        data = BresinskyData(
+            rng.choice((2, 3)), rng.randint(1, 6), 1, 1, rng.randint(20, 40), 1,
+            rng.randint(1, 2), rng.randint(1, 2),
+        )
+        m = rng.randint(0, 40)
+        try:
+            member = ShiftFamily.from_data(data).member(m)
+        except Exception:
+            continue
+        if member.gcd_ok and member.max_ok:
+            out.append((data, m))
+    return out
+
+
 def brute_force_parameters(a, cap: int) -> list:
     """Reference oracle for parameter recovery: exhaustive search for all
     parameter sets inducing `a` in role order, with each row sum <= cap.
@@ -186,3 +211,32 @@ def brute_force_parameters(a, cap: int) -> list:
                             if a_from_d(data) == a:
                                 sols.append(data)
     return sols
+
+
+def plain_buchberger(gens, order, step_bound: int = groebner.DEFAULT_STEP_BOUND) -> BinomialBasis:
+    """Reference oracle for `buchberger`: every pair with non-coprime
+    leads is normal-formed, in the same selection order, with no chain
+    criterion."""
+    basis = [g.oriented(order) for g in gens]
+    heap = []
+
+    def push_pairs(j):
+        fj = basis[j]
+        for i in range(j):
+            lcm = basis[i].lead.lcm(fj.lead)
+            if lcm.degree() == basis[i].lead.degree() + fj.lead.degree():
+                continue
+            heapq.heappush(heap, (order.key(lcm), i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        s = groebner.s_binomial(basis[i], basis[j], order)
+        if s is None:
+            continue
+        h = groebner._normal_form(s, basis, order, step_bound)
+        if h is not None:
+            basis.append(h)
+            push_pairs(len(basis) - 1)
+    return BinomialBasis(tuple(basis), order, is_groebner_verified=True)

@@ -22,7 +22,15 @@ from curvelab import (
     s_binomial,
     toric_membership,
 )
-from helpers import bino, m4, pair_set
+from curvelab import groebner
+from helpers import (
+    bino,
+    m4,
+    pair_set,
+    plain_buchberger,
+    sample_applicable,
+    sample_long_basis,
+)
 
 
 class TestBinomial:
@@ -172,6 +180,45 @@ class TestBuchberger:
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert reduce_basis(buchberger(shuffled, AFFINE_ORDER)).elements == expected
+
+
+class TestPairCriteria:
+    """`buchberger` skips the S-pairs the chain criterion proves redundant;
+    `plain_buchberger` normal-forms every pair with non-coprime leads."""
+
+    #: A member shaped like the long-basis bench workload (case 2, not ACM).
+    LONG = (BresinskyData(d21=2, d41=5, d32=1, d42=1, d13=32, d23=1, d14=1, d34=1), 10)
+
+    def test_same_reduced_basis_as_all_pairs_oracle(self):
+        members = sample_applicable(41, 94, max_row=10, max_m=10) + sample_long_basis(3, 6)
+        for data, m in members:
+            gens = generators(data, m)
+            out = buchberger(gens, AFFINE_ORDER)
+            assert is_groebner(out).ok, (data, m)
+            expected = reduce_basis(plain_buchberger(gens, AFFINE_ORDER)).elements
+            assert reduce_basis(out).elements == expected, (data, m)
+
+    @staticmethod
+    def _s_binomial_calls(monkeypatch, run) -> int:
+        calls = []
+        real = groebner.s_binomial
+
+        def counting(f, g, order):
+            calls.append(1)
+            return real(f, g, order)
+
+        monkeypatch.setattr(groebner, "s_binomial", counting)
+        run()
+        return len(calls)
+
+    def test_criterion_skips_pairs(self, monkeypatch, basic_data):
+        for data, m in ((basic_data, 0), self.LONG):
+            gens = generators(data, m)
+            fast = self._s_binomial_calls(monkeypatch, lambda: buchberger(gens, AFFINE_ORDER))
+            plain = self._s_binomial_calls(
+                monkeypatch, lambda: plain_buchberger(gens, AFFINE_ORDER)
+            )
+            assert 0 < fast < plain, (data, m, fast, plain)
 
 
 class TestReduceBasis:
