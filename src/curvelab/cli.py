@@ -317,10 +317,11 @@ def cmd_gb(cfg: RunConfig, out) -> int:
         basis = closed.basis
         tag = {"source": "closed-form", "case": closed.case, "reduced": basis.is_reduced}
     if cfg.homogenize:
-        if cfg.oracle:
-            basis = homogenized(basis, ShiftFamily.from_data(cfg.data).member(cfg.m).degrees)
-        else:
-            basis = homogeneous_basis(cfg.data, cfg.m)
+        degrees = ShiftFamily.from_data(cfg.data).member(cfg.m).degrees
+        reason = None if cfg.oracle else degree_refusal(degrees)
+        if reason is not None:
+            raise RefusalError(reason, {"m": cfg.m, "degrees": degrees})
+        basis = homogenized(basis, degrees)
         tag["homogenized"] = True
     if cfg.fmt == "json":
         doc = {"tag": tag, "basis": basis.to_json()}

@@ -134,6 +134,21 @@ class TestGb:
         assert rc == 0
         assert "x2^3 - x0*x1*x3" in out
 
+    def test_homogenize_builds_the_closed_form_once(self, monkeypatch):
+        from curvelab import acm, bresinsky, cli
+
+        calls = []
+
+        def counting(data, m):
+            calls.append(m)
+            return bresinsky.closed_form_basis(data, m)
+
+        for module in (cli, acm):
+            monkeypatch.setattr(module, "closed_form_basis", counting)
+        rc, _ = run_cli("gb", "--a", "8,5,7,9", "--m", "0", "--homogenize")
+        assert rc == 0
+        assert calls == [0]
+
     def test_oracle_matches_closed_form_after_reduction(self):
         rc_closed, out_closed = run_cli(
             "gb", "--a", "8,5,7,9", "--m", "0", "--format", "json"
