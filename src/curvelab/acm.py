@@ -231,9 +231,9 @@ def homogeneous_basis(data: BresinskyData, m: int) -> HomogeneousBasis:
     """Element-wise homogenization of the closed-form basis at shift m.
 
     Only defined when the projective closure is Cohen-Macaulay (which is
-    exactly when the closed form exists); refuses otherwise.  Case 1
-    output is the reduced Groebner basis of the homogenized ideal, case 2
-    output a Groebner basis, both under the extended order with x0 least.
+    exactly when the closed form exists); refuses otherwise.  The output
+    is a Groebner basis of the homogenized ideal under the extended order
+    with x0 least, and reduced exactly when the closed form is.
     """
     crit = acm_by_criterion(data, m)
     if not crit.acm:

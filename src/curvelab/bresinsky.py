@@ -20,7 +20,7 @@ from itertools import permutations, product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AnomalyError, RefusalError
-from .groebner import Binomial, BinomialBasis, canonical
+from .groebner import Binomial, BinomialBasis, canonical, is_interreduced
 from .monomials import AFFINE_ORDER, Monomial
 
 SKIP_GCD = "gcd>1"
@@ -350,7 +350,8 @@ def closed_form_basis(data: BresinskyData, m: int) -> ClosedFormBasis:
 
     Case 1 returns the five generators, which form the reduced Groebner
     basis; case 2 returns them together with the extra binomials, a
-    Groebner basis that need not be reduced.  Refuses (naming the first
+    Groebner basis.  Either is flagged reduced when no lead divides
+    another lead or any trail.  Refuses (naming the first
     failing condition) when the case conditions do not hold, and when the
     member degrees are not coprime.
     """
@@ -375,7 +376,7 @@ def closed_form_basis(data: BresinskyData, m: int) -> ClosedFormBasis:
         canonical(elems, AFFINE_ORDER),
         AFFINE_ORDER,
         is_groebner_verified=True,
-        is_reduced=cc.case == 1,
+        is_reduced=is_interreduced(elems),
     )
     return ClosedFormBasis(basis=basis, case=cc.case, w=cc.w, conditions=cc.conditions)
 

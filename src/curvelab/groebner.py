@@ -371,6 +371,18 @@ def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> G
     return GroebnerCertificate(not failures, tuple(failures))
 
 
+def is_interreduced(elements: Sequence[Binomial]) -> bool:
+    """True when no lead divides the lead of another element or any
+    trail: a Groebner basis with this property, sorted canonically, is
+    the reduced one."""
+    for k, f in enumerate(elements):
+        lk = f.lead.exponents
+        for idx, g in enumerate(elements):
+            if (idx != k and _divides(lk, g.lead.exponents)) or _divides(lk, g.trail.exponents):
+                return False
+    return True
+
+
 def initial_generators(basis: BinomialBasis) -> tuple[Monomial, ...]:
     """Minimal monomial generators of the initial ideal: the leads of a
     reduced Groebner basis, in canonical order."""

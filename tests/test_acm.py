@@ -219,7 +219,8 @@ class TestHomogeneousBasis:
 
     def test_case2_includes_extra(self, big_data):
         hb = homogeneous_basis(big_data, 0)
-        assert len(hb) == 6 and not hb.is_reduced
+        assert len(hb) == 6 and hb.is_reduced
+        assert reduce_basis(hb).elements == hb.elements
         assert frozenset(((0, 0, 21, 0, 0), (5, 2, 0, 5, 9))) in {
             frozenset((b.lead.exponents, b.trail.exponents)) for b in hb
         }
@@ -250,8 +251,11 @@ class TestHomogeneousBasis:
         assert reduce_basis(hb).elements == hb.elements
 
     def test_closed_form_homogenization_flags_reduced_in_case1(self, big_data):
+        # the case 2 members are reduced too, and flagged so
         for data, m in ((family_data(2), 0), (family_data(2), 3), (big_data, 0), (big_data, 2)):
-            assert homogeneous_basis(data, m).is_reduced == (closed_form_basis(data, m).case == 1)
+            hb = homogeneous_basis(data, m)
+            assert hb.is_reduced
+            assert reduce_basis(hb).elements == hb.elements
 
 
 def test_reports_serialize_without_floats(basic_data):

@@ -18,7 +18,9 @@ from curvelab import (
     d_from_a_any_order,
     extra_binomials,
     generators,
+    initial_generators,
     is_groebner,
+    reduce_basis,
     shift_vector,
     toric_membership,
 )
@@ -199,8 +201,16 @@ class TestClosedForm:
         closed = closed_form_basis(big_data, 0)
         assert closed.case == 2 and closed.w == 2
         assert len(closed.basis) == 6
-        assert not closed.basis.is_reduced
+        assert closed.basis.is_reduced
         assert is_groebner(closed.basis).ok
+
+    @pytest.mark.parametrize("m", [0, 2, 4])
+    def test_case2_reduced_flag_is_checked_not_assumed(self, big_data, m):
+        closed = closed_form_basis(big_data, m)
+        assert closed.case == 2 and closed.basis.is_reduced
+        reduced = reduce_basis(closed.basis)
+        assert reduced.elements == closed.basis.elements
+        assert initial_generators(closed.basis) == reduced.leads()
 
     def test_refusal_names_first_failing_condition(self):
         with pytest.raises(RefusalError) as exc:

@@ -126,7 +126,7 @@ class TestGb:
     def test_case2_six_elements(self):
         rc, out = run_cli("gb", "--a", "1191,1239,582,2303", "--m", "0")
         assert rc == 0
-        assert out.splitlines()[0] == "case 2 (Groebner basis, 6 elements)"
+        assert out.splitlines()[0] == "case 2 (reduced Groebner basis, 6 elements)"
         assert "  x2^21 - x1^2*x3^5*x4^9" in out.splitlines()
 
     def test_homogenized_listing(self):

@@ -23,6 +23,7 @@ from curvelab import (
     toric_membership,
 )
 from curvelab import groebner
+from curvelab.groebner import is_interreduced
 from helpers import (
     bino,
     m4,
@@ -271,6 +272,18 @@ class TestIsGroebner:
         f = generators(big_data, 0)
         cert = is_groebner(BinomialBasis((f[1], f[2]), AFFINE_ORDER))
         assert not cert.ok
+
+
+class TestIsInterreduced:
+    def test_reduced_basis_passes(self, basic_data):
+        out = buchberger(generators(basic_data, 0), AFFINE_ORDER)
+        assert is_interreduced(reduce_basis(out).elements)
+
+    def test_lead_dividing_a_trail_fails(self):
+        assert not is_interreduced((bino(m4(3), m4(0, 2)), bino(m4(0, 2), m4(0, 0, 1))))
+
+    def test_lead_dividing_a_lead_fails(self):
+        assert not is_interreduced((bino(m4(2), m4(0, 0, 1)), bino(m4(3), m4(0, 1, 1))))
 
 
 class TestInitialGenerators:
