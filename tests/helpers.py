@@ -8,10 +8,10 @@ from random import Random
 from curvelab import (
     AFFINE_ORDER,
     Binomial,
+    BinomialBasis,
     BresinskyData,
     Monomial,
     ShiftFamily,
-    BinomialBasis,
     a_from_d,
     case_conditions,
 )
