@@ -16,13 +16,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .acm import (
-    AcmReport,
-    analyze_member,
-    cross_validate,
-    homogeneous_basis,
-    homogenized,
-)
+from .acm import AcmReport, analyze_member, cross_validate, homogenized
 from .bresinsky import (
     SKIP_FORM,
     BresinskyData,
@@ -259,7 +253,8 @@ def cmd_analyze(cfg: RunConfig, out) -> int:
     report = analyze_member(cfg.data, cfg.m, step_bound=cfg.step_bound)
     hom = None
     if cfg.homogenize and report.applicable and report.verdict_criterion and not report.reordered:
-        hom = homogeneous_basis(cfg.data, cfg.m)
+        # the criterion has passed, so the closed form exists: homogenize it directly
+        hom = homogenized(closed_form_basis(cfg.data, cfg.m).basis, report.degrees)
     if cfg.fmt == "json":
         doc = report.to_dict()
         if cfg.homogenize:

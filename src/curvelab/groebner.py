@@ -15,6 +15,43 @@ the reducer with the smallest basis index is used, and the currently
 leading monomial is reduced before the trailing one.  Against a verified
 Groebner basis the normal form is independent of these choices; against
 an arbitrary set only the deterministic strategy result is contractual.
+
+Packed monomials.  `buchberger`, `normal_form`, `is_groebner` and
+`reduce_basis` work on packed exponent vectors (Monagan-Pearce 2007,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors"; Bachmann-Schoenemann 1998, "Monomial representations for
+Groebner bases computations"); `Monomial` and `Binomial` objects are
+built only where those functions take and return them.  Under an order
+on n variables a monomial is one int P: each exponent sits in its own
+field of W = FIELD_BITS = 64 bits, the fields follow the order's scan
+order with the least-priority variable in the top field, and the top
+bit of every field is a guard bit that stays clear.  With G the mask of
+the guard bits:
+
+- a divides b iff ((b | G) - a) & G == G: every field of b | G is at
+  least 2**(W-1), so the subtraction borrows across no field, and a
+  field's guard bit survives exactly when a's exponent there is at most
+  b's;
+- the rewrite m / lead * trail is m - lead + trail;
+- lcm: the guard bits surviving (a | G) - b mark the fields where
+  a >= b; spreading each into a full field mask M gives
+  lcm = b ^ ((a ^ b) & M);
+- two monomials are coprime iff their lcm equals a + b;
+- the degree is P % (2**W - 1), since 2**W leaves remainder 1;
+- (deg << W*n) - P is the degrevlex key.  The degree term decides first,
+  because 0 <= P < 2**(W*n).  On equal degree the key falls as P grows,
+  and P compares its fields from the top: the least-priority exponent
+  first, then the next.  So of two monomials of equal degree the one
+  with the larger exponent at the first difference in the scan from the
+  least-priority variable has the smaller key, which is the
+  reverse-lexicographic tie-break.  The key is an int that sorts exactly
+  like `MonomialOrder.key`, and equal keys mean equal monomials.
+
+A degree above MAX_DEGREE = 2**(W-1) - 1 would let a field reach its
+guard bit.  It is checked where new monomials arise, on the packed
+inputs and on each new lcm; under a graded order a rewrite never raises
+the degree.  Past the bound `Packing` raises OverflowError instead of
+wrapping.
 """
 
 from __future__ import annotations
@@ -24,10 +61,16 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AmbientMismatchError, NotGroebnerError, NotReducedError, StepBoundExceeded
-from .monomials import EQUAL, GREATER, LESS, Monomial, MonomialOrder
+from .monomials import EQUAL, GREATER, Monomial, MonomialOrder
 
 #: Default ceiling on reduction steps per normal-form computation.
 DEFAULT_STEP_BOUND = 1_000_000
+
+#: Width W of one exponent field of a packed monomial, guard bit included.
+FIELD_BITS = 64
+#: Largest total degree a packed monomial may have.
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1  # one field's bits; also the degree modulus 2**W - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,64 +210,153 @@ def s_binomial(f: Binomial, g: Binomial, order: MonomialOrder) -> Optional[Binom
     return Binomial.from_pair(mg, mf, order)
 
 
-def _first_reducer(m: Monomial, elements: Sequence[Binomial]) -> Optional[Binomial]:
-    me = m.exponents
-    for g in elements:
-        ge = g.lead.exponents
-        for a, b in zip(ge, me):
-            if a > b:
-                break
-        else:
-            return g
-    return None
+class Packing:
+    """Packed monomials under one order (see the module docstring).
+
+    `scan` is the order's scan order, `guards` the mask G of the guard
+    bits and `shift` is W*n, the offset of the degree in a key.  The
+    methods state each operation once; the loops of the engine inline
+    the same expressions.
+    """
+
+    __slots__ = ("scan", "guards", "shift")
+
+    def __init__(self, order: MonomialOrder) -> None:
+        self.scan = order._scan
+        self.guards = sum(1 << (k * FIELD_BITS + FIELD_BITS - 1) for k in range(order.nvars))
+        self.shift = FIELD_BITS * order.nvars
+
+    def pack(self, m: Monomial) -> int:
+        """The packed form of m; raises OverflowError past MAX_DEGREE."""
+        e = m.exponents
+        if len(e) != len(self.scan):
+            raise AmbientMismatchError(
+                f"{len(e)}-variable monomial under a {len(self.scan)}-variable order"
+            )
+        _check_degree(sum(e))
+        p = 0
+        for i in self.scan:  # least-priority variable first, so it lands on top
+            p = (p << FIELD_BITS) | e[i]
+        return p
+
+    def unpack(self, p: int) -> Monomial:
+        e = [0] * len(self.scan)
+        for i in reversed(self.scan):
+            e[i] = p & _FIELD
+            p >>= FIELD_BITS
+        return Monomial(tuple(e))
+
+    def binomial(self, lead: int, trail: int) -> Binomial:
+        return Binomial(self.unpack(lead), self.unpack(trail))
+
+    def divides(self, a: int, b: int) -> bool:
+        g = self.guards
+        return ((b | g) - a) & g == g
+
+    def rewrite(self, m: int, lead: int, trail: int) -> int:
+        """m / lead * trail; the caller guarantees lead | m."""
+        return m - lead + trail
+
+    def lcm(self, a: int, b: int) -> int:
+        """Fieldwise maximum; raises OverflowError when its degree passes
+        MAX_DEGREE."""
+        ge = ((a | self.guards) - b) & self.guards  # guard bits of the fields where a >= b
+        m = b ^ ((a ^ b) & (ge - (ge >> (FIELD_BITS - 1))))
+        self.degree(m)
+        return m
+
+    def degree(self, p: int) -> int:
+        """Total degree of a packed monomial or of the lcm of two; raises
+        OverflowError past MAX_DEGREE."""
+        d = p % _FIELD
+        _check_degree(d)
+        return d
+
+    def key(self, p: int) -> int:
+        """An int that sorts like `MonomialOrder.key` of the unpacked monomial."""
+        return (self.degree(p) << self.shift) - p
+
+
+def _check_degree(d: int) -> None:
+    if d > MAX_DEGREE:
+        raise OverflowError(f"monomial degree {d} exceeds the packed limit {MAX_DEGREE}")
+
+
+def _first_reducer(m: int, leads: Sequence[int], guards: int) -> int:
+    """Index of the first packed lead that divides packed m, or -1."""
+    x = m | guards
+    for k, lead in enumerate(leads):
+        if (x - lead) & guards == guards:
+            return k
+    return -1
+
+
+def _s_pair(
+    lcm: int, lead_f: int, trail_f: int, lead_g: int, trail_g: int, shift: int
+) -> Optional[tuple[int, int]]:
+    """Packed S-binomial of f and g, as `s_binomial` forms it: the
+    oriented difference of (lcm/lead_g)*trail_g and (lcm/lead_f)*trail_f,
+    or None when the two coincide."""
+    mf = lcm - lead_f + trail_f
+    mg = lcm - lead_g + trail_g
+    if mf == mg:
+        return None
+    if ((mg % _FIELD) << shift) - mg > ((mf % _FIELD) << shift) - mf:
+        return mg, mf
+    return mf, mg
 
 
 def _normal_form(
-    f: Binomial,
-    elements: Sequence[Binomial],
-    order: MonomialOrder,
+    lead: int,
+    trail: int,
+    leads: Sequence[int],
+    trails: Sequence[int],
+    pk: Packing,
     step_bound: int,
-) -> Optional[Binomial]:
-    lead, trail = f.lead, f.trail
+) -> Optional[tuple[int, int]]:
+    """Packed normal form of lead - trail (lead > trail) against the
+    elements with packed `leads` and `trails`, or None for zero."""
+    guards, shift = pk.guards, pk.shift
     steps = 0
-    while True:
-        g = _first_reducer(lead, elements)
-        if g is not None:
-            lead = g.rewrite(lead)
-            steps += 1
-            if steps > step_bound:
-                raise StepBoundExceeded(f"normal form exceeded {step_bound} reduction steps")
-            c = order.compare(lead, trail)
-            if c == EQUAL:
-                return None
-            if c == LESS:
-                lead, trail = trail, lead
-            continue
-        g = _first_reducer(trail, elements)
-        if g is None:
-            return Binomial(lead, trail)
-        # a rewrite strictly decreases the monomial, so no re-orientation
-        # is needed after a trail step
-        trail = g.rewrite(trail)
+    key_t = ((trail % _FIELD) << shift) - trail
+    while (k := _first_reducer(lead, leads, guards)) >= 0:
+        lead = lead - leads[k] + trails[k]
         steps += 1
         if steps > step_bound:
             raise StepBoundExceeded(f"normal form exceeded {step_bound} reduction steps")
-        if trail.exponents == lead.exponents:
+        key_l = ((lead % _FIELD) << shift) - lead
+        if key_l == key_t:
             return None
+        if key_l < key_t:
+            lead, trail, key_t = trail, lead, key_l
+    # the lead is now irreducible, and a rewrite strictly decreases the
+    # trail, so no re-orientation is needed
+    while (k := _first_reducer(trail, leads, guards)) >= 0:
+        trail = trail - leads[k] + trails[k]
+        steps += 1
+        if steps > step_bound:
+            raise StepBoundExceeded(f"normal form exceeded {step_bound} reduction steps")
+        if trail == lead:
+            return None
+    return lead, trail
+
+
+def _packed(elements: Sequence[Binomial], pk: Packing) -> tuple[list[int], list[int]]:
+    """Packed leads and trails of oriented binomials."""
+    leads = [pk.pack(b.lead) for b in elements]
+    trails = [pk.pack(b.trail) for b in elements]
+    return leads, trails
 
 
 def normal_form(f: Binomial, basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> Optional[Binomial]:
     """Deterministic normal form of f against the basis; None means zero."""
     if f.nvars != basis.order.nvars:
         raise AmbientMismatchError("binomial and basis live in different rings")
-    return _normal_form(f.oriented(basis.order), basis.elements, basis.order, step_bound)
-
-
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    pk = Packing(basis.order)
+    f = f.oriented(basis.order)
+    leads, trails = _packed(basis.elements, pk)
+    h = _normal_form(pk.pack(f.lead), pk.pack(f.trail), leads, trails, pk, step_bound)
+    return None if h is None else pk.binomial(*h)
 
 
 def buchberger(
@@ -249,64 +381,74 @@ def buchberger(
 
     Every element stays in the basis and serves as a reducer.
     """
-    basis: list[Binomial] = []
-    leads: list[tuple[int, ...]] = []
+    pk = Packing(order)
+    guards, shift = pk.guards, pk.shift
+    leads: list[int] = []
+    trails: list[int] = []
     live: list[int] = []  # indices that still form new pairs
-    heap: list[tuple[tuple, int, int]] = []
-    pending: dict[tuple[int, int], tuple[int, ...]] = {}  # pair -> lcm of its leads
+    heap: list[tuple[int, int, int]] = []
+    pending: dict[tuple[int, int], int] = {}  # pair -> lcm of its leads
 
-    def add(h: Binomial) -> None:
-        t = len(basis)
-        lt = h.lead.exponents
+    def add(lt: int, tt: int) -> None:
+        t = len(leads)
+        lcms = []  # lcm(lead_i, lt) for every i, as in Packing.lcm
+        for a in leads:
+            ge = ((a | guards) - lt) & guards
+            lcms.append(lt ^ ((a ^ lt) & (ge - (ge >> (FIELD_BITS - 1)))))
         for (i, j), lcm in list(pending.items()):
-            if (
-                _divides(lt, lcm)
-                and tuple(map(max, leads[i], lt)) != lcm
-                and tuple(map(max, leads[j], lt)) != lcm
-            ):
+            if ((lcm | guards) - lt) & guards == guards and lcms[i] != lcm and lcms[j] != lcm:
                 del pending[(i, j)]
         # one candidate pair per lcm (the last i), flagged when any pair
         # with that lcm has coprime leads
-        candidates: dict[tuple[int, ...], tuple[int, bool]] = {}
-        dt = sum(lt)
+        candidates: dict[int, tuple[int, bool]] = {}
         for i in live:
-            lcm = tuple(map(max, leads[i], lt))
-            coprime = sum(lcm) == sum(leads[i]) + dt
+            lcm = lcms[i]
+            coprime = lcm == leads[i] + lt
             if lcm in candidates:
                 coprime = coprime or candidates[lcm][1]
             candidates[lcm] = (i, coprime)
-        minimal: list[tuple[int, ...]] = []
-        for lcm in sorted(candidates, key=sum):
-            if any(_divides(m, lcm) for m in minimal):
-                continue
-            minimal.append(lcm)
-            i, coprime = candidates[lcm]
-            if not coprime:  # coprime leads: S-binomial reduces to zero
-                pending[(i, t)] = lcm
-                heapq.heappush(heap, (order.key(Monomial(lcm)), i, t))
-        live[:] = [i for i in live if not _divides(lt, leads[i])]
+        by_degree = sorted(candidates, key=_FIELD.__rmod__)  # lcm % (2**W - 1), the degree
+        if by_degree:
+            pk.degree(by_degree[-1])  # the largest new lcm degree fits, so all do
+        minimal: list[int] = []
+        for lcm in by_degree:
+            x = lcm | guards
+            for m in minimal:
+                if (x - m) & guards == guards:
+                    break
+            else:
+                minimal.append(lcm)
+                i, coprime = candidates[lcm]
+                if not coprime:  # coprime leads: S-binomial reduces to zero
+                    pending[(i, t)] = lcm
+                    heapq.heappush(heap, (((lcm % _FIELD) << shift) - lcm, i, t))
+        x = lt | guards
+        live[:] = [i for i in live if (x - leads[i]) & guards != guards]
         live.append(t)
-        basis.append(h)
         leads.append(lt)
+        trails.append(tt)
 
     for g in gens:
-        add(g.oriented(order))
-    if not basis:
+        g = g.oriented(order)
+        add(pk.pack(g.lead), pk.pack(g.trail))
+    if not leads:
         raise ValueError("need at least one generator")
 
     while heap:
         _, i, j = heapq.heappop(heap)
-        if pending.pop((i, j), None) is None:
+        lcm = pending.pop((i, j), None)
+        if lcm is None:
             continue  # dropped by a later element
-        s = s_binomial(basis[i], basis[j], order)
+        s = _s_pair(lcm, leads[i], trails[i], leads[j], trails[j], shift)
         if s is None:
             continue
-        h = _normal_form(s, basis, order, step_bound)
+        h = _normal_form(s[0], s[1], leads, trails, pk, step_bound)
         if h is None:
             continue
-        add(h)
+        add(*h)
 
-    return BinomialBasis(tuple(basis), order, is_groebner_verified=True)
+    elements = tuple(pk.binomial(l, t) for l, t in zip(leads, trails))
+    return BinomialBasis(elements, order, is_groebner_verified=True)
 
 
 def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> BinomialBasis:
@@ -325,29 +467,32 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
             )
 
     order = basis.order
-    kept: list[Binomial] = []
-    for b in canonical(basis.elements, order):
-        # ascending lead order: any divisor of b.lead is already in kept
-        if any(k.lead.divides(b.lead) for k in kept):
-            continue
-        kept.append(b)
+    pk = Packing(order)
+    guards, key = pk.guards, pk.key
+    leads: list[int] = []
+    trails: list[int] = []
+    # canonical order; ascending leads, so any divisor of a lead is already kept
+    by_key = sorted(zip(*_packed(basis.elements, pk)), key=lambda p: (key(p[0]), key(p[1])))
+    for lead, trail in by_key:
+        if _first_reducer(lead, leads, guards) < 0:
+            leads.append(lead)
+            trails.append(trail)
 
+    # Tail reduction against the other kept elements.  An element's own
+    # lead never divides its trail, which stays below it, so the first
+    # reducer among all kept leads is the first among the others.  The
+    # leads are distinct and ascending, so the output is canonical.
     out: list[Binomial] = []
-    for idx, b in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        t = b.trail
+    for lead, t in zip(leads, trails):
         steps = 0
-        while True:
-            g = _first_reducer(t, others)
-            if g is None:
-                break
-            t = g.rewrite(t)
+        while (k := _first_reducer(t, leads, guards)) >= 0:
+            t = t - leads[k] + trails[k]
             steps += 1
             if steps > step_bound:
                 raise StepBoundExceeded(f"tail reduction exceeded {step_bound} steps")
-        out.append(Binomial(b.lead, t))
+        out.append(pk.binomial(lead, t))
 
-    return BinomialBasis(canonical(out, order), order, is_groebner_verified=True, is_reduced=True)
+    return BinomialBasis(tuple(out), order, is_groebner_verified=True, is_reduced=True)
 
 
 def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> GroebnerCertificate:
@@ -357,17 +502,18 @@ def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> G
     pair shortcuts, so the certificate is a direct witness: it lists every
     failing pair together with its irreducible remainder.
     """
-    elements = basis.elements
-    order = basis.order
+    pk = Packing(basis.order)
+    leads, trails = _packed(basis.elements, pk)
     failures: list[tuple[int, int, Binomial]] = []
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            s = s_binomial(elements[i], elements[j], order)
+    for i in range(len(leads)):
+        for j in range(i + 1, len(leads)):
+            lcm = pk.lcm(leads[i], leads[j])
+            s = _s_pair(lcm, leads[i], trails[i], leads[j], trails[j], pk.shift)
             if s is None:
                 continue
-            h = _normal_form(s, elements, order, step_bound)
+            h = _normal_form(s[0], s[1], leads, trails, pk, step_bound)
             if h is not None:
-                failures.append((i, j, h))
+                failures.append((i, j, pk.binomial(*h)))
     return GroebnerCertificate(not failures, tuple(failures))
 
 
@@ -376,9 +522,8 @@ def is_interreduced(elements: Sequence[Binomial]) -> bool:
     trail: a Groebner basis with this property, sorted canonically, is
     the reduced one."""
     for k, f in enumerate(elements):
-        lk = f.lead.exponents
         for idx, g in enumerate(elements):
-            if (idx != k and _divides(lk, g.lead.exponents)) or _divides(lk, g.trail.exponents):
+            if (idx != k and f.lead.divides(g.lead)) or f.lead.divides(g.trail):
                 return False
     return True
 

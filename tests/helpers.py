@@ -1,17 +1,21 @@
 """Shared test utilities: monomial builders, an independent comparison
-oracle, a brute-force recovery oracle, an all-pairs Buchberger oracle,
-and a seeded generator of valid parameter sets."""
+oracle, a brute-force recovery oracle, a tuple-based normal-form oracle,
+an all-pairs Buchberger oracle, and a seeded generator of valid parameter
+sets."""
 
 import heapq
 from random import Random
 
 from curvelab import (
     AFFINE_ORDER,
+    EQUAL,
+    LESS,
     Binomial,
     BinomialBasis,
     BresinskyData,
     Monomial,
     ShiftFamily,
+    StepBoundExceeded,
     a_from_d,
     case_conditions,
 )
@@ -213,10 +217,56 @@ def brute_force_parameters(a, cap: int) -> list:
     return sols
 
 
+def _first_reducer(m: Monomial, elements):
+    me = m.exponents
+    for g in elements:
+        ge = g.lead.exponents
+        for a, b in zip(ge, me):
+            if a > b:
+                break
+        else:
+            return g
+    return None
+
+
+def tuple_normal_form(f: Binomial, elements, order, step_bound: int = groebner.DEFAULT_STEP_BOUND):
+    """Reference oracle for `groebner.normal_form`: the same strategy
+    (smallest-index reducer, lead before trail, the same step count and
+    StepBoundExceeded text) on exponent tuples, through `Binomial.rewrite`
+    and `MonomialOrder.compare`.  `f` must be oriented under `order`."""
+    lead, trail = f.lead, f.trail
+    steps = 0
+    while True:
+        g = _first_reducer(lead, elements)
+        if g is not None:
+            lead = g.rewrite(lead)
+            steps += 1
+            if steps > step_bound:
+                raise StepBoundExceeded(f"normal form exceeded {step_bound} reduction steps")
+            c = order.compare(lead, trail)
+            if c == EQUAL:
+                return None
+            if c == LESS:
+                lead, trail = trail, lead
+            continue
+        g = _first_reducer(trail, elements)
+        if g is None:
+            return Binomial(lead, trail)
+        # a rewrite strictly decreases the monomial, so no re-orientation
+        # is needed after a trail step
+        trail = g.rewrite(trail)
+        steps += 1
+        if steps > step_bound:
+            raise StepBoundExceeded(f"normal form exceeded {step_bound} reduction steps")
+        if trail.exponents == lead.exponents:
+            return None
+
+
 def plain_buchberger(gens, order, step_bound: int = groebner.DEFAULT_STEP_BOUND) -> BinomialBasis:
     """Reference oracle for `buchberger`: every pair with non-coprime
     leads is normal-formed, in the same selection order, with no chain
-    criterion."""
+    criterion, on exponent tuples through `s_binomial` and
+    `tuple_normal_form`."""
     basis = [g.oriented(order) for g in gens]
     heap = []
 
@@ -235,7 +285,7 @@ def plain_buchberger(gens, order, step_bound: int = groebner.DEFAULT_STEP_BOUND)
         s = groebner.s_binomial(basis[i], basis[j], order)
         if s is None:
             continue
-        h = groebner._normal_form(s, basis, order, step_bound)
+        h = tuple_normal_form(s, basis, order, step_bound)
         if h is not None:
             basis.append(h)
             push_pairs(len(basis) - 1)

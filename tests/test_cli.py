@@ -52,6 +52,22 @@ class TestAnalyze:
         assert "homogeneous basis:" in out
         assert "x2^3 - x0*x1*x3" in out
 
+    def test_homogenize_runs_the_criterion_once(self, monkeypatch):
+        from curvelab import acm
+
+        calls = []
+        real = acm.acm_by_criterion
+
+        def counting(data, m):
+            calls.append(m)
+            return real(data, m)
+
+        monkeypatch.setattr(acm, "acm_by_criterion", counting)
+        rc, out = run_cli("analyze", "--a", "8,5,7,9", "--m", "0", "--homogenize")
+        assert rc == 0
+        assert "homogeneous basis:" in out
+        assert calls == [0]
+
     def test_homogenize_on_reordered_acm_member_names_the_reason(self):
         argv = ("analyze", "--d", "4,2,4,1,5,1,7,1", "--m", "0", "--homogenize")
         rc, out = run_cli(*argv)

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from curvelab import (
     AFFINE_ORDER,
+    PROJECTIVE_ORDER,
     Binomial,
     BinomialBasis,
     BresinskyData,
+    Monomial,
     MonomialOrder,
     NotGroebnerError,
     NotReducedError,
@@ -15,6 +17,7 @@ from curvelab import (
     buchberger,
     closed_form_basis,
     generators,
+    homogenize,
     initial_generators,
     is_groebner,
     normal_form,
@@ -23,7 +26,7 @@ from curvelab import (
     toric_membership,
 )
 from curvelab import groebner
-from curvelab.groebner import is_interreduced
+from curvelab.groebner import MAX_DEGREE, Packing, is_interreduced
 from helpers import (
     bino,
     m4,
@@ -31,6 +34,15 @@ from helpers import (
     plain_buchberger,
     sample_applicable,
     sample_long_basis,
+    tuple_normal_form,
+)
+
+#: The two working orders and one non-default priority in each ring.
+ORDERS = (
+    AFFINE_ORDER,
+    PROJECTIVE_ORDER,
+    MonomialOrder((4, 3, 1, 2)),
+    MonomialOrder((1, 0, 4, 2, 3)),
 )
 
 
@@ -113,6 +125,47 @@ class TestNormalForm:
         with pytest.raises(StepBoundExceeded):
             normal_form(r_squared, gb, step_bound=1)
 
+    def test_matches_tuple_oracle_on_arbitrary_sets(self):
+        # against a set that is not a Groebner basis the strategy result
+        # is contractual: smallest-index reducer, lead before trail, and
+        # the same step count
+        rng = random.Random(29)
+        for k in range(600):
+            order = ORDERS[k % len(ORDERS)]
+
+            def mono():
+                return Monomial(tuple(rng.randint(0, 5) for _ in range(order.nvars)))
+
+            def small():
+                return Monomial(tuple(rng.randint(0, 2) for _ in range(order.nvars)))
+
+            elements = []
+            while len(elements) < rng.randint(1, 5):
+                b = Binomial.from_pair(mono(), mono(), order)
+                if b is not None:
+                    elements.append(b)
+            # sides that some lead divides, often a multiple of an element
+            g = rng.choice(elements)
+            c = small()
+            f = rng.choice((
+                Binomial.from_pair(g.lead * c, g.trail * c, order),
+                Binomial.from_pair(g.lead * c, rng.choice(elements).trail * small(), order),
+                Binomial.from_pair(g.lead * c, mono(), order),
+                Binomial.from_pair(mono(), mono(), order),
+            ))
+            if f is None:
+                continue
+            bound = rng.choice((2, 8, groebner.DEFAULT_STEP_BOUND))
+            basis = BinomialBasis(tuple(elements), order)
+            try:
+                expected = tuple_normal_form(f, elements, order, bound)
+            except StepBoundExceeded as exc:
+                with pytest.raises(StepBoundExceeded) as info:
+                    normal_form(f, basis, bound)
+                assert str(info.value) == str(exc)
+                continue
+            assert normal_form(f, basis, bound) == expected
+
     def test_rewrite_steps_preserve_weights(self, big_data):
         # every reduction step replaces a monomial by one of equal weight,
         # so a nonzero normal form keeps the multiset of side weights
@@ -132,6 +185,108 @@ class TestNormalForm:
             else:
                 after = sorted((h.lead.weight(degrees), h.trail.weight(degrees)))
                 assert after == before
+
+
+class TestPacking:
+    """The packed primitives against `Monomial`, `Binomial.rewrite` and
+    `MonomialOrder`, on seeded random exponent vectors."""
+
+    @staticmethod
+    def _vectors(rng, n, count):
+        """Small exponents; every third vector has degree MAX_DEGREE."""
+        out = []
+        for k in range(count):
+            e = [rng.randint(0, 7) for _ in range(n)]
+            if k % 3 == 0:
+                i = rng.randrange(n)
+                e[i] = MAX_DEGREE - (sum(e) - e[i])
+            out.append(Monomial(tuple(e)))
+        return out
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
+    def test_agrees_with_tuple_operations(self, order):
+        pk = Packing(order)
+        rng = random.Random(sum(order.priority) * 31 + order.nvars)
+        monos = self._vectors(rng, order.nvars, 60)
+        for a in monos:
+            pa = pk.pack(a)
+            assert pk.unpack(pa) == a
+            assert pk.degree(pa) == a.degree()
+            for b in monos:
+                pb = pk.pack(b)
+                assert pk.divides(pa, pb) == a.divides(b)
+                c = order.compare(a, b)
+                assert (pk.key(pa) > pk.key(pb)) - (pk.key(pa) < pk.key(pb)) == c
+                lcm = a.lcm(b)
+                if lcm.degree() > MAX_DEGREE:
+                    with pytest.raises(OverflowError):
+                        pk.lcm(pa, pb)
+                else:
+                    assert pk.unpack(pk.lcm(pa, pb)) == lcm
+                    assert (pk.lcm(pa, pb) == pa + pb) == (lcm == a * b)
+        assert sorted(monos, key=lambda m: pk.key(pk.pack(m))) == sorted(monos, key=order.key)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
+    def test_rewrite_agrees_with_binomial_rewrite(self, order):
+        pk = Packing(order)
+        rng = random.Random(order.nvars * 7 + order.priority[0])
+        n = order.nvars
+        small = self._vectors(rng, n, 40)
+        for k in range(200):
+            b = Binomial.from_pair(
+                Monomial(tuple(rng.randint(0, 4) for _ in range(n))),
+                Monomial(tuple(rng.randint(0, 4) for _ in range(n))),
+                order,
+            )
+            if b is None:
+                continue
+            # a multiple of the lead, of degree at most MAX_DEGREE
+            e = list(small[k % len(small)].exponents)
+            excess = sum(e) + b.lead.degree() - MAX_DEGREE
+            if excess > 0:
+                e[e.index(max(e))] -= excess
+            m = b.lead * Monomial(tuple(e))
+            packed = pk.rewrite(pk.pack(m), pk.pack(b.lead), pk.pack(b.trail))
+            assert pk.unpack(packed) == b.rewrite(m)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
+    def test_least_priority_variable_fills_the_top_field(self, order):
+        pk = Packing(order)
+        least = order.priority[-1]
+        x = Monomial.from_powers({least: 1}, order.nvars)
+        assert pk.pack(x) == 1 << (pk.shift - groebner.FIELD_BITS)
+
+    def test_overflow_guard_raises_at_the_limit(self):
+        for order in ORDERS:
+            pk = Packing(order)
+            n = order.nvars
+            top = Monomial((MAX_DEGREE,) + (0,) * (n - 1))
+            assert pk.degree(pk.pack(top)) == MAX_DEGREE
+            with pytest.raises(OverflowError):
+                pk.pack(Monomial((MAX_DEGREE + 1,) + (0,) * (n - 1)))
+            with pytest.raises(OverflowError):
+                pk.pack(Monomial((MAX_DEGREE - 1,) + (1,) * (n - 1)))
+            other = pk.pack(Monomial((0, 1) + (0,) * (n - 2)))
+            with pytest.raises(OverflowError):
+                pk.lcm(pk.pack(top), other)
+            # the unchecked sum of the two fields is still exact, and the
+            # degree and key checks refuse it
+            with pytest.raises(OverflowError):
+                pk.degree(pk.pack(top) + other)
+            with pytest.raises(OverflowError):
+                pk.key(pk.pack(top) + other)
+
+    def test_buchberger_refuses_a_generator_past_the_limit(self):
+        g = bino(m4(MAX_DEGREE + 1), m4(0, 1))
+        with pytest.raises(OverflowError):
+            buchberger([g], AFFINE_ORDER)
+
+    def test_buchberger_refuses_an_lcm_past_the_limit(self):
+        # both generators fit; the lcm of their leads does not
+        f = bino(m4(MAX_DEGREE - 1, 1), m4(0, 0, 1))
+        g = bino(m4(0, 2), m4(0, 0, 0, 1))
+        with pytest.raises(OverflowError):
+            buchberger([f, g], AFFINE_ORDER)
 
 
 class TestBuchberger:
@@ -199,25 +354,36 @@ class TestPairCriteria:
             expected = reduce_basis(plain_buchberger(gens, AFFINE_ORDER)).elements
             assert reduce_basis(out).elements == expected, (data, m)
 
+    def test_same_reduced_basis_as_all_pairs_oracle_homogenized(self):
+        members = sample_applicable(47, 30, max_row=10, max_m=10) + sample_long_basis(5, 2)
+        for data, m in members:
+            gens = [homogenize(g) for g in generators(data, m)]
+            out = buchberger(gens, PROJECTIVE_ORDER)
+            assert is_groebner(out).ok, (data, m)
+            expected = reduce_basis(plain_buchberger(gens, PROJECTIVE_ORDER)).elements
+            assert reduce_basis(out).elements == expected, (data, m)
+
     @staticmethod
-    def _s_binomial_calls(monkeypatch, run) -> int:
+    def _calls(monkeypatch, name, run) -> int:
         calls = []
-        real = groebner.s_binomial
+        real = getattr(groebner, name)
 
-        def counting(f, g, order):
+        def counting(*args):
             calls.append(1)
-            return real(f, g, order)
+            return real(*args)
 
-        monkeypatch.setattr(groebner, "s_binomial", counting)
+        monkeypatch.setattr(groebner, name, counting)
         run()
         return len(calls)
 
     def test_criterion_skips_pairs(self, monkeypatch, basic_data):
+        # `buchberger` forms its S-pairs packed, in `_s_pair`; the oracle
+        # forms them on tuples, through `s_binomial`
         for data, m in ((basic_data, 0), self.LONG):
             gens = generators(data, m)
-            fast = self._s_binomial_calls(monkeypatch, lambda: buchberger(gens, AFFINE_ORDER))
-            plain = self._s_binomial_calls(
-                monkeypatch, lambda: plain_buchberger(gens, AFFINE_ORDER)
+            fast = self._calls(monkeypatch, "_s_pair", lambda: buchberger(gens, AFFINE_ORDER))
+            plain = self._calls(
+                monkeypatch, "s_binomial", lambda: plain_buchberger(gens, AFFINE_ORDER)
             )
             assert 0 < fast < plain, (data, m, fast, plain)
 
