@@ -23,10 +23,10 @@ vectors"; Bachmann-Schoenemann 1998, "Monomial representations for
 Groebner bases computations"); `Monomial` and `Binomial` objects are
 built only where those functions take and return them.  Under an order
 on n variables a monomial is one int P: each exponent sits in its own
-field of W = FIELD_BITS = 64 bits, the fields follow the order's scan
-order with the least-priority variable in the top field, and the top
-bit of every field is a guard bit that stays clear.  With G the mask of
-the guard bits:
+field of W = FIELD_BITS = 64 bits, the fields follow
+`MonomialOrder.scan` with the least-priority variable in the top field,
+and the top bit of every field is a guard bit that stays clear.  With G
+the mask of the guard bits:
 
 - a divides b iff ((b | G) - a) & G == G: every field of b | G is at
   least 2**(W-1), so the subtraction borrows across no field, and a
@@ -50,14 +50,21 @@ the guard bits:
 A degree above MAX_DEGREE = 2**(W-1) - 1 would let a field reach its
 guard bit.  It is checked where new monomials arise, on the packed
 inputs and on each new lcm; under a graded order a rewrite never raises
-the degree.  Past the bound `Packing` raises OverflowError instead of
+the degree.  Past the bound the kernel raises OverflowError instead of
 wrapping.
+
+Each formula is written once, in `_first_reducer` (divisibility),
+`_lcms`, `_degree` and `_key`; `buchberger` inlines the divisibility
+test once more where a call per candidate pair would cost too much.
+A basis keeps its packed form once built, so repeated `normal_form`
+calls against it do not repack it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AmbientMismatchError, NotGroebnerError, NotReducedError, StepBoundExceeded
@@ -169,6 +176,17 @@ class BinomialBasis:
     def sorted_elements(self) -> tuple[Binomial, ...]:
         return canonical(self.elements, self.order)
 
+    @cached_property
+    def _packed(self) -> tuple[Packing, tuple[int, ...], tuple[int, ...]]:
+        """The packing of the order and the packed leads and trails, built
+        on first use and kept with the basis (whose fields are frozen)."""
+        pk = Packing(self.order)
+        return (
+            pk,
+            tuple(pk.pack(b.lead) for b in self.elements),
+            tuple(pk.pack(b.trail) for b in self.elements),
+        )
+
     def to_json(self) -> dict:
         return {
             "order": self.order.to_json(),
@@ -211,18 +229,14 @@ def s_binomial(f: Binomial, g: Binomial, order: MonomialOrder) -> Optional[Binom
 
 
 class Packing:
-    """Packed monomials under one order (see the module docstring).
-
-    `scan` is the order's scan order, `guards` the mask G of the guard
-    bits and `shift` is W*n, the offset of the degree in a key.  The
-    methods state each operation once; the loops of the engine inline
-    the same expressions.
-    """
+    """Packed monomials under one order (see the module docstring):
+    `guards` is the mask G of the guard bits and `shift` is W*n, the
+    offset of the degree in a key."""
 
     __slots__ = ("scan", "guards", "shift")
 
     def __init__(self, order: MonomialOrder) -> None:
-        self.scan = order._scan
+        self.scan = order.scan
         self.guards = sum(1 << (k * FIELD_BITS + FIELD_BITS - 1) for k in range(order.nvars))
         self.shift = FIELD_BITS * order.nvars
 
@@ -249,37 +263,32 @@ class Packing:
     def binomial(self, lead: int, trail: int) -> Binomial:
         return Binomial(self.unpack(lead), self.unpack(trail))
 
-    def divides(self, a: int, b: int) -> bool:
-        g = self.guards
-        return ((b | g) - a) & g == g
-
-    def rewrite(self, m: int, lead: int, trail: int) -> int:
-        """m / lead * trail; the caller guarantees lead | m."""
-        return m - lead + trail
-
-    def lcm(self, a: int, b: int) -> int:
-        """Fieldwise maximum; raises OverflowError when its degree passes
-        MAX_DEGREE."""
-        ge = ((a | self.guards) - b) & self.guards  # guard bits of the fields where a >= b
-        m = b ^ ((a ^ b) & (ge - (ge >> (FIELD_BITS - 1))))
-        self.degree(m)
-        return m
-
-    def degree(self, p: int) -> int:
-        """Total degree of a packed monomial or of the lcm of two; raises
-        OverflowError past MAX_DEGREE."""
-        d = p % _FIELD
-        _check_degree(d)
-        return d
-
-    def key(self, p: int) -> int:
-        """An int that sorts like `MonomialOrder.key` of the unpacked monomial."""
-        return (self.degree(p) << self.shift) - p
-
 
 def _check_degree(d: int) -> None:
     if d > MAX_DEGREE:
         raise OverflowError(f"monomial degree {d} exceeds the packed limit {MAX_DEGREE}")
+
+
+def _degree(p: int) -> int:
+    """Total degree of a packed monomial, or of the unchecked lcm of two
+    (its degree is below 2**W - 1, so the remainder is exact); raises
+    OverflowError past MAX_DEGREE."""
+    d = p % _FIELD
+    _check_degree(d)
+    return d
+
+
+def _key(p: int, shift: int) -> int:
+    """An int that sorts like `MonomialOrder.key` of the unpacked monomial."""
+    return ((p % _FIELD) << shift) - p
+
+
+def _lcms(monomials: Iterable[int], b: int, guards: int) -> list[int]:
+    """The lcm of packed b with each packed monomial, unchecked: the guard
+    bits surviving (a | G) - b mark the fields where a >= b, and each is
+    spread into a full field mask."""
+    top = FIELD_BITS - 1
+    return [b ^ ((a ^ b) & ((ge := ((a | guards) - b) & guards) - (ge >> top))) for a in monomials]
 
 
 def _first_reducer(m: int, leads: Sequence[int], guards: int) -> int:
@@ -301,7 +310,7 @@ def _s_pair(
     mg = lcm - lead_g + trail_g
     if mf == mg:
         return None
-    if ((mg % _FIELD) << shift) - mg > ((mf % _FIELD) << shift) - mf:
+    if _key(mg, shift) > _key(mf, shift):
         return mg, mf
     return mf, mg
 
@@ -318,13 +327,13 @@ def _normal_form(
     elements with packed `leads` and `trails`, or None for zero."""
     guards, shift = pk.guards, pk.shift
     steps = 0
-    key_t = ((trail % _FIELD) << shift) - trail
+    key_t = _key(trail, shift)
     while (k := _first_reducer(lead, leads, guards)) >= 0:
         lead = lead - leads[k] + trails[k]
         steps += 1
         if steps > step_bound:
             raise StepBoundExceeded(f"normal form exceeded {step_bound} reduction steps")
-        key_l = ((lead % _FIELD) << shift) - lead
+        key_l = _key(lead, shift)
         if key_l == key_t:
             return None
         if key_l < key_t:
@@ -341,20 +350,16 @@ def _normal_form(
     return lead, trail
 
 
-def _packed(elements: Sequence[Binomial], pk: Packing) -> tuple[list[int], list[int]]:
-    """Packed leads and trails of oriented binomials."""
-    leads = [pk.pack(b.lead) for b in elements]
-    trails = [pk.pack(b.trail) for b in elements]
-    return leads, trails
-
-
 def normal_form(f: Binomial, basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> Optional[Binomial]:
-    """Deterministic normal form of f against the basis; None means zero."""
+    """Deterministic normal form of f against the basis; None means zero.
+
+    The basis is packed on the first call and the packed form is kept
+    with it, so further calls against the same basis pack only f.
+    """
     if f.nvars != basis.order.nvars:
         raise AmbientMismatchError("binomial and basis live in different rings")
-    pk = Packing(basis.order)
     f = f.oriented(basis.order)
-    leads, trails = _packed(basis.elements, pk)
+    pk, leads, trails = basis._packed
     h = _normal_form(pk.pack(f.lead), pk.pack(f.trail), leads, trails, pk, step_bound)
     return None if h is None else pk.binomial(*h)
 
@@ -390,13 +395,12 @@ def buchberger(
     pending: dict[tuple[int, int], int] = {}  # pair -> lcm of its leads
 
     def add(lt: int, tt: int) -> None:
+        # a divides b exactly when lcm(a, b) == b
         t = len(leads)
-        lcms = []  # lcm(lead_i, lt) for every i, as in Packing.lcm
-        for a in leads:
-            ge = ((a | guards) - lt) & guards
-            lcms.append(lt ^ ((a ^ lt) & (ge - (ge >> (FIELD_BITS - 1)))))
-        for (i, j), lcm in list(pending.items()):
-            if ((lcm | guards) - lt) & guards == guards and lcms[i] != lcm and lcms[j] != lcm:
+        lcms = _lcms(leads, lt, guards)  # lcm(lead_i, lt) for every i
+        joints = _lcms(pending.values(), lt, guards)
+        for ((i, j), lcm), joint in zip(list(pending.items()), joints):
+            if joint == lcm and lcms[i] != lcm and lcms[j] != lcm:
                 del pending[(i, j)]
         # one candidate pair per lcm (the last i), flagged when any pair
         # with that lcm has coprime leads
@@ -409,9 +413,11 @@ def buchberger(
             candidates[lcm] = (i, coprime)
         by_degree = sorted(candidates, key=_FIELD.__rmod__)  # lcm % (2**W - 1), the degree
         if by_degree:
-            pk.degree(by_degree[-1])  # the largest new lcm degree fits, so all do
+            _degree(by_degree[-1])  # the largest new lcm degree fits, so all do
         minimal: list[int] = []
         for lcm in by_degree:
+            # _first_reducer(lcm, minimal, guards) < 0, inlined: a call per
+            # candidate costs about 8% of the long-basis Buchberger time
             x = lcm | guards
             for m in minimal:
                 if (x - m) & guards == guards:
@@ -421,9 +427,8 @@ def buchberger(
                 i, coprime = candidates[lcm]
                 if not coprime:  # coprime leads: S-binomial reduces to zero
                     pending[(i, t)] = lcm
-                    heapq.heappush(heap, (((lcm % _FIELD) << shift) - lcm, i, t))
-        x = lt | guards
-        live[:] = [i for i in live if (x - leads[i]) & guards != guards]
+                    heapq.heappush(heap, (_key(lcm, shift), i, t))
+        live[:] = [i for i in live if lcms[i] != leads[i]]
         live.append(t)
         leads.append(lt)
         trails.append(tt)
@@ -466,13 +471,14 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
                 f"input is not a Groebner basis; {len(cert.failures)} failing pair(s)"
             )
 
-    order = basis.order
-    pk = Packing(order)
-    guards, key = pk.guards, pk.key
+    pk, packed_leads, packed_trails = basis._packed
+    guards, shift = pk.guards, pk.shift
     leads: list[int] = []
     trails: list[int] = []
     # canonical order; ascending leads, so any divisor of a lead is already kept
-    by_key = sorted(zip(*_packed(basis.elements, pk)), key=lambda p: (key(p[0]), key(p[1])))
+    by_key = sorted(
+        zip(packed_leads, packed_trails), key=lambda p: (_key(p[0], shift), _key(p[1], shift))
+    )
     for lead, trail in by_key:
         if _first_reducer(lead, leads, guards) < 0:
             leads.append(lead)
@@ -492,7 +498,7 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
                 raise StepBoundExceeded(f"tail reduction exceeded {step_bound} steps")
         out.append(pk.binomial(lead, t))
 
-    return BinomialBasis(tuple(out), order, is_groebner_verified=True, is_reduced=True)
+    return BinomialBasis(tuple(out), basis.order, is_groebner_verified=True, is_reduced=True)
 
 
 def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> GroebnerCertificate:
@@ -502,12 +508,11 @@ def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> G
     pair shortcuts, so the certificate is a direct witness: it lists every
     failing pair together with its irreducible remainder.
     """
-    pk = Packing(basis.order)
-    leads, trails = _packed(basis.elements, pk)
+    pk, leads, trails = basis._packed
     failures: list[tuple[int, int, Binomial]] = []
     for i in range(len(leads)):
-        for j in range(i + 1, len(leads)):
-            lcm = pk.lcm(leads[i], leads[j])
+        for j, lcm in enumerate(_lcms(leads[i + 1:], leads[i], pk.guards), i + 1):
+            _degree(lcm)
             s = _s_pair(lcm, leads[i], trails[i], leads[j], trails[j], pk.shift)
             if s is None:
                 continue

@@ -125,14 +125,18 @@ class MonomialOrder:
     multiplicative total order; two monomials compare equal only when
     their exponent vectors coincide.
 
-    `compare` (short-circuits on degree, for the reduction hot loop) and
-    `key` (for the pair heap and the canonical sorts) implement the order
-    twice on purpose: deriving either from the other slowed the long-basis
-    benchmark workload by 6-71%; the tests check that the two agree.
+    `scan` holds the exponent indices in that tie-break order, from the
+    least-priority variable up; it is derived from `priority`, and the
+    packed monomials of `curvelab.groebner` lay out their fields by it.
+
+    `compare` (short-circuits on degree) and `key` (for sorting)
+    implement the order twice on purpose: deriving either from the other
+    slowed the long-basis benchmark workload by 6-71%; the tests check
+    that the two agree.
     """
 
     priority: tuple[int, ...]
-    _scan: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scan: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     kind: ClassVar[str] = "degrevlex"
 
@@ -144,7 +148,7 @@ class MonomialOrder:
             )
         ids = _VAR_IDS[n]
         # exponent indices in least-priority-first scan order
-        object.__setattr__(self, "_scan", tuple(ids.index(v) for v in reversed(self.priority)))
+        object.__setattr__(self, "scan", tuple(ids.index(v) for v in reversed(self.priority)))
 
     @property
     def nvars(self) -> int:
@@ -160,7 +164,7 @@ class MonomialOrder:
         """Sort key, ascending in the order."""
         self._check(m)
         e = m.exponents
-        return (sum(e), tuple(-e[i] for i in self._scan))
+        return (sum(e), tuple(-e[i] for i in self.scan))
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         """LESS, EQUAL or GREATER for m1 against m2."""
@@ -172,7 +176,7 @@ class MonomialOrder:
             return GREATER if d1 > d2 else LESS
         e1 = m1.exponents
         e2 = m2.exponents
-        for i in self._scan:
+        for i in self.scan:
             if e1[i] != e2[i]:
                 return LESS if e1[i] > e2[i] else GREATER
         return EQUAL

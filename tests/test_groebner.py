@@ -166,6 +166,17 @@ class TestNormalForm:
                 continue
             assert normal_form(f, basis, bound) == expected
 
+    def test_basis_is_packed_once(self, monkeypatch, big_data):
+        gb = buchberger(generators(big_data, 0), AFFINE_ORDER)
+        f = bino(m4(0, 21), m4(2, 0, 5, 9))
+        packed = []
+        real = Packing.pack
+        monkeypatch.setattr(Packing, "pack", lambda self, m: packed.append(m) or real(self, m))
+        first = normal_form(f, gb)
+        assert len(packed) == 2 * len(gb) + 2
+        assert normal_form(f, gb) == first
+        assert len(packed) == 2 * len(gb) + 4
+
     def test_rewrite_steps_preserve_weights(self, big_data):
         # every reduction step replaces a monomial by one of equal weight,
         # so a nonzero normal form keeps the multiset of side weights
@@ -188,8 +199,10 @@ class TestNormalForm:
 
 
 class TestPacking:
-    """The packed primitives against `Monomial`, `Binomial.rewrite` and
-    `MonomialOrder`, on seeded random exponent vectors."""
+    """The packed primitives the engine runs (`_first_reducer`, `_lcms`,
+    `_degree`, `_key`, and the rewrite inside `normal_form`) against
+    `Monomial`, `MonomialOrder` and `Binomial.rewrite`, on seeded random
+    exponent vectors."""
 
     @staticmethod
     def _vectors(rng, n, count):
@@ -206,48 +219,58 @@ class TestPacking:
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
     def test_agrees_with_tuple_operations(self, order):
         pk = Packing(order)
+        guards, shift = pk.guards, pk.shift
         rng = random.Random(sum(order.priority) * 31 + order.nvars)
         monos = self._vectors(rng, order.nvars, 60)
-        for a in monos:
-            pa = pk.pack(a)
+        packed = [pk.pack(a) for a in monos]
+        for a, pa in zip(monos, packed):
             assert pk.unpack(pa) == a
-            assert pk.degree(pa) == a.degree()
-            for b in monos:
-                pb = pk.pack(b)
-                assert pk.divides(pa, pb) == a.divides(b)
+            assert groebner._degree(pa) == a.degree()
+            first = next((k for k, d in enumerate(monos) if d.divides(a)), -1)
+            assert groebner._first_reducer(pa, packed, guards) == first
+            lcms = groebner._lcms(packed, pa, guards)
+            for b, pb, pl in zip(monos, packed, lcms):
+                assert (groebner._first_reducer(pb, [pa], guards) == 0) == a.divides(b)
                 c = order.compare(a, b)
-                assert (pk.key(pa) > pk.key(pb)) - (pk.key(pa) < pk.key(pb)) == c
+                ka, kb = groebner._key(pa, shift), groebner._key(pb, shift)
+                assert (ka > kb) - (ka < kb) == c
                 lcm = a.lcm(b)
+                assert pk.unpack(pl) == lcm
                 if lcm.degree() > MAX_DEGREE:
                     with pytest.raises(OverflowError):
-                        pk.lcm(pa, pb)
+                        groebner._degree(pl)
                 else:
-                    assert pk.unpack(pk.lcm(pa, pb)) == lcm
-                    assert (pk.lcm(pa, pb) == pa + pb) == (lcm == a * b)
-        assert sorted(monos, key=lambda m: pk.key(pk.pack(m))) == sorted(monos, key=order.key)
+                    assert groebner._degree(pl) == lcm.degree()
+                    assert (pl == pa + pb) == (lcm == a * b)
+        by_key = sorted(monos, key=lambda m: groebner._key(pk.pack(m), shift))
+        assert by_key == sorted(monos, key=order.key)
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
-    def test_rewrite_agrees_with_binomial_rewrite(self, order):
-        pk = Packing(order)
+    def test_rewrites_agree_with_binomial_rewrite_at_the_limit(self, order):
+        # f = lead*c - t with c a power of a variable that neither side of
+        # the reducer contains: one packed rewrite turns the lead into
+        # trail*c, of degree up to MAX_DEGREE, which that reducer no longer
+        # divides; the oracle rewrites tuples through `Binomial.rewrite`
         rng = random.Random(order.nvars * 7 + order.priority[0])
         n = order.nvars
-        small = self._vectors(rng, n, 40)
-        for k in range(200):
-            b = Binomial.from_pair(
-                Monomial(tuple(rng.randint(0, 4) for _ in range(n))),
-                Monomial(tuple(rng.randint(0, 4) for _ in range(n))),
-                order,
-            )
+        checked = 0
+        for k in range(120):
+            v = rng.randrange(n)
+            sides = [[rng.randint(0, 3) for _ in range(n)] for _ in range(2)]
+            for e in sides:
+                e[v] = 0
+            b = Binomial.from_pair(Monomial(tuple(sides[0])), Monomial(tuple(sides[1])), order)
             if b is None:
                 continue
-            # a multiple of the lead, of degree at most MAX_DEGREE
-            e = list(small[k % len(small)].exponents)
-            excess = sum(e) + b.lead.degree() - MAX_DEGREE
-            if excess > 0:
-                e[e.index(max(e))] -= excess
-            m = b.lead * Monomial(tuple(e))
-            packed = pk.rewrite(pk.pack(m), pk.pack(b.lead), pk.pack(b.trail))
-            assert pk.unpack(packed) == b.rewrite(m)
+            c = [0] * n
+            c[v] = MAX_DEGREE - b.lead.degree() - k % 3
+            m = b.lead * Monomial(tuple(c))
+            f = Binomial.from_pair(m, Monomial(tuple(rng.randint(0, 3) for _ in range(n))), order)
+            expected = tuple_normal_form(f, [b], order)
+            assert normal_form(f, BinomialBasis((b,), order)) == expected
+            assert expected.lead == b.rewrite(m)
+            checked += 1
+        assert checked > 60
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
     def test_least_priority_variable_fills_the_top_field(self, order):
@@ -261,20 +284,18 @@ class TestPacking:
             pk = Packing(order)
             n = order.nvars
             top = Monomial((MAX_DEGREE,) + (0,) * (n - 1))
-            assert pk.degree(pk.pack(top)) == MAX_DEGREE
+            assert groebner._degree(pk.pack(top)) == MAX_DEGREE
             with pytest.raises(OverflowError):
                 pk.pack(Monomial((MAX_DEGREE + 1,) + (0,) * (n - 1)))
             with pytest.raises(OverflowError):
                 pk.pack(Monomial((MAX_DEGREE - 1,) + (1,) * (n - 1)))
+            # the lcm of two packed monomials is exact field by field, and
+            # its degree check refuses it
             other = pk.pack(Monomial((0, 1) + (0,) * (n - 2)))
+            (lcm,) = groebner._lcms([pk.pack(top)], other, pk.guards)
+            assert lcm == pk.pack(top) + other
             with pytest.raises(OverflowError):
-                pk.lcm(pk.pack(top), other)
-            # the unchecked sum of the two fields is still exact, and the
-            # degree and key checks refuse it
-            with pytest.raises(OverflowError):
-                pk.degree(pk.pack(top) + other)
-            with pytest.raises(OverflowError):
-                pk.key(pk.pack(top) + other)
+                groebner._degree(lcm)
 
     def test_buchberger_refuses_a_generator_past_the_limit(self):
         g = bino(m4(MAX_DEGREE + 1), m4(0, 1))
@@ -287,6 +308,12 @@ class TestPacking:
         g = bino(m4(0, 2), m4(0, 0, 0, 1))
         with pytest.raises(OverflowError):
             buchberger([f, g], AFFINE_ORDER)
+
+    def test_is_groebner_refuses_an_lcm_past_the_limit(self):
+        f = bino(m4(MAX_DEGREE - 1, 1), m4(0, 0, 1))
+        g = bino(m4(0, 2), m4(0, 0, 0, 1))
+        with pytest.raises(OverflowError):
+            is_groebner(BinomialBasis((f, g), AFFINE_ORDER))
 
 
 class TestBuchberger:
@@ -375,6 +402,14 @@ class TestPairCriteria:
         monkeypatch.setattr(groebner, name, counting)
         run()
         return len(calls)
+
+    def test_update_keeps_its_pair_counts(self, monkeypatch, basic_data):
+        # the Gebauer-Moeller update is deterministic: another count here
+        # means the pairs it keeps have changed
+        for (data, m), expected in (((basic_data, 0), 13), (self.LONG, 188)):
+            gens = generators(data, m)
+            fast = self._calls(monkeypatch, "_s_pair", lambda: buchberger(gens, AFFINE_ORDER))
+            assert fast == expected, (data, m)
 
     def test_criterion_skips_pairs(self, monkeypatch, basic_data):
         # `buchberger` forms its S-pairs packed, in `_s_pair`; the oracle
