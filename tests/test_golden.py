@@ -60,20 +60,38 @@ CASES = {
     "recover-not-form-json": ["recover", "--a", "2,3,4,5", "--format", "json"],
     "recover-gcd-input": ["recover", "--a", "2,4,6,8"],
     "usage-both-inputs": ["analyze", "--a", "8,5,7,9", "--d", "1,1,1,2,1,1,1,1", "--m", "0"],
+    "usage-bad-format": ["analyze", "--a", "8,5,7,9", "--m", "0", "--format", "xml"],
+    "usage-missing-m": ["analyze", "--a", "8,5,7,9"],
+    "usage-unknown-command": ["frobnicate"],
+    "help": ["--help"],
+    "help-analyze": ["analyze", "--help"],
+    "help-recover": ["recover", "--help"],
 }
 
 
 def transcript(argv) -> str:
     """Run the CLI in-process with no CURVELAB_* overrides and render its
-    exit code, stdout and stderr as one text."""
+    exit code, stdout and stderr as one text.
+
+    Text that argparse prints itself (`--help`) goes to sys.stdout and
+    ends in SystemExit, so sys.stdout is captured with the `out` stream
+    and a SystemExit code is recorded as the exit.  COLUMNS is pinned so
+    that argparse wraps help text the same way in every terminal.
+    """
     from curvelab.cli import main
 
-    saved = {k: os.environ.pop(k) for k in list(os.environ) if k.startswith("CURVELAB_")}
+    saved = {k: os.environ.pop(k) for k in list(os.environ)
+             if k.startswith("CURVELAB_") or k == "COLUMNS"}
+    os.environ["COLUMNS"] = "80"
     out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stderr(err):
-            rc = main(list(argv), out=out)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(list(argv), out=out)
+            except SystemExit as exc:
+                rc = exc.code
     finally:
+        del os.environ["COLUMNS"]
         os.environ.update(saved)
     return (
         f"$ curvelab {' '.join(argv)}\nexit: {rc}\n"
