@@ -22,9 +22,9 @@ from .bresinsky import (
     ConditionValue,
     ShiftFamily,
     Vec4,
+    _any_order_hits,
     case_conditions,
     closed_form_basis,
-    d_from_a_any_order,
     degree_refusal,
     generators,
 )
@@ -289,10 +289,10 @@ def analyze_member(
     elif reason == SKIP_GCD or deg.count(max(deg)) > 1:
         return _skip(m, deg, reason)
     else:
-        hits = d_from_a_any_order(deg)
-        if not hits:
+        hit = next(_any_order_hits(deg), None)
+        if hit is None:
             return _skip(m, deg, SKIP_FORM)
-        perm, target = hits[0]
+        perm, target = hit
         tm, tdeg = 0, tuple(deg[i] for i in perm)
 
     reordered = reason is not None

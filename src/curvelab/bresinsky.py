@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import AnomalyError, RefusalError
 from .groebner import Binomial, BinomialBasis, canonical, is_interreduced
@@ -479,8 +479,13 @@ def d_from_a_any_order(
     A vector whose maximum is tied admits no valid permutation and yields
     the empty list.
     """
+    return list(_any_order_hits(a))
+
+
+def _any_order_hits(a: Iterable[int]) -> Iterator[tuple[Vec4, BresinskyData]]:
+    """The hits of `d_from_a_any_order`, in its order, solved one at a time
+    so that a caller wanting only the first stops there."""
     vec = _validated_vector(a)
-    hits = []
     seen: set[Vec4] = set()
     for perm in permutations(range(4)):
         b = tuple(vec[i] for i in perm)
@@ -489,5 +494,4 @@ def d_from_a_any_order(
         seen.add(b)
         data = d_from_a(b)
         if data is not None:
-            hits.append((perm, data))
-    return hits
+            yield perm, data

@@ -63,8 +63,7 @@ class RunConfig:
     plus the numeric knobs."""
 
     mode: str
-    data: BresinskyData
-    base: tuple[int, int, int, int]
+    family: ShiftFamily
     m: Optional[int]
     m_range: Optional[tuple[int, int]]
     fmt: str
@@ -73,13 +72,25 @@ class RunConfig:
     step_bound: int
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(ENV_PREFIX + name)
-    return int(raw) if raw else default
+_FORMATS = ("json", "table")
 
 
-def _env_str(name: str, default: str) -> str:
-    return os.environ.get(ENV_PREFIX + name) or default
+def _apply_env(args: argparse.Namespace) -> None:
+    """Fill --format and --step-bound from CURVELAB_* where the flag is
+    absent.  Read on every call, since the parser is built once per
+    process; a malformed value is a usage error, like the flag's."""
+    if args.format is None:
+        raw = os.environ.get(ENV_PREFIX + "FORMAT")
+        if raw and raw not in _FORMATS:
+            choices = ", ".join(map(repr, _FORMATS))
+            raise UsageError(f"{ENV_PREFIX}FORMAT: invalid choice: {raw!r} (choose from {choices})")
+        args.format = raw or "table"
+    if args.step_bound is None:
+        raw = os.environ.get(ENV_PREFIX + "STEP_BOUND")
+        try:
+            args.step_bound = int(raw) if raw else DEFAULT_STEP_BOUND
+        except ValueError:
+            raise UsageError(f"{ENV_PREFIX}STEP_BOUND: invalid int value: {raw!r}")
 
 
 def _parse_vector(raw: str, n: int, flag: str) -> tuple[int, ...]:
@@ -121,16 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="d21,d41,d32,d42,d13,d23,d14,d34",
                 help="parameter input",
             )
-        p.add_argument(
-            "--format",
-            choices=("json", "table"),
-            default=_env_str("FORMAT", "table"),
-            help="output format (env CURVELAB_FORMAT)",
-        )
+        # no defaults here: the parser is cached, so main reads the
+        # environment on every call (_apply_env)
+        p.add_argument("--format", choices=_FORMATS, help="output format (env CURVELAB_FORMAT)")
         p.add_argument(
             "--step-bound",
             type=int,
-            default=_env_int("STEP_BOUND", DEFAULT_STEP_BOUND),
             help="reduction step budget (env CURVELAB_STEP_BOUND)",
         )
 
@@ -141,15 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--homogenize", action="store_true", help="include the homogeneous basis when ACM"
     )
 
-    p_family = sub.add_parser("family", help="scan a range of shifts")
-    add_common(p_family)
-    p_family.add_argument("--m-range", required=True, metavar="lo..hi")
-
-    p_verify = sub.add_parser(
-        "verify", help="family scan that hard-fails on any verdict disagreement"
-    )
-    add_common(p_verify)
-    p_verify.add_argument("--m-range", required=True, metavar="lo..hi")
+    for name, text in (
+        ("family", "scan a range of shifts"),
+        ("verify", "family scan that hard-fails on any verdict disagreement"),
+    ):
+        p_scan = sub.add_parser(name, help=text)
+        add_common(p_scan)
+        p_scan.add_argument("--m-range", required=True, metavar="lo..hi")
 
     p_gb = sub.add_parser("gb", help="print the Groebner basis for one shift")
     add_common(p_gb)
@@ -167,7 +172,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_input(args: argparse.Namespace) -> tuple[BresinskyData, tuple[int, ...]]:
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
+def _resolve_input(args: argparse.Namespace) -> ShiftFamily:
     a_raw = getattr(args, "a", None)
     d_raw = getattr(args, "d", None)
     if (a_raw is None) == (d_raw is None):
@@ -178,7 +194,7 @@ def _resolve_input(args: argparse.Namespace) -> tuple[BresinskyData, tuple[int, 
             data = BresinskyData(*vals)
         except ValueError as exc:
             raise UsageError(str(exc))
-        return data, ShiftFamily.from_data(data).base
+        return ShiftFamily.from_data(data)
     vec = _parse_a(a_raw)
     reason = degree_refusal(vec)
     if reason is not None:
@@ -186,19 +202,18 @@ def _resolve_input(args: argparse.Namespace) -> tuple[BresinskyData, tuple[int, 
     data = d_from_a(vec)
     if data is None:
         raise RefusalError(SKIP_FORM, {"degrees": vec})
-    return data, vec
+    return ShiftFamily.from_data(data)
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    data, base = _resolve_input(args)
+    family = _resolve_input(args)
     m_range = _parse_m_range(args.m_range) if getattr(args, "m_range", None) else None
     m = getattr(args, "m", None)
     if m is not None and m < 0:
         raise UsageError(f"--m must be non-negative, got {m}")
     return RunConfig(
         mode=args.command,
-        data=data,
-        base=base,
+        family=family,
         m=m,
         m_range=m_range,
         fmt=args.format,
@@ -250,11 +265,11 @@ def _print_basis(basis: BinomialBasis, out) -> None:
 
 
 def cmd_analyze(cfg: RunConfig, out) -> int:
-    report = analyze_member(cfg.data, cfg.m, step_bound=cfg.step_bound)
+    report = analyze_member(cfg.family.data, cfg.m, step_bound=cfg.step_bound)
     hom = None
     if cfg.homogenize and report.applicable and report.verdict_criterion and not report.reordered:
         # the criterion has passed, so the closed form exists: homogenize it directly
-        hom = homogenized(closed_form_basis(cfg.data, cfg.m).basis, report.degrees)
+        hom = homogenized(closed_form_basis(cfg.family.data, cfg.m).basis, report.degrees)
     if cfg.fmt == "json":
         doc = report.to_dict()
         if cfg.homogenize:
@@ -281,7 +296,7 @@ def cmd_analyze(cfg: RunConfig, out) -> int:
 
 def _run_scan(cfg: RunConfig, out, hard_verify: bool) -> int:
     lo, hi = cfg.m_range
-    reports = cross_validate(cfg.data, range(lo, hi + 1), step_bound=cfg.step_bound)
+    reports = cross_validate(cfg.family.data, range(lo, hi + 1), step_bound=cfg.step_bound)
     if cfg.fmt == "json":
         doc = {"reports": [r.to_dict() for r in reports], "summary": _summary(reports)}
         print(to_canonical_json(doc), file=out)
@@ -301,18 +316,19 @@ def _run_scan(cfg: RunConfig, out, hard_verify: bool) -> int:
 
 
 def cmd_gb(cfg: RunConfig, out) -> int:
+    data = cfg.family.data
     if cfg.oracle:
         basis = reduce_basis(
-            buchberger(generators(cfg.data, cfg.m), AFFINE_ORDER, cfg.step_bound),
+            buchberger(generators(data, cfg.m), AFFINE_ORDER, cfg.step_bound),
             step_bound=cfg.step_bound,
         )
         tag: dict = {"source": "oracle", "case": None, "reduced": True}
     else:
-        closed = closed_form_basis(cfg.data, cfg.m)
+        closed = closed_form_basis(data, cfg.m)
         basis = closed.basis
         tag = {"source": "closed-form", "case": closed.case, "reduced": basis.is_reduced}
     if cfg.homogenize:
-        degrees = ShiftFamily.from_data(cfg.data).member(cfg.m).degrees
+        degrees = cfg.family.member(cfg.m).degrees
         reason = None if cfg.oracle else degree_refusal(degrees)
         if reason is not None:
             raise RefusalError(reason, {"m": cfg.m, "degrees": degrees})
@@ -375,9 +391,9 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
+        _apply_env(args)
         if args.command == "recover":
             return cmd_recover(args, out)
         cfg = _config(args)

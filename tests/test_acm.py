@@ -1,11 +1,17 @@
+import math
+from random import Random
+
 import pytest
 
+import curvelab.acm as acm_mod
+import curvelab.bresinsky as bresinsky_mod
 from curvelab import (
     AFFINE_ORDER,
     PROJECTIVE_ORDER,
     AmbientMismatchError,
     Binomial,
     RefusalError,
+    ShiftFamily,
     a_from_d,
     acm_by_criterion,
     acm_by_groebner,
@@ -15,6 +21,7 @@ from curvelab import (
     closed_form_basis,
     cross_validate,
     d_from_a,
+    d_from_a_any_order,
     dehomogenize,
     generators,
     homogeneous_basis,
@@ -23,8 +30,9 @@ from curvelab import (
     reduce_basis,
 )
 from curvelab.acm import homogenized
+from curvelab.bresinsky import degree_refusal
 from conftest import family_data
-from helpers import bino, m4, m5, pair_set, sample_applicable
+from helpers import bino, m4, m5, pair_set, random_valid_data, sample_applicable
 
 
 def _cond(result, name):
@@ -153,6 +161,71 @@ class TestCrossValidate:
         for data, m in sample_applicable(seed=101, count=40):
             report = analyze_member(data, m)  # raises on disagreement
             assert report.applicable and report.agree
+
+
+def _reordered_members(data, ms):
+    """(m, degrees) of the coprime members whose strict maximum is not in
+    the fourth coordinate: the ones analyze_member recovers in permuted
+    coordinates."""
+    fam = ShiftFamily.from_data(data)
+    for m in ms:
+        deg = fam.member(m).degrees
+        if degree_refusal(deg) is not None and math.gcd(*deg) == 1 and deg.count(max(deg)) == 1:
+            yield m, deg
+
+
+class TestReorderedRecovery:
+    """analyze_member stops at the first recovery hit; it must be the hit
+    that d_from_a_any_order lists first."""
+
+    def _assert_first_hit(self, monkeypatch, data, m, deg):
+        targets = []
+        real = acm_mod.acm_by_criterion
+
+        def spy(target, tm):
+            targets.append((target, tm))
+            return real(target, tm)
+
+        monkeypatch.setattr(acm_mod, "acm_by_criterion", spy)
+        perm, target = d_from_a_any_order(deg)[0]
+        report = analyze_member(data, m)
+        assert report.reordered and report.agree
+        assert report.permuted_degrees == tuple(deg[i] for i in perm)
+        assert targets == [(target, 0)]
+
+    def test_basic_scan(self, monkeypatch, basic_data):
+        members = list(_reordered_members(basic_data, range(0, 201)))
+        assert len(members) == 65
+        for m, deg in members:
+            self._assert_first_hit(monkeypatch, basic_data, m, deg)
+
+    def test_seeded_corpus(self, monkeypatch):
+        rng = Random(607)
+        checked = 0
+        while checked < 40:
+            data, m = random_valid_data(rng), rng.randint(0, 10)
+            if math.gcd(*a_from_d(data)) != 1:
+                continue
+            for _, deg in _reordered_members(data, [m]):
+                self._assert_first_hit(monkeypatch, data, m, deg)
+                checked += 1
+
+    def test_stops_at_the_first_hit(self, monkeypatch, basic_data):
+        calls = []
+        real = bresinsky_mod.d_from_a
+
+        def counting(vec):
+            calls.append(vec)
+            return real(vec)
+
+        monkeypatch.setattr(bresinsky_mod, "d_from_a", counting)
+        deg = ShiftFamily.from_data(basic_data).member(8).degrees
+        d_from_a_any_order(deg)
+        solved_by_listing = len(calls)
+        calls.clear()
+        report = analyze_member(basic_data, 8)
+        assert report.permuted_degrees == calls[-1] == (106, 107, 131, 133)
+        assert len(calls) < solved_by_listing
 
 
 class TestHomogenize:

@@ -265,7 +265,7 @@ class TestExitCodeContract:
         def boom(*args, **kwargs):
             raise AnomalyError("injected")
 
-        monkeypatch.setattr(acm_mod, "d_from_a_any_order", boom)
+        monkeypatch.setattr(acm_mod, "_any_order_hits", boom)
         rc, out = run_cli("family", "--a", "19,29,26,43", "--m-range", "0..10")
         assert rc == 3
         assert out == ""
@@ -277,7 +277,7 @@ class TestExitCodeContract:
         def boom(*args, **kwargs):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(acm_mod, "d_from_a_any_order", boom)
+        monkeypatch.setattr(acm_mod, "_any_order_hits", boom)
         rc, _ = run_cli("verify", "--a", "19,29,26,43", "--m-range", "0..10")
         assert rc == 3
         assert capsys.readouterr().err.startswith("internal error: injected\n")
@@ -319,3 +319,62 @@ class TestEnvOverrides:
         monkeypatch.setenv("CURVELAB_STEP_BOUND", "1")
         rc, _ = run_cli("gb", "--a", "8,5,7,9", "--m", "0", "--oracle")
         assert rc == 2
+
+    def test_malformed_step_bound_env_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("CURVELAB_STEP_BOUND", "abc")
+        rc, out = run_cli("analyze", "--a", "8,5,7,9", "--m", "0")
+        assert rc == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "usage error: CURVELAB_STEP_BOUND: invalid int value: 'abc'\n"
+        )
+
+    def test_malformed_format_env_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("CURVELAB_FORMAT", "xml")
+        rc, out = run_cli("analyze", "--a", "8,5,7,9", "--m", "0")
+        assert rc == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "usage error: CURVELAB_FORMAT: invalid choice: 'xml' (choose from 'json', 'table')\n"
+        )
+
+    def test_flags_beat_malformed_env(self, monkeypatch):
+        monkeypatch.setenv("CURVELAB_FORMAT", "xml")
+        monkeypatch.setenv("CURVELAB_STEP_BOUND", "abc")
+        rc, out = run_cli("analyze", "--a", "8,5,7,9", "--m", "0",
+                          "--format", "json", "--step-bound", "0")
+        assert rc == 2 and out == ""
+
+
+class TestParserCache:
+    def test_env_changes_between_calls_take_effect(self, monkeypatch):
+        argv = ("analyze", "--a", "8,5,7,9", "--m", "0")
+        monkeypatch.setenv("CURVELAB_FORMAT", "json")
+        rc, out = run_cli(*argv)
+        assert rc == 0 and json.loads(out)["m"] == 0
+        monkeypatch.delenv("CURVELAB_FORMAT")
+        rc, out = run_cli(*argv)
+        assert rc == 0 and out.startswith("   m | degrees")
+
+        gb = ("gb", "--a", "8,5,7,9", "--m", "0", "--oracle")
+        monkeypatch.setenv("CURVELAB_STEP_BOUND", "1")
+        assert run_cli(*gb)[0] == 2
+        monkeypatch.delenv("CURVELAB_STEP_BOUND")
+        assert run_cli(*gb)[0] == 0
+
+    def test_parser_is_built_at_most_once(self, monkeypatch):
+        import curvelab.cli as cli_mod
+
+        builds = []
+        real = cli_mod.build_parser
+
+        def counting():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli_mod, "build_parser", counting)
+        monkeypatch.setattr(cli_mod, "_PARSER", None)
+        for argv in (("analyze", "--a", "8,5,7,9", "--m", "0"),
+                     ("recover", "--a", "19,29,26,43"),
+                     ("frobnicate",),
+                     ("family", "--a", "8,5,7,9", "--m-range", "0..2", "--format", "json")):
+            run_cli(*argv)
+        assert len(builds) == 1
