@@ -46,7 +46,6 @@ from .errors import (
     CurveLabError,
     DisagreementError,
     NotGroebnerError,
-    NotReducedError,
     RefusalError,
     StepBoundExceeded,
 )

@@ -2,11 +2,12 @@
 homogeneous side of the picture.
 
 The criterion route evaluates a handful of integer inequalities on the
-parameters; the Groebner route computes a reduced Groebner basis under a
-reverse lexicographic order with x4 least and checks that no minimal
-initial-ideal generator is divisible by x4.  The two are mathematically
-equivalent, so `cross_validate` treats any disagreement as a hard
-implementation failure and aborts with a diagnostic dump.
+parameters; the Groebner route computes a Groebner basis under a reverse
+lexicographic order with x4 least and checks that no minimal generator
+of the initial ideal (a lead of the basis that no other lead divides) is
+divisible by x4.  The two are mathematically equivalent, so
+`cross_validate` treats any disagreement as a hard implementation
+failure and aborts with a diagnostic dump.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .groebner import (
     BinomialBasis,
     buchberger,
     canonical,
-    reduce_basis,
+    initial_generators,
 )
 from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial
 
@@ -57,8 +58,8 @@ class GroebnerVerdict:
     """Verdict of the Groebner oracle.
 
     `x4_leads` lists the minimal initial-ideal generators divisible by
-    x4; the verdict is ACM exactly when it is empty.  The reduced basis
-    is kept for diagnostics.
+    x4; the verdict is ACM exactly when it is empty.  `basis` is the
+    Buchberger basis they were read from, kept for diagnostics.
     """
 
     acm: bool
@@ -133,11 +134,11 @@ def acm_by_groebner(
 ) -> GroebnerVerdict:
     """Decide Cohen-Macaulayness by the initial-ideal test.
 
-    Computes the reduced Groebner basis of the ideal generated by `gens`
-    under the fixed order x2 > x1 > x3 > x4 (any reverse lexicographic
-    order with x4 least gives the same verdict; this one is pinned for
-    deterministic reports) and returns ACM iff no minimal generator of
-    the initial ideal is divisible by x4.
+    Computes a Groebner basis of the ideal generated by `gens` under the
+    fixed order x2 > x1 > x3 > x4 (any reverse lexicographic order with
+    x4 least gives the same verdict; this one is pinned for deterministic
+    reports) and returns ACM iff no minimal generator of the initial
+    ideal is divisible by x4.
     """
     vec = tuple(int(x) for x in degrees)
     if len(vec) != 4 or any(x < 1 for x in vec):
@@ -145,9 +146,9 @@ def acm_by_groebner(
     reason = degree_refusal(vec)
     if reason is not None:
         raise RefusalError(reason, {"degrees": vec})
-    reduced = reduce_basis(buchberger(gens, AFFINE_ORDER, step_bound), step_bound)
-    x4_leads = tuple(mono for mono in reduced.leads() if mono.exponent(4) > 0)
-    return GroebnerVerdict(acm=not x4_leads, x4_leads=x4_leads, basis=reduced)
+    basis = buchberger(gens, AFFINE_ORDER, step_bound)
+    x4_leads = tuple(mono for mono in initial_generators(basis) if mono.exponent(4) > 0)
+    return GroebnerVerdict(acm=not x4_leads, x4_leads=x4_leads, basis=basis)
 
 
 def homogenize(b: Binomial) -> Binomial:
@@ -257,7 +258,7 @@ def _agreement_checked(report: AcmReport, gb: GroebnerVerdict) -> AcmReport:
         {
             "report": report.to_dict(),
             "x4_leads": [str(mono) for mono in gb.x4_leads],
-            "reduced_basis": gb.basis.to_json(),
+            "groebner_basis": gb.basis.to_json(),
         },
         indent=2,
     )

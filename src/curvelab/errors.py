@@ -29,11 +29,6 @@ class NotGroebnerError(CurveLabError):
     the Buchberger criterion."""
 
 
-class NotReducedError(CurveLabError):
-    """An operation requiring a reduced Groebner basis received an
-    unreduced one."""
-
-
 class RefusalError(CurveLabError):
     """Structured mathematical refusal: the input is outside the regime
     the requested operation is defined for.

@@ -16,12 +16,13 @@ leading monomial is reduced before the trailing one.  Against a verified
 Groebner basis the normal form is independent of these choices; against
 an arbitrary set only the deterministic strategy result is contractual.
 
-Packed monomials.  `buchberger`, `normal_form`, `is_groebner` and
-`reduce_basis` work on packed exponent vectors (Monagan-Pearce 2007,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors"; Bachmann-Schoenemann 1998, "Monomial representations for
-Groebner bases computations"); `Monomial` and `Binomial` objects are
-built only where those functions take and return them.  Under an order
+Packed monomials.  `buchberger`, `normal_form`, `is_groebner`,
+`reduce_basis` and `initial_generators` work on packed exponent vectors
+(Monagan-Pearce 2007, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors"; Bachmann-Schoenemann 1998, "Monomial
+representations for Groebner bases computations"); `Monomial` and
+`Binomial` objects are built only where those functions take and return
+them.  Under an order
 on n variables a monomial is one int P: each exponent sits in its own
 field of W = FIELD_BITS = 64 bits, the fields follow
 `MonomialOrder.scan` with the least-priority variable in the top field,
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import AmbientMismatchError, NotGroebnerError, NotReducedError, StepBoundExceeded
+from .errors import AmbientMismatchError, NotGroebnerError, StepBoundExceeded
 from .monomials import EQUAL, GREATER, Monomial, MonomialOrder
 
 #: Default ceiling on reduction steps per normal-form computation.
@@ -456,6 +457,31 @@ def buchberger(
     return BinomialBasis(elements, order, is_groebner_verified=True)
 
 
+def _minimal(basis: BinomialBasis, step_bound: int) -> tuple[Packing, list[int], list[int]]:
+    """The packing and the packed leads and trails of the elements whose
+    lead no other lead divides (one per lead), in canonical order.
+    Raises NotGroebnerError unless `basis` is a Groebner basis."""
+    if not basis.is_groebner_verified:
+        cert = is_groebner(basis, step_bound=step_bound)
+        if not cert.ok:
+            raise NotGroebnerError(
+                f"input is not a Groebner basis; {len(cert.failures)} failing pair(s)"
+            )
+    pk, packed_leads, packed_trails = basis._packed
+    guards, shift = pk.guards, pk.shift
+    leads: list[int] = []
+    trails: list[int] = []
+    # ascending leads, so any divisor of a lead is already kept
+    by_key = sorted(
+        zip(packed_leads, packed_trails), key=lambda p: (_key(p[0], shift), _key(p[1], shift))
+    )
+    for lead, trail in by_key:
+        if _first_reducer(lead, leads, guards) < 0:
+            leads.append(lead)
+            trails.append(trail)
+    return pk, leads, trails
+
+
 def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> BinomialBasis:
     """The unique reduced Groebner basis of the ideal of `basis`.
 
@@ -464,26 +490,7 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
     by lead.  Raises NotGroebnerError when the input is not a Groebner
     basis (checked unless already flagged verified).
     """
-    if not basis.is_groebner_verified:
-        cert = is_groebner(basis, step_bound=step_bound)
-        if not cert.ok:
-            raise NotGroebnerError(
-                f"input is not a Groebner basis; {len(cert.failures)} failing pair(s)"
-            )
-
-    pk, packed_leads, packed_trails = basis._packed
-    guards, shift = pk.guards, pk.shift
-    leads: list[int] = []
-    trails: list[int] = []
-    # canonical order; ascending leads, so any divisor of a lead is already kept
-    by_key = sorted(
-        zip(packed_leads, packed_trails), key=lambda p: (_key(p[0], shift), _key(p[1], shift))
-    )
-    for lead, trail in by_key:
-        if _first_reducer(lead, leads, guards) < 0:
-            leads.append(lead)
-            trails.append(trail)
-
+    pk, leads, trails = _minimal(basis, step_bound)
     # Tail reduction against the other kept elements.  An element's own
     # lead never divides its trail, which stays below it, so the first
     # reducer among all kept leads is the first among the others.  The
@@ -491,7 +498,7 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
     out: list[Binomial] = []
     for lead, t in zip(leads, trails):
         steps = 0
-        while (k := _first_reducer(t, leads, guards)) >= 0:
+        while (k := _first_reducer(t, leads, pk.guards)) >= 0:
             t = t - leads[k] + trails[k]
             steps += 1
             if steps > step_bound:
@@ -534,8 +541,10 @@ def is_interreduced(elements: Sequence[Binomial]) -> bool:
 
 
 def initial_generators(basis: BinomialBasis) -> tuple[Monomial, ...]:
-    """Minimal monomial generators of the initial ideal: the leads of a
-    reduced Groebner basis, in canonical order."""
-    if not basis.is_reduced:
-        raise NotReducedError("initial generators require a reduced Groebner basis")
-    return basis.leads()
+    """Minimal monomial generators of the initial ideal, in canonical
+    order: the leads of any Groebner basis that no other lead divides,
+    which are the leads of the reduced basis (Cox-Little-O'Shea, §2.7).
+    Raises NotGroebnerError when the input is not a Groebner basis
+    (checked unless already flagged verified)."""
+    pk, leads, _ = _minimal(basis, DEFAULT_STEP_BOUND)
+    return tuple(pk.unpack(p) for p in leads)

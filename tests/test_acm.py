@@ -1,15 +1,22 @@
+import dataclasses
+import io
+import json
 import math
+import sys
 from random import Random
 
 import pytest
 
 import curvelab.acm as acm_mod
 import curvelab.bresinsky as bresinsky_mod
+import curvelab.groebner as groebner_mod
 from curvelab import (
     AFFINE_ORDER,
     PROJECTIVE_ORDER,
     AmbientMismatchError,
     Binomial,
+    BinomialBasis,
+    DisagreementError,
     RefusalError,
     ShiftFamily,
     a_from_d,
@@ -31,6 +38,7 @@ from curvelab import (
 )
 from curvelab.acm import homogenized
 from curvelab.bresinsky import degree_refusal
+from curvelab.cli import main
 from conftest import family_data
 from helpers import bino, m4, m5, pair_set, random_valid_data, sample_applicable
 
@@ -120,6 +128,24 @@ class TestGroebnerOracle:
         with pytest.raises(RefusalError):
             acm_by_groebner((9, 5, 7, 8), generators(basic_data, 0))
 
+    def test_verdict_builds_no_reduced_basis(self, monkeypatch, basic_data, big_data):
+        real = groebner_mod.reduce_basis
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "curvelab" and getattr(mod, "reduce_basis", None) is real:
+                monkeypatch.setattr(mod, "reduce_basis", counting)
+        for data, m in ((basic_data, 0), (basic_data, 8), (big_data, 0), (family_data(2), 0)):
+            assert analyze_member(data, m).applicable
+        assert calls == []
+        # the wrapper is reachable: the oracle printout still reduces
+        assert main(["gb", "--a", "8,5,7,9", "--m", "0", "--oracle"], out=io.StringIO()) == 0
+        assert calls == [1]
+
 
 class TestCrossValidate:
     def test_empty_range(self, basic_data):
@@ -156,6 +182,27 @@ class TestCrossValidate:
                 assert r.w == (2 if r.m <= 2 else 3)
             else:
                 assert r.skip_reason == "gcd>1"
+
+    def test_disagreement_aborts_with_a_dump(self, monkeypatch, basic_data):
+        real = acm_mod.acm_by_criterion
+
+        def flipped(*args):
+            crit = real(*args)
+            return dataclasses.replace(crit, acm=not crit.acm)
+
+        monkeypatch.setattr(acm_mod, "acm_by_criterion", flipped)
+        with pytest.raises(DisagreementError) as exc:
+            analyze_member(basic_data, 0)
+        doc = json.loads(exc.value.dump)
+        assert doc["report"]["agree"] is False and doc["report"]["verdict_criterion"] is True
+        basis = BinomialBasis.from_json(doc["groebner_basis"])
+        assert is_groebner(basis).ok
+        assert doc["x4_leads"] and set(doc["x4_leads"]) <= {str(b.lead) for b in basis}
+        with pytest.raises(DisagreementError):
+            cross_validate(basic_data, range(0, 4))  # not a skip row
+        out = io.StringIO()
+        assert main(["family", "--a", "19,29,26,43", "--m-range", "0..3"], out=out) == 3
+        assert out.getvalue() == ""
 
     def test_agreement_on_random_corpus(self):
         for data, m in sample_applicable(seed=101, count=40):

@@ -12,7 +12,6 @@ from curvelab import (
     Monomial,
     MonomialOrder,
     NotGroebnerError,
-    NotReducedError,
     StepBoundExceeded,
     buchberger,
     closed_form_basis,
@@ -502,10 +501,28 @@ class TestInitialGenerators:
         red = reduce_basis(buchberger(generators(basic_data, 0), AFFINE_ORDER))
         assert m4(4, 0, 1, 1) in initial_generators(red)
 
-    def test_requires_reduced(self, big_data):
-        out = buchberger(generators(big_data, 0), AFFINE_ORDER)
-        with pytest.raises(NotReducedError):
-            initial_generators(out)
+    def test_reduced_leads_from_any_groebner_basis(self):
+        members = sample_applicable(53, 16, max_row=10, max_m=10) + sample_long_basis(11, 3)
+        x3 = m4(0, 0, 1)
+        for data, m in members:
+            gens = generators(data, m)
+            # buchberger keeps every input, so a multiple of a generator
+            # stays in its output with a non-minimal lead and trail
+            padded = (*gens, Binomial(gens[0].lead * x3, gens[0].trail * x3))
+            for gs in (gens, padded):
+                for order, hs in ((AFFINE_ORDER, gs), (PROJECTIVE_ORDER, map(homogenize, gs))):
+                    out = buchberger(hs, order)
+                    leads = reduce_basis(out).leads()
+                    assert initial_generators(out) == leads, (data, m, order)
+                    assert len(out) > len(leads) or gs is gens
+
+    def test_checks_an_unverified_basis(self, big_data):
+        closed = closed_form_basis(big_data, 0).basis
+        unflagged = BinomialBasis(closed.elements, AFFINE_ORDER)
+        assert initial_generators(unflagged) == closed.leads()
+        f = generators(big_data, 0)
+        with pytest.raises(NotGroebnerError):
+            initial_generators(BinomialBasis((f[1], f[2]), AFFINE_ORDER))
 
 
 class TestSerialization:
