@@ -29,13 +29,7 @@ from .bresinsky import (
     generators,
     shift_vector,
 )
-from .errors import (
-    AnomalyError,
-    CurveLabError,
-    DisagreementError,
-    RefusalError,
-    StepBoundExceeded,
-)
+from .errors import AnomalyError, DisagreementError, RefusalError, StepBoundExceeded
 from .groebner import DEFAULT_STEP_BOUND, BinomialBasis, buchberger, reduce_basis
 from .monomials import AFFINE_ORDER
 
@@ -413,9 +407,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except (DisagreementError, AnomalyError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except CurveLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
     except Exception as exc:  # a bug; exit 1 would pass it off as a usage error
         print(f"internal error: {exc}", file=sys.stderr)
         traceback.print_exc()

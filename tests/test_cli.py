@@ -282,6 +282,21 @@ class TestExitCodeContract:
         assert rc == 3
         assert capsys.readouterr().err.startswith("internal error: injected\n")
 
+    def test_internal_curvelab_error_maps_to_3(self, monkeypatch, capsys):
+        # a curvelab error that no refusal path raises reaches main only
+        # through a bug, so it must not share the refusal exit code
+        from curvelab import AmbientMismatchError
+        import curvelab.acm as acm_mod
+
+        def boom(*args, **kwargs):
+            raise AmbientMismatchError("injected ring mix-up")
+
+        monkeypatch.setattr(acm_mod, "generators", boom)
+        rc, out = run_cli("family", "--a", "8,5,7,9", "--m-range", "0..3")
+        assert rc == 3
+        assert out == ""
+        assert capsys.readouterr().err.startswith("internal error: injected ring mix-up\n")
+
     def test_step_bound_exhaustion_maps_to_2(self):
         rc, _ = run_cli("gb", "--a", "8,5,7,9", "--m", "0", "--oracle", "--step-bound", "1")
         assert rc == 2
