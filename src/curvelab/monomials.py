@@ -130,9 +130,12 @@ class MonomialOrder:
     packed monomials of `curvelab.groebner` lay out their fields by it.
 
     `compare` (short-circuits on degree) and `key` (for sorting)
-    implement the order twice on purpose: deriving either from the other
-    slowed the long-basis benchmark workload by 6-71%; the tests check
-    that the two agree.
+    implement the order twice on purpose.  Since the packed kernel of
+    `curvelab.groebner` orders monomials itself, `compare` runs only at
+    its boundary (about 20 calls per small-members benchmark call, 74 per
+    long-basis call); derived from `key` it takes 2.5-2.9 us a call
+    against 0.7-0.9 us (timeit, CPython 3.11, x86-64), some 4-5% of a
+    small-members call.  The tests check that the two agree.
     """
 
     priority: tuple[int, ...]
