@@ -16,6 +16,7 @@ from curvelab import (
     AmbientMismatchError,
     Binomial,
     BinomialBasis,
+    BresinskyData,
     DisagreementError,
     RefusalError,
     ShiftFamily,
@@ -104,6 +105,12 @@ class TestCriterion:
             acm_by_criterion(basic_data, 8)
         assert exc.value.reason == "max-coordinate fails"
 
+    def test_common_factor_base_is_refused_before_the_index(self):
+        # a base with a common factor is refused even at a negative index
+        with pytest.raises(RefusalError) as exc:
+            acm_by_criterion(BresinskyData(1, 1, 1, 1, 1, 1, 1, 1), -1)
+        assert exc.value.reason == "gcd>1"
+
 
 class TestGroebnerOracle:
     def test_acm_fixture(self):
@@ -150,6 +157,12 @@ class TestGroebnerOracle:
 class TestCrossValidate:
     def test_empty_range(self, basic_data):
         assert cross_validate(basic_data, []) == []
+
+    def test_common_factor_base_is_refused_up_front(self):
+        # refused before the loop, so even an empty range raises
+        with pytest.raises(RefusalError) as exc:
+            cross_validate(BresinskyData(1, 1, 1, 1, 1, 1, 1, 1), [])
+        assert exc.value.reason == "gcd>1"
 
     def test_basic_family(self, basic_data):
         reports = cross_validate(basic_data, range(0, 21))

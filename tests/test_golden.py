@@ -41,6 +41,7 @@ CASES = {
     "family-big-json": ["family", "--a", "1191,1239,582,2303", "--m-range", "0..15",
                         "--format", "json"],
     "family-empty-range": ["family", "--a", "19,29,26,43", "--m-range", "5..4"],
+    "family-gcd-base": ["family", "--d", "1,1,1,3,3,2,1,1", "--m-range", "0..2"],
     "verify-case1": ["verify", "--a", "8,5,7,9", "--m-range", "0..10"],
     "verify-basic-json": ["verify", "--a", "19,29,26,43", "--m-range", "0..10",
                           "--format", "json"],
@@ -53,6 +54,7 @@ CASES = {
                                   "--homogenize", "--format", "json"],
     "gb-case2-homogenize": ["gb", "--a", "1191,1239,582,2303", "--m", "0", "--homogenize"],
     "gb-conditions-refused": ["gb", "--a", "19,29,26,43", "--m", "0"],
+    "gb-oracle-gcd-base": ["gb", "--oracle", "--d", "1,1,1,1,1,1,1,1", "--m", "0"],
     "recover-basic": ["recover", "--a", "19,29,26,43"],
     "recover-big-json": ["recover", "--a", "1191,1239,582,2303", "--format", "json"],
     "recover-reordered": ["recover", "--a", "107,133,106,131"],
