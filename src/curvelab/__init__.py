@@ -27,8 +27,6 @@ from .bresinsky import (
     ClosedFormBasis,
     ConditionValue,
     ExtraBinomials,
-    FamilyMember,
-    ShiftFamily,
     a_from_d,
     case_conditions,
     closed_form_basis,
@@ -37,6 +35,7 @@ from .bresinsky import (
     d_from_a_any_order,
     extra_binomials,
     generators,
+    member_degrees,
     shift_vector,
     toric_membership,
 )

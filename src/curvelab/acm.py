@@ -21,13 +21,13 @@ from .bresinsky import (
     SKIP_GCD,
     BresinskyData,
     ConditionValue,
-    ShiftFamily,
     Vec4,
     _any_order_hits,
     case_conditions,
     closed_form_basis,
     degree_refusal,
     generators,
+    member_degrees,
 )
 from .errors import AmbientMismatchError, DisagreementError, RefusalError, StepBoundExceeded
 from .groebner import (
@@ -119,7 +119,7 @@ def acm_by_criterion(data: BresinskyData, m: int) -> CriterionResult:
     is not the strict maximum; the criterion is only stated under those
     hypotheses.
     """
-    deg = ShiftFamily.from_data(data).member(m).degrees
+    deg = member_degrees(data, m)
     reason = degree_refusal(deg)
     if reason is not None:
         raise RefusalError(reason, {"m": m, "degrees": deg})
@@ -244,7 +244,7 @@ def homogeneous_basis(data: BresinskyData, m: int) -> HomogeneousBasis:
             {"m": m, "condition": failing.name, "value": failing.value},
         )
     closed = closed_form_basis(data, m)
-    return homogenized(closed.basis, ShiftFamily.from_data(data).member(m).degrees)
+    return homogenized(closed.basis, member_degrees(data, m))
 
 
 def _skip(m: int, degrees: Vec4, reason: str) -> AcmReport:
@@ -283,7 +283,7 @@ def analyze_member(
     parameter form; the verdicts are then labelled as permuted.  A
     disagreement between the two routes raises DisagreementError.
     """
-    deg = ShiftFamily.from_data(data).member(m).degrees
+    deg = member_degrees(data, m)
     reason = degree_refusal(deg)
     if reason is None:
         target, tm, tdeg = data, m, deg
@@ -328,13 +328,13 @@ def cross_validate(
     the scan: a verdict disagreement, a recovery anomaly and any bug
     propagate, since a skip row must never hide them.
     """
-    fam = ShiftFamily.from_data(data)
+    member_degrees(data, 0)  # refuse a base with a common factor, even for no shifts
     reports = []
     for m in sorted(set(int(m) for m in m_range)):
         try:
             reports.append(analyze_member(data, m, step_bound=step_bound))
         except RefusalError as exc:
-            reports.append(_skip(m, fam.member(m).degrees, exc.reason))
+            reports.append(_skip(m, member_degrees(data, m), exc.reason))
         except StepBoundExceeded:
-            reports.append(_skip(m, fam.member(m).degrees, SKIP_STEP_BOUND))
+            reports.append(_skip(m, member_degrees(data, m), SKIP_STEP_BOUND))
     return reports

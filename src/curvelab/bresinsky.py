@@ -7,9 +7,9 @@ d3 = d13+d23, d4 = d14+d34.  They determine the degree vector a, a shift
 direction v along which the presentation persists for every m >= 0, and
 the five defining binomials of the toric ideal.  This module implements
 the parameter <-> degree-vector correspondence in both directions, the
-per-shift family members, the w statistic, the extra binomials that enter
-the second case, and the closed-form Groebner bases available when the
-case conditions hold.
+degree vector of each family member, the w statistic, the extra
+binomials that enter the second case, and the closed-form Groebner bases
+available when the case conditions hold.
 """
 
 from __future__ import annotations
@@ -170,43 +170,6 @@ class ClosedFormBasis:
     conditions: tuple[ConditionValue, ...]
 
 
-@dataclass(frozen=True)
-class FamilyMember:
-    """One member of a shifted family: degrees = base + m * shift."""
-
-    m: int
-    degrees: Vec4
-    gcd_ok: bool
-    max_ok: bool
-
-
-@dataclass(frozen=True)
-class ShiftFamily:
-    """Base degree vector, shift vector and the parameters behind them."""
-
-    data: BresinskyData
-    base: Vec4
-    shift: Vec4
-
-    @classmethod
-    def from_data(cls, data: BresinskyData) -> "ShiftFamily":
-        base = a_from_d(data)
-        if math.gcd(*base) != 1:
-            raise RefusalError(SKIP_GCD, {"degrees": base})
-        return cls(data=data, base=base, shift=shift_vector(data))
-
-    def member(self, m: int) -> FamilyMember:
-        if m < 0:
-            raise ValueError(f"shift index must be non-negative, got {m}")
-        deg = tuple(a + m * v for a, v in zip(self.base, self.shift))
-        return FamilyMember(
-            m=m,
-            degrees=deg,
-            gcd_ok=math.gcd(*deg) == 1,
-            max_ok=all(deg[3] > deg[i] for i in range(3)),
-        )
-
-
 def a_from_d(data: BresinskyData) -> Vec4:
     """Degree vector induced by the parameters."""
     d = data
@@ -223,6 +186,21 @@ def shift_vector(data: BresinskyData) -> Vec4:
     d = data
     v1 = d.d2 * d.d3 - d.d23 * d.d32
     return (v1, d.d21 * d.d3 + d.d23 * d.d34, d.d2 * d.d34 + d.d21 * d.d32, v1)
+
+
+def member_degrees(data: BresinskyData, m: int) -> Vec4:
+    """Degree vector a + m*v of the family member at shift m.
+
+    Refuses (SKIP_GCD) when the base vector a has a common factor,
+    before looking at m; a negative m is a ValueError.  Whether the
+    member itself is in the hypotheses is `degree_refusal`'s to say.
+    """
+    base = a_from_d(data)
+    if math.gcd(*base) != 1:
+        raise RefusalError(SKIP_GCD, {"degrees": base})
+    if m < 0:
+        raise ValueError(f"shift index must be non-negative, got {m}")
+    return tuple(a + m * v for a, v in zip(base, shift_vector(data)))
 
 
 def generators(data: BresinskyData, m: int) -> tuple[Binomial, ...]:
@@ -355,10 +333,9 @@ def closed_form_basis(data: BresinskyData, m: int) -> ClosedFormBasis:
     failing condition) when the case conditions do not hold, and when the
     member degrees are not coprime.
     """
-    fam = ShiftFamily.from_data(data)
-    member = fam.member(m)
-    if not member.gcd_ok:
-        raise RefusalError(SKIP_GCD, {"m": m, "degrees": member.degrees})
+    deg = member_degrees(data, m)
+    if degree_refusal(deg) == SKIP_GCD:
+        raise RefusalError(SKIP_GCD, {"m": m, "degrees": deg})
 
     cc = case_conditions(data, m)
     failing = cc.first_failing()

@@ -20,13 +20,13 @@ from .acm import AcmReport, analyze_member, cross_validate, homogenized
 from .bresinsky import (
     SKIP_FORM,
     BresinskyData,
-    ShiftFamily,
     a_from_d,
     closed_form_basis,
     d_from_a,
     d_from_a_any_order,
     degree_refusal,
     generators,
+    member_degrees,
     shift_vector,
 )
 from .errors import AnomalyError, DisagreementError, RefusalError, StepBoundExceeded
@@ -57,7 +57,7 @@ class RunConfig:
     plus the numeric knobs."""
 
     mode: str
-    family: ShiftFamily
+    data: BresinskyData
     m: Optional[int]
     m_range: Optional[tuple[int, int]]
     fmt: str
@@ -177,7 +177,7 @@ def _parser() -> argparse.ArgumentParser:
     return _PARSER
 
 
-def _resolve_input(args: argparse.Namespace) -> ShiftFamily:
+def _resolve_input(args: argparse.Namespace) -> BresinskyData:
     a_raw = getattr(args, "a", None)
     d_raw = getattr(args, "d", None)
     if (a_raw is None) == (d_raw is None):
@@ -188,7 +188,8 @@ def _resolve_input(args: argparse.Namespace) -> ShiftFamily:
             data = BresinskyData(*vals)
         except ValueError as exc:
             raise UsageError(str(exc))
-        return ShiftFamily.from_data(data)
+        member_degrees(data, 0)  # refuse a base with a common factor up front
+        return data
     vec = _parse_a(a_raw)
     reason = degree_refusal(vec)
     if reason is not None:
@@ -196,18 +197,18 @@ def _resolve_input(args: argparse.Namespace) -> ShiftFamily:
     data = d_from_a(vec)
     if data is None:
         raise RefusalError(SKIP_FORM, {"degrees": vec})
-    return ShiftFamily.from_data(data)
+    return data
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    family = _resolve_input(args)
+    data = _resolve_input(args)
     m_range = _parse_m_range(args.m_range) if getattr(args, "m_range", None) else None
     m = getattr(args, "m", None)
     if m is not None and m < 0:
         raise UsageError(f"--m must be non-negative, got {m}")
     return RunConfig(
         mode=args.command,
-        family=family,
+        data=data,
         m=m,
         m_range=m_range,
         fmt=args.format,
@@ -259,11 +260,11 @@ def _print_basis(basis: BinomialBasis, out) -> None:
 
 
 def cmd_analyze(cfg: RunConfig, out) -> int:
-    report = analyze_member(cfg.family.data, cfg.m, step_bound=cfg.step_bound)
+    report = analyze_member(cfg.data, cfg.m, step_bound=cfg.step_bound)
     hom = None
     if cfg.homogenize and report.applicable and report.verdict_criterion and not report.reordered:
         # the criterion has passed, so the closed form exists: homogenize it directly
-        hom = homogenized(closed_form_basis(cfg.family.data, cfg.m).basis, report.degrees)
+        hom = homogenized(closed_form_basis(cfg.data, cfg.m).basis, report.degrees)
     if cfg.fmt == "json":
         doc = report.to_dict()
         if cfg.homogenize:
@@ -290,7 +291,7 @@ def cmd_analyze(cfg: RunConfig, out) -> int:
 
 def _run_scan(cfg: RunConfig, out, hard_verify: bool) -> int:
     lo, hi = cfg.m_range
-    reports = cross_validate(cfg.family.data, range(lo, hi + 1), step_bound=cfg.step_bound)
+    reports = cross_validate(cfg.data, range(lo, hi + 1), step_bound=cfg.step_bound)
     if cfg.fmt == "json":
         doc = {"reports": [r.to_dict() for r in reports], "summary": _summary(reports)}
         print(to_canonical_json(doc), file=out)
@@ -310,7 +311,7 @@ def _run_scan(cfg: RunConfig, out, hard_verify: bool) -> int:
 
 
 def cmd_gb(cfg: RunConfig, out) -> int:
-    data = cfg.family.data
+    data = cfg.data
     if cfg.oracle:
         basis = reduce_basis(
             buchberger(generators(data, cfg.m), AFFINE_ORDER, cfg.step_bound),
@@ -322,7 +323,7 @@ def cmd_gb(cfg: RunConfig, out) -> int:
         basis = closed.basis
         tag = {"source": "closed-form", "case": closed.case, "reduced": basis.is_reduced}
     if cfg.homogenize:
-        degrees = cfg.family.member(cfg.m).degrees
+        degrees = member_degrees(data, cfg.m)
         reason = None if cfg.oracle else degree_refusal(degrees)
         if reason is not None:
             raise RefusalError(reason, {"m": cfg.m, "degrees": degrees})

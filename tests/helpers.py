@@ -14,11 +14,12 @@ from curvelab import (
     BinomialBasis,
     BresinskyData,
     Monomial,
-    ShiftFamily,
     StepBoundExceeded,
     a_from_d,
     case_conditions,
+    member_degrees,
 )
+from curvelab.bresinsky import degree_refusal
 from curvelab import groebner
 
 
@@ -101,10 +102,10 @@ def sample_condition_passing(seed: int, count: int, max_row: int = 10, max_m: in
         data = random_valid_data(rng, max_row)
         m = rng.randint(0, max_m)
         try:
-            member = ShiftFamily.from_data(data).member(m)
+            deg = member_degrees(data, m)
         except Exception:
             continue
-        if not (member.gcd_ok and member.max_ok):
+        if degree_refusal(deg) is not None:
             continue
         if not case_conditions(data, m).all_pass:
             continue
@@ -124,10 +125,10 @@ def sample_applicable(seed: int, count: int, max_row: int = 10, max_m: int = 10)
         data = random_valid_data(rng, max_row)
         m = rng.randint(0, max_m)
         try:
-            member = ShiftFamily.from_data(data).member(m)
+            deg = member_degrees(data, m)
         except Exception:
             continue
-        if member.gcd_ok and member.max_ok:
+        if degree_refusal(deg) is None:
             out.append((data, m))
     return out
 
@@ -146,10 +147,10 @@ def sample_long_basis(seed: int, count: int):
         )
         m = rng.randint(0, 40)
         try:
-            member = ShiftFamily.from_data(data).member(m)
+            deg = member_degrees(data, m)
         except Exception:
             continue
-        if member.gcd_ok and member.max_ok:
+        if degree_refusal(deg) is None:
             out.append((data, m))
     return out
 

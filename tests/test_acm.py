@@ -19,7 +19,6 @@ from curvelab import (
     BresinskyData,
     DisagreementError,
     RefusalError,
-    ShiftFamily,
     a_from_d,
     acm_by_criterion,
     acm_by_groebner,
@@ -35,6 +34,7 @@ from curvelab import (
     homogeneous_basis,
     homogenize,
     is_groebner,
+    member_degrees,
     reduce_basis,
 )
 from curvelab.acm import homogenized
@@ -227,9 +227,8 @@ def _reordered_members(data, ms):
     """(m, degrees) of the coprime members whose strict maximum is not in
     the fourth coordinate: the ones analyze_member recovers in permuted
     coordinates."""
-    fam = ShiftFamily.from_data(data)
     for m in ms:
-        deg = fam.member(m).degrees
+        deg = member_degrees(data, m)
         if degree_refusal(deg) is not None and math.gcd(*deg) == 1 and deg.count(max(deg)) == 1:
             yield m, deg
 
@@ -279,7 +278,7 @@ class TestReorderedRecovery:
             return real(vec)
 
         monkeypatch.setattr(bresinsky_mod, "d_from_a", counting)
-        deg = ShiftFamily.from_data(basic_data).member(8).degrees
+        deg = member_degrees(basic_data, 8)
         d_from_a_any_order(deg)
         solved_by_listing = len(calls)
         calls.clear()

@@ -10,7 +10,6 @@ from curvelab import (
     Binomial,
     BresinskyData,
     RefusalError,
-    ShiftFamily,
     a_from_d,
     closed_form_basis,
     compute_w,
@@ -20,10 +19,12 @@ from curvelab import (
     generators,
     initial_generators,
     is_groebner,
+    member_degrees,
     reduce_basis,
     shift_vector,
     toric_membership,
 )
+from curvelab.bresinsky import SKIP_GCD, SKIP_MAX, degree_refusal
 from conftest import even_family_data, family_data
 from helpers import brute_force_parameters, m4, pair_set, random_valid_data
 
@@ -327,37 +328,39 @@ class TestRecovery:
 
     def test_recovery_is_cap_free(self, basic_data):
         # every coprime member from m=8 on has its maximum in x2
-        fam = ShiftFamily.from_data(basic_data)
         for m in (60, 200, 1002):
-            member = fam.member(m)
-            assert member.gcd_ok and not member.max_ok
-            [(perm, data)] = d_from_a_any_order(member.degrees)
-            assert a_from_d(data) == tuple(member.degrees[i] for i in perm)
+            deg = member_degrees(basic_data, m)
+            assert degree_refusal(deg) == SKIP_MAX
+            [(perm, data)] = d_from_a_any_order(deg)
+            assert a_from_d(data) == tuple(deg[i] for i in perm)
             assert max(data.d1, data.d2, data.d3, data.d4) > 64
 
 
-class TestShiftFamily:
+class TestMemberDegrees:
     def test_members(self, basic_data):
-        fam = ShiftFamily.from_data(basic_data)
-        assert fam.base == (19, 29, 26, 43)
-        assert fam.shift == (11, 13, 10, 11)
-        m0 = fam.member(0)
-        assert m0.gcd_ok and m0.max_ok
-        m1 = fam.member(1)
-        assert not m1.gcd_ok
-        m8 = fam.member(8)
-        assert m8.gcd_ok and not m8.max_ok
+        assert a_from_d(basic_data) == (19, 29, 26, 43)
+        assert shift_vector(basic_data) == (11, 13, 10, 11)
+        for m in (0, 1, 8):
+            assert member_degrees(basic_data, m) == tuple(
+                a + m * v for a, v in zip((19, 29, 26, 43), (11, 13, 10, 11))
+            )
+        assert degree_refusal(member_degrees(basic_data, 0)) is None
+        assert degree_refusal(member_degrees(basic_data, 1)) == SKIP_GCD
+        assert degree_refusal(member_degrees(basic_data, 8)) == SKIP_MAX
 
     def test_rejects_negative_index(self, basic_data):
         with pytest.raises(ValueError):
-            ShiftFamily.from_data(basic_data).member(-1)
+            member_degrees(basic_data, -1)
 
     def test_rejects_common_factor_base(self):
         # all four degree formulas scale together here: gcd 5
         data = BresinskyData(1, 1, 1, 1, 1, 1, 1, 1)
         assert a_from_d(data) == (5, 5, 5, 5)
-        with pytest.raises(RefusalError):
-            ShiftFamily.from_data(data)
+        for m in (0, -1):  # the base is refused before the index is read
+            with pytest.raises(RefusalError) as exc:
+                member_degrees(data, m)
+            assert exc.value.reason == SKIP_GCD
+            assert exc.value.details == {"degrees": (5, 5, 5, 5)}
 
 
 def test_no_anomalies_on_fixture_corpus():
