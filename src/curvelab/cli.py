@@ -72,14 +72,15 @@ _FORMATS = ("json", "table")
 def _apply_env(args: argparse.Namespace) -> None:
     """Fill --format and --step-bound from CURVELAB_* where the flag is
     absent.  Read on every call, since the parser is built once per
-    process; a malformed value is a usage error, like the flag's."""
+    process; a malformed value is a usage error, like the flag's.
+    `recover` takes no --step-bound, so it ignores CURVELAB_STEP_BOUND."""
     if args.format is None:
         raw = os.environ.get(ENV_PREFIX + "FORMAT")
         if raw and raw not in _FORMATS:
             choices = ", ".join(map(repr, _FORMATS))
             raise UsageError(f"{ENV_PREFIX}FORMAT: invalid choice: {raw!r} (choose from {choices})")
         args.format = raw or "table"
-    if args.step_bound is None:
+    if hasattr(args, "step_bound") and args.step_bound is None:
         raw = os.environ.get(ENV_PREFIX + "STEP_BOUND")
         try:
             args.step_bound = int(raw) if raw else DEFAULT_STEP_BOUND
@@ -106,7 +107,7 @@ def _parse_a(raw: str) -> tuple[int, ...]:
 
 def _parse_m_range(raw: str) -> tuple[int, int]:
     lo, sep, hi = raw.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not sep or not lo.isdecimal() or not hi.isdecimal():
         raise UsageError(f"--m-range expects lo..hi with non-negative integers, got {raw!r}")
     lo_i, hi_i = int(lo), int(hi)
     if lo_i > hi_i:
@@ -118,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="curvelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # recover is built with_d=False: it takes a degree vector only and
+    # reduces nothing, so it has no --step-bound either
     def add_common(p: argparse.ArgumentParser, with_d: bool = True) -> None:
         p.add_argument("--a", metavar="a1,a2,a3,a4", help="degree vector input")
         if with_d:
@@ -129,11 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
         # no defaults here: the parser is cached, so main reads the
         # environment on every call (_apply_env)
         p.add_argument("--format", choices=_FORMATS, help="output format (env CURVELAB_FORMAT)")
-        p.add_argument(
-            "--step-bound",
-            type=int,
-            help="reduction step budget (env CURVELAB_STEP_BOUND)",
-        )
+        if with_d:
+            p.add_argument(
+                "--step-bound",
+                type=int,
+                help="reduction step budget (env CURVELAB_STEP_BOUND)",
+            )
 
     p_analyze = sub.add_parser("analyze", help="dual-route verdict for a single shift")
     add_common(p_analyze)

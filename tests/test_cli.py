@@ -125,6 +125,14 @@ class TestFamily:
         rc, _ = run_cli("family", "--a", "8,5,7,9", "--m-range", "0-5")
         assert rc == 1
 
+    def test_non_ascii_digit_in_range_is_a_usage_error(self, capsys):
+        # '²' passes str.isdigit but int() rejects it
+        rc, out = run_cli("family", "--a", "8,5,7,9", "--m-range", "²..3")
+        assert rc == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "usage error: --m-range expects lo..hi with non-negative integers, got '²..3'\n"
+        )
+
 
 class TestVerify:
     def test_agreeing_family(self):
@@ -224,6 +232,18 @@ class TestRecover:
     def test_requires_degree_vector(self):
         rc, _ = run_cli("recover")
         assert rc == 1
+
+    def test_takes_no_step_bound(self, capsys):
+        # recover reduces nothing, so it offers no reduction budget
+        rc, out = run_cli("recover", "--a", "19,29,26,43", "--step-bound", "3")
+        assert rc == 1 and out == ""
+        assert "--step-bound" in capsys.readouterr().err
+
+    def test_ignores_step_bound_env(self, monkeypatch):
+        monkeypatch.setenv("CURVELAB_STEP_BOUND", "abc")
+        rc, out = run_cli("recover", "--a", "19,29,26,43")
+        assert rc == 0
+        assert "d21=2 d41=3 d32=3 d42=1 d13=2 d23=3 d14=1 d34=1" in out
 
 
 class TestUsage:
