@@ -13,7 +13,9 @@ failure and aborts with a diagnostic dump.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .bresinsky import (
@@ -34,13 +36,18 @@ from .groebner import (
     DEFAULT_STEP_BOUND,
     Binomial,
     BinomialBasis,
-    buchberger,
+    Packing,
+    _buchberger,
+    _minimal_packed,
+    _unpacked,
     canonical,
-    initial_generators,
 )
-from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial
+from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial, MonomialOrder
 
 SKIP_STEP_BOUND = "step bound exceeded"
+
+#: x4 packed under AFFINE_ORDER, the divisor the verdict tests leads against.
+_X4 = Packing(AFFINE_ORDER).pack(Monomial.from_powers({4: 1}))
 
 
 @dataclass(frozen=True)
@@ -58,13 +65,21 @@ class GroebnerVerdict:
     """Verdict of the Groebner oracle.
 
     `x4_leads` lists the minimal initial-ideal generators divisible by
-    x4; the verdict is ACM exactly when it is empty.  `basis` is the
-    Buchberger basis they were read from, kept for diagnostics.
+    x4; the verdict is ACM exactly when it is empty.  `leads` and
+    `trails` are the packed elements of the Buchberger basis they were
+    read from, under `order`; `basis` unpacks them on first access, for
+    diagnostics, and equals `buchberger(gens, order)` element for element.
     """
 
     acm: bool
     x4_leads: tuple[Monomial, ...]
-    basis: BinomialBasis
+    order: MonomialOrder = field(repr=False)
+    leads: tuple[int, ...] = field(repr=False)
+    trails: tuple[int, ...] = field(repr=False)
+
+    @cached_property
+    def basis(self) -> BinomialBasis:
+        return _unpacked(self.order, Packing(self.order), self.leads, self.trails)
 
 
 @dataclass(frozen=True)
@@ -140,15 +155,19 @@ def acm_by_groebner(
     reports) and returns ACM iff no minimal generator of the initial
     ideal is divisible by x4.
     """
-    vec = tuple(int(x) for x in degrees)
+    vec = tuple(operator.index(x) for x in degrees)
     if len(vec) != 4 or any(x < 1 for x in vec):
         raise ValueError(f"degree vector must have 4 positive entries: {vec}")
     reason = degree_refusal(vec)
     if reason is not None:
         raise RefusalError(reason, {"degrees": vec})
-    basis = buchberger(gens, AFFINE_ORDER, step_bound)
-    x4_leads = tuple(mono for mono in initial_generators(basis) if mono.exponent(4) > 0)
-    return GroebnerVerdict(acm=not x4_leads, x4_leads=x4_leads, basis=basis)
+    pk, leads, trails = _buchberger(gens, AFFINE_ORDER, step_bound)
+    _, minimal, _ = _minimal_packed(pk, leads, trails)
+    # x4 divides p, the divisibility test of _first_reducer inlined; only
+    # those leads are unpacked
+    g = pk.guards
+    x4_leads = tuple(pk.unpack(p) for p in minimal if ((p | g) - _X4) & g == g)
+    return GroebnerVerdict(not x4_leads, x4_leads, AFFINE_ORDER, tuple(leads), tuple(trails))
 
 
 def homogenize(b: Binomial) -> Binomial:
@@ -187,7 +206,7 @@ def check_h_membership(b: Binomial, degrees: Iterable[int]) -> bool:
     """
     if b.nvars != 5:
         raise AmbientMismatchError(f"expected a 5-variable binomial, got {b.nvars}")
-    vec = tuple(int(x) for x in degrees)
+    vec = tuple(operator.index(x) for x in degrees)
     if len(vec) != 4:
         raise ValueError(f"degree vector must have 4 entries, got {len(vec)}")
     tweights = (0,) + vec

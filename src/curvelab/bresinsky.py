@@ -15,6 +15,7 @@ available when the case conditions hold.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -359,7 +360,7 @@ def closed_form_basis(data: BresinskyData, m: int) -> ClosedFormBasis:
 
 
 def _validated_vector(a: Iterable[int]) -> Vec4:
-    vec = tuple(int(x) for x in a)
+    vec = tuple(operator.index(x) for x in a)
     if len(vec) != 4:
         raise ValueError(f"degree vector must have 4 entries, got {len(vec)}")
     if any(x < 1 for x in vec):

@@ -16,13 +16,17 @@ leading monomial is reduced before the trailing one.  Against a verified
 Groebner basis the normal form is independent of these choices; against
 an arbitrary set only the deterministic strategy result is contractual.
 
-Packed monomials.  `buchberger`, `normal_form`, `is_groebner`,
-`reduce_basis` and `initial_generators` work on packed exponent vectors
-(Monagan-Pearce 2007, "Polynomial division using dynamic arrays, heaps,
-and packed exponent vectors"; Bachmann-Schoenemann 1998, "Monomial
-representations for Groebner bases computations"); `Monomial` and
-`Binomial` objects are built only where those functions take and return
-them.  Under an order
+Packed monomials.  The Buchberger kernel `_buchberger` returns its basis
+as a packing and the packed leads and trails, and `buchberger`,
+`normal_form`, `is_groebner`, `reduce_basis` and `initial_generators`
+work on packed exponent vectors too (Monagan-Pearce 2007, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors";
+Bachmann-Schoenemann 1998, "Monomial representations for Groebner bases
+computations").  `Monomial` and `Binomial` objects are built only where
+those functions take and return them.  `acm.acm_by_groebner` calls the
+kernel itself and unpacks only the minimal leads that x4 divides; its
+verdict builds the `Binomial`s of the basis when they are first read.
+Under an order
 on n variables a monomial is one int P: each exponent sits in its own
 field of W = FIELD_BITS = 64 bits, the fields follow
 `MonomialOrder.scan` with the least-priority variable in the top field,
@@ -55,8 +59,11 @@ the degree.  Past the bound the kernel raises OverflowError instead of
 wrapping.
 
 Each formula is written once, in `_first_reducer` (divisibility),
-`_lcms`, `_degree` and `_key`; `buchberger` inlines the divisibility
-test once more where a call per candidate pair would cost too much.
+`_lcms`, `_degree` and `_key`.  The divisibility test is inlined three
+more times where a call per test would cost too much: twice in the
+update of `_buchberger` (the chain criterion on the pending pairs and
+the minimal lcms of the new pairs) and once in `acm.acm_by_groebner`
+(does x4 divide a minimal lead).
 A basis keeps its packed form once built, so repeated `normal_form`
 calls against it do not repack it.
 """
@@ -387,6 +394,24 @@ def buchberger(
 
     Every element stays in the basis and serves as a reducer.
     """
+    return _unpacked(order, *_buchberger(gens, order, step_bound))
+
+
+def _unpacked(
+    order: MonomialOrder, pk: Packing, leads: Sequence[int], trails: Sequence[int]
+) -> BinomialBasis:
+    """The verified basis under `order` with packed `leads` and `trails`,
+    element for element."""
+    elements = tuple(pk.binomial(l, t) for l, t in zip(leads, trails))
+    return BinomialBasis(elements, order, is_groebner_verified=True)
+
+
+def _buchberger(
+    gens: Iterable[Binomial], order: MonomialOrder, step_bound: int
+) -> tuple[Packing, list[int], list[int]]:
+    """The packed kernel of `buchberger`: the packing of `order` and the
+    packed leads and trails of the basis, in the order the elements
+    joined it."""
     pk = Packing(order)
     guards, shift = pk.guards, pk.shift
     leads: list[int] = []
@@ -399,9 +424,9 @@ def buchberger(
         # a divides b exactly when lcm(a, b) == b
         t = len(leads)
         lcms = _lcms(leads, lt, guards)  # lcm(lead_i, lt) for every i
-        joints = _lcms(pending.values(), lt, guards)
-        for ((i, j), lcm), joint in zip(list(pending.items()), joints):
-            if joint == lcm and lcms[i] != lcm and lcms[j] != lcm:
+        for (i, j), lcm in list(pending.items()):
+            # lt divides lcm, inlined as in _first_reducer
+            if ((lcm | guards) - lt) & guards == guards and lcms[i] != lcm and lcms[j] != lcm:
                 del pending[(i, j)]
         # one candidate pair per lcm (the last i), flagged when any pair
         # with that lcm has coprime leads
@@ -453,8 +478,7 @@ def buchberger(
             continue
         add(*h)
 
-    elements = tuple(pk.binomial(l, t) for l, t in zip(leads, trails))
-    return BinomialBasis(elements, order, is_groebner_verified=True)
+    return pk, leads, trails
 
 
 def _minimal(basis: BinomialBasis, step_bound: int) -> tuple[Packing, list[int], list[int]]:
@@ -467,7 +491,15 @@ def _minimal(basis: BinomialBasis, step_bound: int) -> tuple[Packing, list[int],
             raise NotGroebnerError(
                 f"input is not a Groebner basis; {len(cert.failures)} failing pair(s)"
             )
-    pk, packed_leads, packed_trails = basis._packed
+    return _minimal_packed(*basis._packed)
+
+
+def _minimal_packed(
+    pk: Packing, packed_leads: Sequence[int], packed_trails: Sequence[int]
+) -> tuple[Packing, list[int], list[int]]:
+    """The pass of `_minimal` on a Groebner basis given packed under `pk`:
+    `pk` and the packed leads and trails of the elements whose lead no
+    other lead divides (one per lead), in canonical order."""
     guards, shift = pk.guards, pk.shift
     leads: list[int] = []
     trails: list[int] = []

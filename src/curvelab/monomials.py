@@ -132,10 +132,12 @@ class MonomialOrder:
     `compare` (short-circuits on degree) and `key` (for sorting)
     implement the order twice on purpose.  Since the packed kernel of
     `curvelab.groebner` orders monomials itself, `compare` runs only at
-    its boundary (about 20 calls per small-members benchmark call, 74 per
-    long-basis call); derived from `key` it takes 2.5-2.9 us a call
-    against 0.7-0.9 us (timeit, CPython 3.11, x86-64), some 4-5% of a
-    small-members call.  The tests check that the two agree.
+    its boundary (about 14 calls per small-members benchmark call, 10 per
+    long-basis call; traced, seed 7).  Derived from `key` it takes
+    2.5-2.9 us a call against 0.7-0.9 us (timeit, CPython 3.11, x86-64);
+    at the 20 calls a small-members call made when the verdict still
+    unpacked its whole basis, that was some 4-5% of the call.  The tests
+    check that the two agree.
     """
 
     priority: tuple[int, ...]

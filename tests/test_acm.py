@@ -33,6 +33,7 @@ from curvelab import (
     generators,
     homogeneous_basis,
     homogenize,
+    initial_generators,
     is_groebner,
     member_degrees,
     reduce_basis,
@@ -40,6 +41,8 @@ from curvelab import (
 from curvelab.acm import homogenized
 from curvelab.bresinsky import degree_refusal
 from curvelab.cli import main
+from curvelab.groebner import Packing
+import test_groebner
 from conftest import family_data
 from helpers import bino, m4, m5, pair_set, random_valid_data, sample_applicable
 
@@ -135,6 +138,41 @@ class TestGroebnerOracle:
         with pytest.raises(RefusalError):
             acm_by_groebner((9, 5, 7, 8), generators(basic_data, 0))
 
+    def test_rejects_non_integer_degrees(self):
+        # a float entry is not truncated to the member it rounds to
+        with pytest.raises(TypeError):
+            acm_by_groebner((8.5, 5, 7, 9), generators(family_data(2), 0))
+
+    def test_verdict_unpacks_only_the_x4_leads(self, monkeypatch):
+        # the first long-basis benchmark member (seed 7); `.basis` is not read
+        data, m = BresinskyData(2, 4, 1, 1, 36, 1, 1, 2), 38
+        gens = generators(data, m)
+        calls = {"pack": 0, "unpack": 0, "binomial": 0}
+        for name in calls:
+            real = getattr(Packing, name)
+
+            def counting(self, *args, name=name, real=real):
+                calls[name] += 1
+                return real(self, *args)
+
+            monkeypatch.setattr(Packing, name, counting)
+        verdict = acm_by_groebner(member_degrees(data, m), gens)
+        assert len(verdict.x4_leads) == 35
+        assert calls == {"pack": 2 * len(gens), "unpack": 35, "binomial": 0}
+
+    def test_verdict_matches_the_unpacked_route(self):
+        members = sample_applicable(seed=59, count=40) + [test_groebner.TestPairCriteria.LONG]
+        for data, m in members:
+            gens = generators(data, m)
+            verdict = acm_by_groebner(member_degrees(data, m), gens)
+            basis = buchberger(gens, AFFINE_ORDER)
+            x4_leads = tuple(mono for mono in initial_generators(basis) if mono.exponent(4) > 0)
+            assert verdict.x4_leads == x4_leads and verdict.acm == (not x4_leads), (data, m)
+            assert verdict.basis.elements == basis.elements, (data, m)
+            assert verdict.basis.is_groebner_verified and verdict.basis.order == AFFINE_ORDER
+            # equality compares the packed basis, read or not
+            assert acm_by_groebner(member_degrees(data, m), gens) == verdict
+
     def test_verdict_builds_no_reduced_basis(self, monkeypatch, basic_data, big_data):
         real = groebner_mod.reduce_basis
         calls = []
@@ -208,6 +246,7 @@ class TestCrossValidate:
             analyze_member(basic_data, 0)
         doc = json.loads(exc.value.dump)
         assert doc["report"]["agree"] is False and doc["report"]["verdict_criterion"] is True
+        assert doc["groebner_basis"] == buchberger(generators(basic_data, 0), AFFINE_ORDER).to_json()
         basis = BinomialBasis.from_json(doc["groebner_basis"])
         assert is_groebner(basis).ok
         assert doc["x4_leads"] and set(doc["x4_leads"]) <= {str(b.lead) for b in basis}
@@ -330,6 +369,11 @@ class TestHMembership:
     def test_unbalanced_pair_fails(self):
         b = Binomial(m5(0, 1), m5(1))  # x1 - x0
         assert not check_h_membership(b, (19, 29, 26, 43))
+
+    def test_rejects_non_integer_degrees(self):
+        b = Binomial(m5(0, 1), m5(1))  # x1 - x0
+        with pytest.raises(TypeError):
+            check_h_membership(b, (19, 29, 26, 43.0))
 
     def test_degenerate_pair_unrepresentable(self):
         with pytest.raises(ValueError):

@@ -258,6 +258,11 @@ class TestRecovery:
         with pytest.raises(ValueError):
             d_from_a((0, 2, 3, 4))
 
+    def test_rejects_non_integer_entries(self):
+        # read as (19, 29, 26, 43), the vector would recover the basic data
+        with pytest.raises(TypeError):
+            d_from_a((19.7, 29, 26, 43))
+
     def test_round_trip_fixtures(self, basic_data, big_data, noncm_a2):
         for data in (basic_data, big_data, noncm_a2, even_family_data(4)):
             assert d_from_a(a_from_d(data)) == data
