@@ -42,6 +42,7 @@ CASES = {
                         "--format", "json"],
     "family-empty-range": ["family", "--a", "19,29,26,43", "--m-range", "5..4"],
     "family-gcd-base": ["family", "--d", "1,1,1,3,3,2,1,1", "--m-range", "0..2"],
+    "family-gcd-input-empty-range": ["family", "--a", "2,4,6,8", "--m-range", "5..4"],
     "verify-case1": ["verify", "--a", "8,5,7,9", "--m-range", "0..10"],
     "verify-basic-json": ["verify", "--a", "19,29,26,43", "--m-range", "0..10",
                           "--format", "json"],
@@ -55,6 +56,7 @@ CASES = {
     "gb-case2-homogenize": ["gb", "--a", "1191,1239,582,2303", "--m", "0", "--homogenize"],
     "gb-conditions-refused": ["gb", "--a", "19,29,26,43", "--m", "0"],
     "gb-oracle-gcd-base": ["gb", "--oracle", "--d", "1,1,1,1,1,1,1,1", "--m", "0"],
+    "gb-gcd-input-negative-m": ["gb", "--a", "2,4,6,8", "--m", "-1"],
     "recover-basic": ["recover", "--a", "19,29,26,43"],
     "recover-big-json": ["recover", "--a", "1191,1239,582,2303", "--format", "json"],
     "recover-reordered": ["recover", "--a", "107,133,106,131"],
@@ -64,10 +66,14 @@ CASES = {
     "usage-both-inputs": ["analyze", "--a", "8,5,7,9", "--d", "1,1,1,2,1,1,1,1", "--m", "0"],
     "usage-bad-format": ["analyze", "--a", "8,5,7,9", "--m", "0", "--format", "xml"],
     "usage-missing-m": ["analyze", "--a", "8,5,7,9"],
+    "usage-negative-m": ["analyze", "--a", "8,5,7,9", "--m", "-3"],
     "usage-unknown-command": ["frobnicate"],
     "help": ["--help"],
     "help-analyze": ["analyze", "--help"],
     "help-recover": ["recover", "--help"],
+    "help-gb": ["gb", "--help"],
+    "help-family": ["family", "--help"],
+    "help-verify": ["verify", "--help"],
 }
 
 
