@@ -60,6 +60,7 @@ CASES = {
     "recover-basic": ["recover", "--a", "19,29,26,43"],
     "recover-big-json": ["recover", "--a", "1191,1239,582,2303", "--format", "json"],
     "recover-reordered": ["recover", "--a", "107,133,106,131"],
+    "recover-permuted-strict-max": ["recover", "--a", "29,19,26,43"],
     "recover-not-form": ["recover", "--a", "2,3,4,5"],
     "recover-not-form-json": ["recover", "--a", "2,3,4,5", "--format", "json"],
     "recover-gcd-input": ["recover", "--a", "2,4,6,8"],
