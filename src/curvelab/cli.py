@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .acm import AcmReport, analyze_member, cross_validate, homogenized
@@ -49,21 +48,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; our contract wants 1
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one input form, one mode, one output format,
-    plus the numeric knobs."""
-
-    mode: str
-    data: BresinskyData
-    m: Optional[int]
-    m_range: Optional[tuple[int, int]]
-    fmt: str
-    homogenize: bool
-    oracle: bool
-    step_bound: int
 
 
 _FORMATS = ("json", "table")
@@ -116,6 +100,8 @@ def _parse_m_range(raw: str) -> tuple[int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each subcommand binds its handler as `run`,
+    which takes (args, out) and returns the exit code."""
     parser = _Parser(prog="curvelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -141,6 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="dual-route verdict for a single shift")
     add_common(p_analyze)
+    p_analyze.set_defaults(run=cmd_analyze)
     p_analyze.add_argument("--m", type=int, required=True, help="shift index")
     p_analyze.add_argument(
         "--homogenize", action="store_true", help="include the homogeneous basis when ACM"
@@ -152,10 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p_scan = sub.add_parser(name, help=text)
         add_common(p_scan)
+        p_scan.set_defaults(run=cmd_scan)
         p_scan.add_argument("--m-range", required=True, metavar="lo..hi")
 
     p_gb = sub.add_parser("gb", help="print the Groebner basis for one shift")
     add_common(p_gb)
+    p_gb.set_defaults(run=cmd_gb)
     p_gb.add_argument("--m", type=int, required=True, help="shift index")
     p_gb.add_argument("--homogenize", action="store_true", help="print the homogenized basis")
     p_gb.add_argument(
@@ -166,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_recover = sub.add_parser("recover", help="recover parameters from a degree vector")
     add_common(p_recover, with_d=False)
+    p_recover.set_defaults(run=cmd_recover)
 
     return parser
 
@@ -182,19 +172,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _resolve_input(args: argparse.Namespace) -> BresinskyData:
-    a_raw = getattr(args, "a", None)
-    d_raw = getattr(args, "d", None)
-    if (a_raw is None) == (d_raw is None):
+    if (args.a is None) == (args.d is None):
         raise UsageError("exactly one of --a and --d is required")
-    if d_raw is not None:
-        vals = _parse_vector(d_raw, 8, "--d")
+    if args.d is not None:
+        vals = _parse_vector(args.d, 8, "--d")
         try:
             data = BresinskyData(*vals)
         except ValueError as exc:
             raise UsageError(str(exc))
         member_degrees(data, 0)  # refuse a base with a common factor up front
         return data
-    vec = _parse_a(a_raw)
+    vec = _parse_a(args.a)
     reason = degree_refusal(vec)
     if reason is not None:
         raise RefusalError(reason, {"degrees": vec})
@@ -204,22 +192,13 @@ def _resolve_input(args: argparse.Namespace) -> BresinskyData:
     return data
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
+def _member_input(args: argparse.Namespace) -> BresinskyData:
+    """The base and a checked --m; a refused input is reported before a
+    negative shift."""
     data = _resolve_input(args)
-    m_range = _parse_m_range(args.m_range) if getattr(args, "m_range", None) else None
-    m = getattr(args, "m", None)
-    if m is not None and m < 0:
-        raise UsageError(f"--m must be non-negative, got {m}")
-    return RunConfig(
-        mode=args.command,
-        data=data,
-        m=m,
-        m_range=m_range,
-        fmt=args.format,
-        homogenize=getattr(args, "homogenize", False),
-        oracle=getattr(args, "oracle", False),
-        step_bound=args.step_bound,
-    )
+    if args.m < 0:
+        raise UsageError(f"--m must be non-negative, got {args.m}")
+    return data
 
 
 def to_canonical_json(obj) -> str:
@@ -263,15 +242,16 @@ def _print_basis(basis: BinomialBasis, out) -> None:
         print(f"  {b}", file=out)
 
 
-def cmd_analyze(cfg: RunConfig, out) -> int:
-    report = analyze_member(cfg.data, cfg.m, step_bound=cfg.step_bound)
+def cmd_analyze(args: argparse.Namespace, out) -> int:
+    data = _member_input(args)
+    report = analyze_member(data, args.m, step_bound=args.step_bound)
     hom = None
-    if cfg.homogenize and report.applicable and report.verdict_criterion and not report.reordered:
+    if args.homogenize and report.applicable and report.verdict_criterion and not report.reordered:
         # the criterion has passed, so the closed form exists: homogenize it directly
-        hom = homogenized(closed_form_basis(cfg.data, cfg.m).basis, report.degrees)
-    if cfg.fmt == "json":
+        hom = homogenized(closed_form_basis(data, args.m).basis, report.degrees)
+    if args.format == "json":
         doc = report.to_dict()
-        if cfg.homogenize:
+        if args.homogenize:
             doc["homogeneous_basis"] = hom.to_json() if hom else None
         print(to_canonical_json(doc), file=out)
     else:
@@ -284,7 +264,7 @@ def cmd_analyze(cfg: RunConfig, out) -> int:
         if hom is not None:
             print("homogeneous basis:", file=out)
             _print_basis(hom, out)
-        elif cfg.homogenize:
+        elif args.homogenize:
             why = "reordered coordinates" if report.verdict_criterion else "not ACM"
             print(f"homogeneous basis unavailable ({why})", file=out)
     if not report.applicable:
@@ -293,10 +273,13 @@ def cmd_analyze(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _run_scan(cfg: RunConfig, out, hard_verify: bool) -> int:
-    lo, hi = cfg.m_range
-    reports = cross_validate(cfg.data, range(lo, hi + 1), step_bound=cfg.step_bound)
-    if cfg.fmt == "json":
+def cmd_scan(args: argparse.Namespace, out) -> int:
+    """`family` and `verify`: the same scan, which aborts on a verdict
+    disagreement; `verify`'s table also says that none was found."""
+    data = _resolve_input(args)
+    lo, hi = _parse_m_range(args.m_range)
+    reports = cross_validate(data, range(lo, hi + 1), step_bound=args.step_bound)
+    if args.format == "json":
         doc = {"reports": [r.to_dict() for r in reports], "summary": _summary(reports)}
         print(to_canonical_json(doc), file=out)
     else:
@@ -309,31 +292,31 @@ def _run_scan(cfg: RunConfig, out, hard_verify: bool) -> int:
             f"skipped={s['skipped']} reordered={s['reordered']}",
             file=out,
         )
-        if hard_verify:
+        if args.command == "verify":
             print("verified: both routes agree on every applicable member", file=out)
     return EXIT_OK
 
 
-def cmd_gb(cfg: RunConfig, out) -> int:
-    data = cfg.data
-    if cfg.oracle:
+def cmd_gb(args: argparse.Namespace, out) -> int:
+    data = _member_input(args)
+    if args.oracle:
         basis = reduce_basis(
-            buchberger(generators(data, cfg.m), AFFINE_ORDER, cfg.step_bound),
-            step_bound=cfg.step_bound,
+            buchberger(generators(data, args.m), AFFINE_ORDER, args.step_bound),
+            step_bound=args.step_bound,
         )
         tag: dict = {"source": "oracle", "case": None, "reduced": True}
     else:
-        closed = closed_form_basis(data, cfg.m)
+        closed = closed_form_basis(data, args.m)
         basis = closed.basis
         tag = {"source": "closed-form", "case": closed.case, "reduced": basis.is_reduced}
-    if cfg.homogenize:
-        degrees = member_degrees(data, cfg.m)
-        reason = None if cfg.oracle else degree_refusal(degrees)
+    if args.homogenize:
+        degrees = member_degrees(data, args.m)
+        reason = None if args.oracle else degree_refusal(degrees)
         if reason is not None:
-            raise RefusalError(reason, {"m": cfg.m, "degrees": degrees})
+            raise RefusalError(reason, {"m": args.m, "degrees": degrees})
         basis = homogenized(basis, degrees)
         tag["homogenized"] = True
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {"tag": tag, "basis": basis.to_json()}
         print(to_canonical_json(doc), file=out)
     else:
@@ -393,16 +376,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     try:
         args = _parser().parse_args(argv)
         _apply_env(args)
-        if args.command == "recover":
-            return cmd_recover(args, out)
-        cfg = _config(args)
-        if cfg.mode == "analyze":
-            return cmd_analyze(cfg, out)
-        if cfg.mode in ("family", "verify"):
-            return _run_scan(cfg, out, hard_verify=cfg.mode == "verify")
-        if cfg.mode == "gb":
-            return cmd_gb(cfg, out)
-        raise UsageError(f"unknown command {cfg.mode}")
+        return args.run(args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
