@@ -332,11 +332,7 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
     if not args.a:
         raise UsageError("recover requires --a")
     vec = _parse_a(args.a)
-    if degree_refusal(vec) is None:
-        data = d_from_a(vec)
-        hits = [((0, 1, 2, 3), data)] if data else []
-    else:
-        hits = d_from_a_any_order(vec)
+    hits = d_from_a_any_order(vec)
     if not hits:
         if args.format == "json":
             print(to_canonical_json({"solutions": []}), file=out)

@@ -1,9 +1,13 @@
 import io
 import json
+from itertools import permutations
 
 import pytest
 
+from curvelab.bresinsky import d_from_a_any_order, member_degrees
 from curvelab.cli import main, to_canonical_json
+
+from helpers import sample_applicable
 
 
 def run_cli(*argv):
@@ -228,6 +232,30 @@ class TestRecover:
         [sol] = json.loads(out)["solutions"]
         perm = [i - 1 for i in sol["permutation"]]
         assert sol["a"] == [[2219, 2629, 2026, 2243][i] for i in perm]
+
+    def test_permuted_strict_max_vector(self):
+        # x4 is already the strict maximum, but x1..x3 are out of role order
+        rc, out = run_cli("recover", "--a", "29,19,26,43")
+        assert rc == 0
+        assert out.startswith("permutation: (2, 1, 3, 4)\n")
+        assert "a=19,29,26,43" in out
+
+    def test_every_order_of_the_first_three_matches_any_order_search(self):
+        # each strict-max member, then the five other orders of x1..x3
+        for data, m in sample_applicable(seed=10, count=40):
+            deg = member_degrees(data, m)
+            for perm in permutations(range(3)):
+                vec = [deg[i] for i in perm] + [deg[3]]
+                expected = [
+                    {"permutation": [i + 1 for i in hit_perm], "d": hit.to_json()}
+                    for hit_perm, hit in d_from_a_any_order(vec)
+                ]
+                assert expected, vec
+                rc, out = run_cli("recover", "--a", ",".join(map(str, vec)), "--format", "json")
+                assert rc == 0, vec
+                got = [{k: sol[k] for k in ("permutation", "d")}
+                       for sol in json.loads(out)["solutions"]]
+                assert got == expected, vec
 
     def test_requires_degree_vector(self):
         rc, _ = run_cli("recover")
