@@ -46,7 +46,7 @@ def degree_refusal(deg: Sequence[int]) -> Optional[str]:
 class BresinskyData:
     """The eight base parameters.  Row sums d1..d4 are derived.
 
-    All eight must be positive; every constraint of the parameter system
+    All eight must be positive integers; every constraint of the parameter system
     (di > 1, and each d_ij strictly between 0 and its row sum) then holds
     automatically.
     """
@@ -62,7 +62,7 @@ class BresinskyData:
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
-            if value < 1:
+            if operator.index(value) < 1:
                 raise ValueError(f"parameter {name} must be positive, got {value}")
 
     @property
@@ -98,7 +98,8 @@ class BresinskyData:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "BresinskyData":
-        return cls(**{k: int(obj[k]) for k in
+        # __post_init__ refuses a non-integer entry
+        return cls(**{k: obj[k] for k in
                       ("d21", "d41", "d32", "d42", "d13", "d23", "d14", "d34")})
 
 

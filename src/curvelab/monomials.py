@@ -9,6 +9,7 @@ immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Sequence
 
@@ -111,7 +112,7 @@ class Monomial:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Monomial":
-        return cls(tuple(int(e) for e in obj["exponents"]))
+        return cls(tuple(operator.index(e) for e in obj["exponents"]))
 
 
 @dataclass(frozen=True)
@@ -193,7 +194,7 @@ class MonomialOrder:
     def from_json(cls, obj: Mapping) -> "MonomialOrder":
         if obj.get("kind") != cls.kind:
             raise ValueError(f"unsupported order kind: {obj.get('kind')!r}")
-        return cls(tuple(int(v) for v in obj["priority"]))
+        return cls(tuple(operator.index(v) for v in obj["priority"]))
 
 
 #: The working order on the 4-variable ring: x2 > x1 > x3 > x4.

@@ -40,6 +40,12 @@ class TestData:
     def test_json_round_trip(self, big_data):
         assert BresinskyData.from_json(big_data.to_json()) == big_data
 
+    def test_rejects_non_integers(self, big_data):
+        with pytest.raises(TypeError):
+            BresinskyData(2.5, 3, 3, 1, 2, 3, 1, 1)
+        with pytest.raises(TypeError):
+            BresinskyData.from_json({**big_data.to_json(), "d13": 9.7})
+
 
 class TestDegreeVector:
     def test_basic(self, basic_data):
