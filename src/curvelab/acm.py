@@ -342,18 +342,18 @@ def cross_validate(
 ) -> list[AcmReport]:
     """Run the dual-route analysis across a range of shifts.
 
-    Per-member refusals and reductions that run past the step bound are
-    recorded as skipped rows with a typed reason.  Anything else aborts
-    the scan: a verdict disagreement, a recovery anomaly and any bug
-    propagate, since a skip row must never hide them.
+    Once the base has passed, `analyze_member` returns the skip row of a
+    member outside the hypotheses itself; a reduction that runs past the
+    step bound is recorded as a skip row too.  Anything else aborts the
+    scan: a verdict disagreement, a recovery anomaly and any bug (a stray
+    RefusalError included) propagate, since a skip row must never hide
+    them.
     """
     member_degrees(data, 0)  # refuse a base with a common factor, even for no shifts
     reports = []
     for m in sorted(set(int(m) for m in m_range)):
         try:
             reports.append(analyze_member(data, m, step_bound=step_bound))
-        except RefusalError as exc:
-            reports.append(_skip(m, member_degrees(data, m), exc.reason))
         except StepBoundExceeded:
             reports.append(_skip(m, member_degrees(data, m), SKIP_STEP_BOUND))
     return reports

@@ -225,6 +225,16 @@ class TestCrossValidate:
         assert [r.skip_reason for r in reports] == ["step bound exceeded", "gcd>1",
                                                     "step bound exceeded"]
 
+    def test_refusal_inside_a_member_is_not_a_skip_row(self, monkeypatch, basic_data):
+        # analyze_member returns its own skip rows, so a RefusalError from
+        # deeper down is a bug and must abort the scan
+        def refused(*args):
+            raise RefusalError("injected")
+
+        monkeypatch.setattr(acm_mod, "generators", refused)
+        with pytest.raises(RefusalError, match="injected"):
+            cross_validate(basic_data, range(0, 3))
+
     def test_big_family(self, big_data):
         reports = cross_validate(big_data, range(0, 16))
         for r in reports:
