@@ -46,9 +46,9 @@ def degree_refusal(deg: Sequence[int]) -> Optional[str]:
 class BresinskyData:
     """The eight base parameters.  Row sums d1..d4 are derived.
 
-    All eight must be positive integers; every constraint of the parameter system
-    (di > 1, and each d_ij strictly between 0 and its row sum) then holds
-    automatically.
+    All eight must be positive integers; every constraint of the
+    parameter system (di > 1, and each d_ij strictly between 0 and its
+    row sum) then holds automatically.
     """
 
     d21: int
