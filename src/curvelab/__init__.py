@@ -17,7 +17,6 @@ from .acm import (
     analyze_member,
     check_h_membership,
     cross_validate,
-    dehomogenize,
     homogeneous_basis,
     homogenize,
 )
@@ -37,7 +36,6 @@ from .bresinsky import (
     generators,
     member_degrees,
     shift_vector,
-    toric_membership,
 )
 from .errors import (
     AmbientMismatchError,

@@ -25,6 +25,7 @@ from .bresinsky import (
     ConditionValue,
     Vec4,
     _any_order_hits,
+    _validated_vector,
     case_conditions,
     closed_form_basis,
     degree_refusal,
@@ -155,9 +156,7 @@ def acm_by_groebner(
     reports) and returns ACM iff no minimal generator of the initial
     ideal is divisible by x4.
     """
-    vec = tuple(operator.index(x) for x in degrees)
-    if len(vec) != 4 or any(x < 1 for x in vec):
-        raise ValueError(f"degree vector must have 4 positive entries: {vec}")
+    vec = _validated_vector(degrees)
     reason = degree_refusal(vec)
     if reason is not None:
         raise RefusalError(reason, {"degrees": vec})
@@ -182,17 +181,6 @@ def homogenize(b: Binomial) -> Binomial:
     trail = Monomial((max(0, dl - dt),) + b.trail.exponents)
     out = Binomial.from_pair(lead, trail, PROJECTIVE_ORDER)
     assert out is not None
-    return out
-
-
-def dehomogenize(b: Binomial) -> Binomial:
-    """Set x0 := 1 in a 5-variable binomial and re-orient."""
-    if b.nvars != 5:
-        raise AmbientMismatchError(f"dehomogenize expects a 5-variable binomial, got {b.nvars}")
-    out = Binomial.from_pair(
-        Monomial(b.lead.exponents[1:]), Monomial(b.trail.exponents[1:]), AFFINE_ORDER
-    )
-    assert out is not None  # homogeneous sides differing only in x0 are impossible
     return out
 
 

@@ -96,12 +96,6 @@ class BresinskyData:
     def to_json(self) -> dict:
         return self.as_dict()
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "BresinskyData":
-        # __post_init__ refuses a non-integer entry
-        return cls(**{k: obj[k] for k in
-                      ("d21", "d41", "d32", "d42", "d13", "d23", "d14", "d34")})
-
 
 @dataclass(frozen=True)
 class ConditionValue:
@@ -227,13 +221,6 @@ def generators(data: BresinskyData, m: int) -> tuple[Binomial, ...]:
         assert b is not None  # the two sides have disjoint supports
         out.append(b)
     return tuple(out)
-
-
-def toric_membership(b: Binomial, degrees: Iterable[int]) -> bool:
-    """True iff both monomials have equal weight under the degree vector,
-    i.e. the binomial lies in the toric ideal of that vector."""
-    w = tuple(degrees)
-    return b.lead.weight(w) == b.trail.weight(w)
 
 
 def compute_w(data: BresinskyData, m: int) -> int:

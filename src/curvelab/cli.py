@@ -125,7 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
                 help="reduction step budget (env CURVELAB_STEP_BOUND)",
             )
 
-    p_analyze = sub.add_parser("analyze", help="dual-route verdict for a single shift")
+    p_analyze = sub.add_parser(
+        "analyze",
+        help="dual-route verdict for a single shift",
+        # pinned: argparse 3.13 wraps the generated line differently
+        usage="%(prog)s [-h] [--a a1,a2,a3,a4]\n"
+        "                        [--d d21,d41,d32,d42,d13,d23,d14,d34]\n"
+        "                        [--format {json,table}] [--step-bound STEP_BOUND] --m\n"
+        "                        M [--homogenize]",
+    )
     add_common(p_analyze)
     p_analyze.set_defaults(run=cmd_analyze)
     p_analyze.add_argument("--m", type=int, required=True, help="shift index")
@@ -265,7 +273,9 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
             print("homogeneous basis:", file=out)
             _print_basis(hom, out)
         elif args.homogenize:
-            why = "reordered coordinates" if report.verdict_criterion else "not ACM"
+            why = report.skip_reason or (
+                "reordered coordinates" if report.verdict_criterion else "not ACM"
+            )
             print(f"homogeneous basis unavailable ({why})", file=out)
     if not report.applicable:
         raise RefusalError(report.skip_reason or "not applicable",

@@ -73,7 +73,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import AmbientMismatchError, NotGroebnerError, StepBoundExceeded
 from .monomials import EQUAL, GREATER, Monomial, MonomialOrder
@@ -134,10 +134,6 @@ class Binomial:
     def to_json(self) -> dict:
         return {"lead": self.lead.to_json(), "trail": self.trail.to_json()}
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Binomial":
-        return cls(Monomial.from_json(obj["lead"]), Monomial.from_json(obj["trail"]))
-
 
 def canonical(elements: Iterable[Binomial], order: MonomialOrder) -> tuple[Binomial, ...]:
     """The canonical element order: ascending by lead, then by trail,
@@ -178,9 +174,6 @@ class BinomialBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def leads(self) -> tuple[Monomial, ...]:
-        return tuple(b.lead for b in self.elements)
-
     def sorted_elements(self) -> tuple[Binomial, ...]:
         return canonical(self.elements, self.order)
 
@@ -200,11 +193,6 @@ class BinomialBasis:
             "order": self.order.to_json(),
             "elements": [b.to_json() for b in self.sorted_elements()],
         }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "BinomialBasis":
-        order = MonomialOrder.from_json(obj["order"])
-        return cls(tuple(Binomial.from_json(e) for e in obj["elements"]), order)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ immutable and safe to share between threads.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Sequence
 
@@ -110,10 +109,6 @@ class Monomial:
     def to_json(self) -> dict:
         return {"exponents": list(self.exponents)}
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Monomial":
-        return cls(tuple(operator.index(e) for e in obj["exponents"]))
-
 
 @dataclass(frozen=True)
 class MonomialOrder:
@@ -189,12 +184,6 @@ class MonomialOrder:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "priority": list(self.priority)}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "MonomialOrder":
-        if obj.get("kind") != cls.kind:
-            raise ValueError(f"unsupported order kind: {obj.get('kind')!r}")
-        return cls(tuple(operator.index(v) for v in obj["priority"]))
 
 
 #: The working order on the 4-variable ring: x2 > x1 > x3 > x4.

@@ -1,7 +1,7 @@
 """Shared test utilities: monomial builders, an independent comparison
-oracle, a brute-force recovery oracle, a tuple-based normal-form oracle,
-an all-pairs Buchberger oracle, and a seeded generator of valid parameter
-sets."""
+oracle, toric membership and dehomogenization oracles, a brute-force
+recovery oracle, a tuple-based normal-form oracle, an all-pairs
+Buchberger oracle, and a seeded generator of valid parameter sets."""
 
 import heapq
 from random import Random
@@ -40,6 +40,19 @@ def bino(lead: Monomial, trail: Monomial) -> Binomial:
 def pair_set(binomials) -> set:
     """Orientation-insensitive view of a collection of binomials."""
     return {frozenset((b.lead.exponents, b.trail.exponents)) for b in binomials}
+
+
+def toric_membership(b: Binomial, degrees) -> bool:
+    """True iff both monomials have equal weight under the degree vector,
+    i.e. the binomial lies in the toric ideal of that vector."""
+    w = tuple(degrees)
+    return b.lead.weight(w) == b.trail.weight(w)
+
+
+def dehomogenize(b: Binomial) -> Binomial:
+    """Set x0 := 1 in a 5-variable binomial and orient it under AFFINE_ORDER."""
+    assert b.nvars == 5
+    return bino(Monomial(b.lead.exponents[1:]), Monomial(b.trail.exponents[1:]))
 
 
 def oracle_compare(ma: Monomial, mb: Monomial, priority) -> int:

@@ -23,7 +23,6 @@ from curvelab import (
     closed_form_basis,
     cross_validate,
     d_from_a,
-    dehomogenize,
     generators,
     homogeneous_basis,
     is_groebner,
@@ -33,7 +32,7 @@ from curvelab import (
 )
 from curvelab.bresinsky import degree_refusal
 from conftest import SRC, even_family_data, family_data
-from helpers import pair_set, sample_condition_passing
+from helpers import dehomogenize, pair_set, sample_condition_passing
 
 BASIC = BresinskyData(d21=2, d41=3, d32=3, d42=1, d13=2, d23=3, d14=1, d34=1)
 BIG = BresinskyData(d21=9, d41=7, d32=1, d42=10, d13=9, d23=5, d14=6, d34=3)

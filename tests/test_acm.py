@@ -29,7 +29,6 @@ from curvelab import (
     cross_validate,
     d_from_a,
     d_from_a_any_order,
-    dehomogenize,
     generators,
     homogeneous_basis,
     homogenize,
@@ -44,7 +43,15 @@ from curvelab.cli import main
 from curvelab.groebner import Packing
 import test_groebner
 from conftest import family_data
-from helpers import bino, m4, m5, pair_set, random_valid_data, sample_applicable
+from helpers import (
+    bino,
+    dehomogenize,
+    m4,
+    m5,
+    pair_set,
+    random_valid_data,
+    sample_applicable,
+)
 
 
 def _cond(result, name):
@@ -133,10 +140,17 @@ class TestGroebnerOracle:
         assert m4(4, 0, 1, 1) in verdict.x4_leads
 
     def test_refusals(self, basic_data):
-        with pytest.raises(RefusalError):
+        with pytest.raises(RefusalError) as exc:
             acm_by_groebner((2, 4, 6, 8), generators(basic_data, 0))
-        with pytest.raises(RefusalError):
+        assert exc.value.reason == "gcd>1"
+        with pytest.raises(RefusalError) as exc:
             acm_by_groebner((9, 5, 7, 8), generators(basic_data, 0))
+        assert exc.value.reason == "max-coordinate fails"
+
+    @pytest.mark.parametrize("degrees", [(8, 5, 7), (0, 5, 7, 9)])
+    def test_rejects_malformed_vectors(self, degrees):
+        with pytest.raises(ValueError):
+            acm_by_groebner(degrees, generators(family_data(2), 0))
 
     def test_rejects_non_integer_degrees(self):
         # a float entry is not truncated to the member it rounds to
@@ -256,8 +270,9 @@ class TestCrossValidate:
             analyze_member(basic_data, 0)
         doc = json.loads(exc.value.dump)
         assert doc["report"]["agree"] is False and doc["report"]["verdict_criterion"] is True
-        assert doc["groebner_basis"] == buchberger(generators(basic_data, 0), AFFINE_ORDER).to_json()
-        basis = BinomialBasis.from_json(doc["groebner_basis"])
+        gb = buchberger(generators(basic_data, 0), AFFINE_ORDER)
+        assert doc["groebner_basis"] == gb.to_json()
+        basis = BinomialBasis(gb.elements, AFFINE_ORDER)  # unflagged, so the check runs
         assert is_groebner(basis).ok
         assert doc["x4_leads"] and set(doc["x4_leads"]) <= {str(b.lead) for b in basis}
         with pytest.raises(DisagreementError):

@@ -82,6 +82,13 @@ class TestAnalyze:
         assert rc == 0
         assert json.loads(out)["homogeneous_basis"] is None
 
+    def test_homogenize_on_refused_member_keeps_json_null(self):
+        argv = ("analyze", "--a", "19,29,26,43", "--m", "1", "--homogenize", "--format", "json")
+        rc, out = run_cli(*argv)
+        assert rc == 2
+        doc = json.loads(out)
+        assert doc["skip_reason"] == "gcd>1" and doc["homogeneous_basis"] is None
+
     def test_json_shape(self):
         rc, out = run_cli("analyze", "--a", "8,5,7,9", "--m", "2", "--format", "json")
         assert rc == 0

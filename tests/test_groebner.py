@@ -22,7 +22,6 @@ from curvelab import (
     normal_form,
     reduce_basis,
     s_binomial,
-    toric_membership,
 )
 from curvelab import groebner
 from curvelab.groebner import MAX_DEGREE, Packing, is_interreduced
@@ -33,6 +32,7 @@ from helpers import (
     plain_buchberger,
     sample_applicable,
     sample_long_basis,
+    toric_membership,
     tuple_normal_form,
 )
 
@@ -512,31 +512,28 @@ class TestInitialGenerators:
             for gs in (gens, padded):
                 for order, hs in ((AFFINE_ORDER, gs), (PROJECTIVE_ORDER, map(homogenize, gs))):
                     out = buchberger(hs, order)
-                    leads = reduce_basis(out).leads()
+                    leads = tuple(b.lead for b in reduce_basis(out))
                     assert initial_generators(out) == leads, (data, m, order)
                     assert len(out) > len(leads) or gs is gens
 
     def test_checks_an_unverified_basis(self, big_data):
         closed = closed_form_basis(big_data, 0).basis
         unflagged = BinomialBasis(closed.elements, AFFINE_ORDER)
-        assert initial_generators(unflagged) == closed.leads()
+        assert initial_generators(unflagged) == tuple(b.lead for b in closed)
         f = generators(big_data, 0)
         with pytest.raises(NotGroebnerError):
             initial_generators(BinomialBasis((f[1], f[2]), AFFINE_ORDER))
 
 
 class TestSerialization:
-    def test_basis_json_round_trip(self, noncm_a2):
-        basis = closed_form_basis(noncm_a2, 0).basis
-        doc = basis.to_json()
-        back = BinomialBasis.from_json(doc)
-        assert back.elements == basis.sorted_elements()
-        assert back.order == AFFINE_ORDER
-
     def test_canonical_element_order(self, big_data):
         basis = closed_form_basis(big_data, 0).basis
         keys = [AFFINE_ORDER.key(b.lead) for b in basis.sorted_elements()]
         assert keys == sorted(keys)
+        assert basis.to_json() == {
+            "order": AFFINE_ORDER.to_json(),
+            "elements": [b.to_json() for b in basis.sorted_elements()],
+        }
 
 
 def test_buchberger_agrees_on_random_member_sets(big_data, basic_data):

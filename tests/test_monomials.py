@@ -46,14 +46,6 @@ class TestMonomialBasics:
         with pytest.raises(ValueError):
             m.exponent(0)
 
-    def test_json_round_trip(self):
-        m = m4(0, 2, 0, 5)
-        assert Monomial.from_json(json.loads(json.dumps(m.to_json()))) == m
-
-    def test_json_refuses_non_integer_exponents(self):
-        with pytest.raises(TypeError):
-            Monomial.from_json({"exponents": [1.9, 0, 0, 0]})
-
 
 class TestCompare:
     def test_degree_dominates(self):
@@ -169,9 +161,4 @@ class TestOrderConstruction:
 
     def test_json_round_trip(self):
         obj = json.loads(json.dumps(AFFINE_ORDER.to_json()))
-        assert MonomialOrder.from_json(obj) == AFFINE_ORDER
         assert obj == {"kind": "degrevlex", "priority": [2, 1, 3, 4]}
-
-    def test_json_refuses_non_integer_priority(self):
-        with pytest.raises(TypeError):
-            MonomialOrder.from_json({"kind": "degrevlex", "priority": [2.0, 1, 3, 4]})
