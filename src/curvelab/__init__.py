@@ -9,7 +9,6 @@ bases and their homogenizations entirely in exact integer arithmetic.
 
 from .acm import (
     AcmReport,
-    CriterionResult,
     GroebnerVerdict,
     HomogeneousBasis,
     acm_by_criterion,

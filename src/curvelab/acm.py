@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .bresinsky import (
     SKIP_FORM,
     SKIP_GCD,
     BresinskyData,
+    CaseConditions,
     ConditionValue,
     Vec4,
     _any_order_hits,
@@ -40,10 +40,10 @@ from .groebner import (
     Packing,
     _buchberger,
     _minimal_packed,
-    _unpacked,
+    buchberger,
     canonical,
 )
-from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial, MonomialOrder
+from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial
 
 SKIP_STEP_BOUND = "step bound exceeded"
 
@@ -52,35 +52,15 @@ _X4 = Packing(AFFINE_ORDER).pack(Monomial.from_powers({4: 1}))
 
 
 @dataclass(frozen=True)
-class CriterionResult:
-    """Verdict of the inequality criterion, with the evaluated values."""
-
-    acm: bool
-    case: int
-    w: Optional[int]
-    conditions: tuple[ConditionValue, ...]
-
-
-@dataclass(frozen=True)
 class GroebnerVerdict:
     """Verdict of the Groebner oracle.
 
     `x4_leads` lists the minimal initial-ideal generators divisible by
-    x4; the verdict is ACM exactly when it is empty.  `leads` and
-    `trails` are the packed elements of the Buchberger basis they were
-    read from, under `order`; `basis` unpacks them on first access, for
-    diagnostics, and equals `buchberger(gens, order)` element for element.
+    x4; the verdict is ACM exactly when it is empty.
     """
 
     acm: bool
     x4_leads: tuple[Monomial, ...]
-    order: MonomialOrder = field(repr=False)
-    leads: tuple[int, ...] = field(repr=False)
-    trails: tuple[int, ...] = field(repr=False)
-
-    @cached_property
-    def basis(self) -> BinomialBasis:
-        return _unpacked(self.order, Packing(self.order), self.leads, self.trails)
 
 
 @dataclass(frozen=True)
@@ -127,9 +107,9 @@ class AcmReport:
         }
 
 
-def acm_by_criterion(data: BresinskyData, m: int) -> CriterionResult:
+def acm_by_criterion(data: BresinskyData, m: int) -> CaseConditions:
     """Decide Cohen-Macaulayness of the projective closure at shift m by
-    the inequality criterion.
+    the inequality criterion: ACM exactly when `all_pass` holds.
 
     Refuses when the member degrees are not coprime or their fourth entry
     is not the strict maximum; the criterion is only stated under those
@@ -139,8 +119,7 @@ def acm_by_criterion(data: BresinskyData, m: int) -> CriterionResult:
     reason = degree_refusal(deg)
     if reason is not None:
         raise RefusalError(reason, {"m": m, "degrees": deg})
-    cc = case_conditions(data, m)
-    return CriterionResult(acm=cc.all_pass, case=cc.case, w=cc.w, conditions=cc.conditions)
+    return case_conditions(data, m)
 
 
 def acm_by_groebner(
@@ -166,7 +145,7 @@ def acm_by_groebner(
     # those leads are unpacked
     g = pk.guards
     x4_leads = tuple(pk.unpack(p) for p in minimal if ((p | g) - _X4) & g == g)
-    return GroebnerVerdict(not x4_leads, x4_leads, AFFINE_ORDER, tuple(leads), tuple(trails))
+    return GroebnerVerdict(not x4_leads, x4_leads)
 
 
 def homogenize(b: Binomial) -> Binomial:
@@ -243,9 +222,8 @@ def homogeneous_basis(data: BresinskyData, m: int) -> HomogeneousBasis:
     is a Groebner basis of the homogenized ideal under the extended order
     with x0 least, and reduced exactly when the closed form is.
     """
-    crit = acm_by_criterion(data, m)
-    if not crit.acm:
-        failing = next(c for c in crit.conditions if not c.passed)
+    failing = acm_by_criterion(data, m).first_failing()
+    if failing is not None:
         raise RefusalError(
             "not arithmetically Cohen-Macaulay",
             {"m": m, "condition": failing.name, "value": failing.value},
@@ -258,14 +236,23 @@ def _skip(m: int, degrees: Vec4, reason: str) -> AcmReport:
     return AcmReport(m=m, degrees=degrees, applicable=False, skip_reason=reason)
 
 
-def _agreement_checked(report: AcmReport, gb: GroebnerVerdict) -> AcmReport:
+def _agreement_checked(
+    report: AcmReport, gb: GroebnerVerdict, gens: tuple[Binomial, ...], step_bound: int
+) -> AcmReport:
+    """`report` when its two verdicts agree; otherwise DisagreementError
+    with a dump that carries the Buchberger basis of `gens`.
+
+    The verdict keeps no basis, so the dump rebuilds it.  The rebuild
+    cannot newly raise: it runs on the same generators, under the same
+    order and step bound as the run that just produced `gb`.
+    """
     if report.agree:
         return report
     dump = json.dumps(
         {
             "report": report.to_dict(),
             "x4_leads": [str(mono) for mono in gb.x4_leads],
-            "groebner_basis": gb.basis.to_json(),
+            "groebner_basis": buchberger(gens, AFFINE_ORDER, step_bound).to_json(),
         },
         indent=2,
     )
@@ -305,7 +292,8 @@ def analyze_member(
 
     reordered = reason is not None
     crit = acm_by_criterion(target, tm)
-    gb = acm_by_groebner(tdeg, generators(target, tm), step_bound)
+    gens = generators(target, tm)
+    gb = acm_by_groebner(tdeg, gens, step_bound)
     report = AcmReport(
         m=m,
         degrees=deg,
@@ -313,14 +301,14 @@ def analyze_member(
         case=crit.case,
         w=crit.w,
         conditions=crit.conditions,
-        verdict_criterion=crit.acm,
+        verdict_criterion=crit.all_pass,
         verdict_groebner=gb.acm,
-        agree=crit.acm == gb.acm,
+        agree=crit.all_pass == gb.acm,
         reordered=reordered,
         permuted_degrees=tdeg if reordered else None,
         x4_initial=tuple(str(mono) for mono in gb.x4_leads),
     )
-    return _agreement_checked(report, gb)
+    return _agreement_checked(report, gb, gens, step_bound)
 
 
 def cross_validate(
@@ -339,7 +327,7 @@ def cross_validate(
     """
     member_degrees(data, 0)  # refuse a base with a common factor, even for no shifts
     reports = []
-    for m in sorted(set(int(m) for m in m_range)):
+    for m in sorted(set(operator.index(m) for m in m_range)):
         try:
             reports.append(analyze_member(data, m, step_bound=step_bound))
         except StepBoundExceeded:

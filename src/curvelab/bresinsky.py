@@ -162,8 +162,6 @@ class ClosedFormBasis:
 
     basis: BinomialBasis
     case: int
-    w: Optional[int]
-    conditions: tuple[ConditionValue, ...]
 
 
 def a_from_d(data: BresinskyData) -> Vec4:
@@ -184,18 +182,26 @@ def shift_vector(data: BresinskyData) -> Vec4:
     return (v1, d.d21 * d.d3 + d.d23 * d.d34, d.d2 * d.d34 + d.d21 * d.d32, v1)
 
 
+def _shift_index(m: int) -> int:
+    """m as a shift index: a non-integer is a TypeError (a float is not
+    truncated to the member it rounds to), a negative one a ValueError."""
+    m = operator.index(m)
+    if m < 0:
+        raise ValueError(f"shift index must be non-negative, got {m}")
+    return m
+
+
 def member_degrees(data: BresinskyData, m: int) -> Vec4:
     """Degree vector a + m*v of the family member at shift m.
 
     Refuses (SKIP_GCD) when the base vector a has a common factor,
-    before looking at m; a negative m is a ValueError.  Whether the
+    before looking at m; m is then read by `_shift_index`.  Whether the
     member itself is in the hypotheses is `degree_refusal`'s to say.
     """
     base = a_from_d(data)
     if math.gcd(*base) != 1:
         raise RefusalError(SKIP_GCD, {"degrees": base})
-    if m < 0:
-        raise ValueError(f"shift index must be non-negative, got {m}")
+    m = _shift_index(m)
     return tuple(a + m * v for a, v in zip(base, shift_vector(data)))
 
 
@@ -205,8 +211,7 @@ def generators(data: BresinskyData, m: int) -> tuple[Binomial, ...]:
     Only the first and fourth pick up the shift: their x1 and x4
     exponents each grow by m.
     """
-    if m < 0:
-        raise ValueError(f"shift index must be non-negative, got {m}")
+    m = _shift_index(m)
     d = data
     pairs = (
         ({1: d.d1 + m}, {3: d.d13, 4: d.d14 + m}),
@@ -228,8 +233,7 @@ def compute_w(data: BresinskyData, m: int) -> int:
 
     Always >= 2, because d21 < d1 and d23 < d3 rule out l = 1.
     """
-    if m < 0:
-        raise ValueError(f"shift index must be non-negative, got {m}")
+    m = _shift_index(m)
     l = 1
     while data.d1 + m - l * data.d21 > 0 and data.d3 - l * data.d23 > 0:
         l += 1
@@ -344,7 +348,7 @@ def closed_form_basis(data: BresinskyData, m: int) -> ClosedFormBasis:
         is_groebner_verified=True,
         is_reduced=is_interreduced(elems),
     )
-    return ClosedFormBasis(basis=basis, case=cc.case, w=cc.w, conditions=cc.conditions)
+    return ClosedFormBasis(basis=basis, case=cc.case)
 
 
 def _validated_vector(a: Iterable[int]) -> Vec4:

@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, text in (
         ("family", "scan a range of shifts"),
-        ("verify", "family scan that hard-fails on any verdict disagreement"),
+        ("verify", "family scan with a closing line saying both routes agreed"),
     ):
         p_scan = sub.add_parser(name, help=text)
         add_common(p_scan)

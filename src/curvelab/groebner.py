@@ -25,8 +25,8 @@ Bachmann-Schoenemann 1998, "Monomial representations for Groebner bases
 computations").  `Monomial` and `Binomial` objects are built only where
 those functions take and return them.  `acm.acm_by_groebner` calls the
 kernel itself and unpacks only the minimal leads that x4 divides; its
-verdict builds the `Binomial`s of the basis when they are first read.
-Under an order
+verdict keeps no basis, and the disagreement dump rebuilds one with
+`buchberger`.  Under an order
 on n variables a monomial is one int P: each exponent sits in its own
 field of W = FIELD_BITS = 64 bits, the fields follow
 `MonomialOrder.scan` with the least-priority variable in the top field,
@@ -382,14 +382,7 @@ def buchberger(
 
     Every element stays in the basis and serves as a reducer.
     """
-    return _unpacked(order, *_buchberger(gens, order, step_bound))
-
-
-def _unpacked(
-    order: MonomialOrder, pk: Packing, leads: Sequence[int], trails: Sequence[int]
-) -> BinomialBasis:
-    """The verified basis under `order` with packed `leads` and `trails`,
-    element for element."""
+    pk, leads, trails = _buchberger(gens, order, step_bound)
     elements = tuple(pk.binomial(l, t) for l, t in zip(leads, trails))
     return BinomialBasis(elements, order, is_groebner_verified=True)
 

@@ -18,6 +18,7 @@ from curvelab import (
     BinomialBasis,
     BresinskyData,
     DisagreementError,
+    HomogeneousBasis,
     RefusalError,
     a_from_d,
     acm_by_criterion,
@@ -66,20 +67,20 @@ class TestCriterion:
         data = family_data(2)
         for m in range(0, 11):
             res = acm_by_criterion(data, m)
-            assert res.case == 1 and res.acm
+            assert res.case == 1 and res.all_pass
 
     @pytest.mark.parametrize("a", [3, 4, 5])
     def test_noncm_family_above_two_false_everywhere(self, a):
         data = family_data(a)
         for m in range(0, 11):
             res = acm_by_criterion(data, m)
-            assert res.case == 1 and not res.acm
+            assert res.case == 1 and not res.all_pass
             assert not _cond(res, "d1-d13-d14").passed
 
     def test_basic_fails_with_value_minus_one(self, basic_data):
         for m in (0, 2, 6):
             res = acm_by_criterion(basic_data, m)
-            assert res.case == 2 and res.w == 2 and not res.acm
+            assert res.case == 2 and res.w == 2 and not res.all_pass
             failing = [c for c in res.conditions if not c.passed]
             assert [(c.name, c.value) for c in failing] == [
                 ("w(d2-d21-d23)+d3-d32-d34", -1)
@@ -91,7 +92,7 @@ class TestCriterion:
                 res = acm_by_criterion(big_data, m)
             except RefusalError:
                 continue
-            assert res.acm
+            assert res.all_pass
             if m <= 2:
                 assert res.w == 2
                 assert _cond(res, "w(d2-d21-d23)+d1+d23-d4-d32").value == 5
@@ -158,7 +159,7 @@ class TestGroebnerOracle:
             acm_by_groebner((8.5, 5, 7, 9), generators(family_data(2), 0))
 
     def test_verdict_unpacks_only_the_x4_leads(self, monkeypatch):
-        # the first long-basis benchmark member (seed 7); `.basis` is not read
+        # the first long-basis benchmark member (seed 7)
         data, m = BresinskyData(2, 4, 1, 1, 36, 1, 1, 2), 38
         gens = generators(data, m)
         calls = {"pack": 0, "unpack": 0, "binomial": 0}
@@ -182,9 +183,6 @@ class TestGroebnerOracle:
             basis = buchberger(gens, AFFINE_ORDER)
             x4_leads = tuple(mono for mono in initial_generators(basis) if mono.exponent(4) > 0)
             assert verdict.x4_leads == x4_leads and verdict.acm == (not x4_leads), (data, m)
-            assert verdict.basis.elements == basis.elements, (data, m)
-            assert verdict.basis.is_groebner_verified and verdict.basis.order == AFFINE_ORDER
-            # equality compares the packed basis, read or not
             assert acm_by_groebner(member_degrees(data, m), gens) == verdict
 
     def test_verdict_builds_no_reduced_basis(self, monkeypatch, basic_data, big_data):
@@ -259,22 +257,27 @@ class TestCrossValidate:
                 assert r.skip_reason == "gcd>1"
 
     def test_disagreement_aborts_with_a_dump(self, monkeypatch, basic_data):
-        real = acm_mod.acm_by_criterion
+        real = acm_mod.acm_by_groebner
 
         def flipped(*args):
-            crit = real(*args)
-            return dataclasses.replace(crit, acm=not crit.acm)
+            gb = real(*args)
+            return dataclasses.replace(gb, acm=not gb.acm)
 
-        monkeypatch.setattr(acm_mod, "acm_by_criterion", flipped)
-        with pytest.raises(DisagreementError) as exc:
-            analyze_member(basic_data, 0)
-        doc = json.loads(exc.value.dump)
-        assert doc["report"]["agree"] is False and doc["report"]["verdict_criterion"] is True
-        gb = buchberger(generators(basic_data, 0), AFFINE_ORDER)
-        assert doc["groebner_basis"] == gb.to_json()
-        basis = BinomialBasis(gb.elements, AFFINE_ORDER)  # unflagged, so the check runs
-        assert is_groebner(basis).ok
-        assert doc["x4_leads"] and set(doc["x4_leads"]) <= {str(b.lead) for b in basis}
+        monkeypatch.setattr(acm_mod, "acm_by_groebner", flipped)
+        # m=8 is analysed in permuted coordinates: the dump rebuilds the
+        # basis of the first recovery hit's generators, not of the base's
+        target_8 = d_from_a_any_order(member_degrees(basic_data, 8))[0][1]
+        for m, target in ((0, basic_data), (8, target_8)):
+            with pytest.raises(DisagreementError) as exc:
+                analyze_member(basic_data, m)
+            doc = json.loads(exc.value.dump)
+            assert doc["report"]["agree"] is False and doc["report"]["verdict_groebner"] is True
+            assert doc["report"]["reordered"] == (m == 8)
+            gb = buchberger(generators(target, 0), AFFINE_ORDER)
+            assert doc["groebner_basis"] == gb.to_json()
+            basis = BinomialBasis(gb.elements, AFFINE_ORDER)  # unflagged, so the check runs
+            assert is_groebner(basis).ok
+            assert doc["x4_leads"] and set(doc["x4_leads"]) <= {str(b.lead) for b in basis}
         with pytest.raises(DisagreementError):
             cross_validate(basic_data, range(0, 4))  # not a skip row
         out = io.StringIO()
@@ -437,6 +440,17 @@ class TestHomogeneousBasis:
         with pytest.raises(RefusalError) as exc:
             homogeneous_basis(basic_data, 0)
         assert exc.value.reason == "not arithmetically Cohen-Macaulay"
+
+    def test_rejects_an_inhomogeneous_element(self):
+        b = Binomial.from_pair(m5(0, 2, 0, 0, 0), m5(0, 0, 0, 1, 0), PROJECTIVE_ORDER)  # x1^2 - x3
+        with pytest.raises(ValueError, match="inhomogeneous element"):
+            HomogeneousBasis((b,), PROJECTIVE_ORDER, degrees=(8, 5, 7, 9))
+
+    def test_rejects_an_element_outside_the_homogenized_ideal(self):
+        # x1 - x2 is homogeneous, but its sides weigh 8 and 5
+        b = Binomial.from_pair(m5(0, 1, 0, 0, 0), m5(0, 0, 1, 0, 0), PROJECTIVE_ORDER)
+        with pytest.raises(ValueError, match="fails homogeneous membership"):
+            HomogeneousBasis((b,), PROJECTIVE_ORDER, degrees=(8, 5, 7, 9))
 
     def test_groebner_under_extended_order(self):
         hb = homogeneous_basis(family_data(2), 4)

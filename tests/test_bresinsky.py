@@ -13,6 +13,7 @@ from curvelab import (
     a_from_d,
     closed_form_basis,
     compute_w,
+    cross_validate,
     d_from_a,
     d_from_a_any_order,
     extra_binomials,
@@ -194,13 +195,13 @@ class TestExtraBinomials:
 class TestClosedForm:
     def test_case1(self):
         closed = closed_form_basis(family_data(2), 0)
-        assert closed.case == 1 and closed.w is None
+        assert closed.case == 1
         assert closed.basis.is_reduced and closed.basis.is_groebner_verified
         assert pair_set(closed.basis) == pair_set(generators(family_data(2), 0))
 
     def test_case2(self, big_data):
         closed = closed_form_basis(big_data, 0)
-        assert closed.case == 2 and closed.w == 2
+        assert closed.case == 2
         assert len(closed.basis) == 6
         assert closed.basis.is_reduced
         assert is_groebner(closed.basis).ok
@@ -356,6 +357,19 @@ class TestMemberDegrees:
     def test_rejects_negative_index(self, basic_data):
         with pytest.raises(ValueError):
             member_degrees(basic_data, -1)
+
+    def test_rejects_non_integer_shifts(self, basic_data):
+        # a float shift is neither truncated to a member nor carried into
+        # the degrees and exponents
+        calls = (
+            lambda: member_degrees(basic_data, 2.0),
+            lambda: generators(basic_data, 2.0),
+            lambda: compute_w(basic_data, 2.0),
+            lambda: cross_validate(basic_data, [2.5]),
+        )
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
     def test_rejects_common_factor_base(self):
         # all four degree formulas scale together here: gcd 5
