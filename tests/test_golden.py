@@ -50,6 +50,9 @@ CASES = {
                           "--format", "json"],
     "gb-case1": ["gb", "--a", "8,5,7,9", "--m", "0"],
     "gb-case2-json": ["gb", "--a", "1191,1239,582,2303", "--m", "0", "--format", "json"],
+    "gb-case2-w3-negative": ["gb", "--a", "1191,1239,582,2303", "--m", "4"],
+    "gb-case2-w3-positive-json": ["gb", "--a", "1191,1239,582,2303", "--m", "12",
+                                  "--format", "json"],
     "gb-homogenize": ["gb", "--a", "8,5,7,9", "--m", "0", "--homogenize"],
     "gb-oracle-homogenize": ["gb", "--a", "19,29,26,43", "--m", "0", "--oracle", "--homogenize"],
     "gb-oracle-json": ["gb", "--a", "19,29,26,43", "--m", "0", "--oracle", "--format", "json"],
