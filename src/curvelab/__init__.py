@@ -24,7 +24,6 @@ from .bresinsky import (
     CaseConditions,
     ClosedFormBasis,
     ConditionValue,
-    ExtraBinomials,
     a_from_d,
     case_conditions,
     closed_form_basis,

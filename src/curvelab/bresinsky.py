@@ -138,25 +138,6 @@ class CaseConditions:
 
 
 @dataclass(frozen=True)
-class ExtraBinomials:
-    """The binomials that extend the five generators to a Groebner basis
-    in case 2: p_i and q_i for 1 <= i <= w-2, plus r.
-
-    The i = 0 instances coincide with two of the generators and are never
-    re-emitted, so for w = 2 the extra set is exactly {r}.
-    """
-
-    p: tuple[Binomial, ...]
-    q: tuple[Binomial, ...]
-    r: Binomial
-    w: int
-    branch_positive: bool
-
-    def all(self) -> tuple[Binomial, ...]:
-        return self.p + self.q + (self.r,)
-
-
-@dataclass(frozen=True)
 class ClosedFormBasis:
     """A closed-form Groebner basis with its case tag."""
 
@@ -213,74 +194,67 @@ def generators(data: BresinskyData, m: int) -> tuple[Binomial, ...]:
     """
     m = _shift_index(m)
     d = data
-    pairs = (
-        ({1: d.d1 + m}, {3: d.d13, 4: d.d14 + m}),
-        ({2: d.d2}, {1: d.d21, 3: d.d23}),
-        ({3: d.d3}, {2: d.d32, 4: d.d34}),
-        ({1: d.d41 + m, 2: d.d42}, {4: d.d4 + m}),
-        ({2: d.d42, 3: d.d13}, {1: d.d21, 4: d.d34}),
+    return tuple(
+        _oriented(lhs, rhs)
+        for lhs, rhs in (
+            ({1: d.d1 + m}, {3: d.d13, 4: d.d14 + m}),
+            ({2: d.d2}, {1: d.d21, 3: d.d23}),
+            ({3: d.d3}, {2: d.d32, 4: d.d34}),
+            ({1: d.d41 + m, 2: d.d42}, {4: d.d4 + m}),
+            ({2: d.d42, 3: d.d13}, {1: d.d21, 4: d.d34}),
+        )
     )
-    out = []
-    for lhs, rhs in pairs:
-        b = Binomial.from_pair(Monomial.from_powers(lhs), Monomial.from_powers(rhs), AFFINE_ORDER)
-        assert b is not None  # the two sides have disjoint supports
-        out.append(b)
-    return tuple(out)
 
 
 def compute_w(data: BresinskyData, m: int) -> int:
-    """The least l >= 1 with d1 + m - l*d21 <= 0 or d3 - l*d23 <= 0.
+    """The least l >= 1 with d1 + m - l*d21 <= 0 or d3 - l*d23 <= 0,
+    that is min(ceil((d1 + m) / d21), ceil(d3 / d23)).
 
-    Always >= 2, because d21 < d1 and d23 < d3 rule out l = 1.
+    Always >= 2, because d21 < d1 and d23 < d3 rule out l = 1.  As m
+    grows, w never decreases, and it stays at ceil(d3 / d23) from
+    m = max(0, (ceil(d3 / d23) - 1) * d21 - d1 + 1) on.
     """
     m = _shift_index(m)
-    l = 1
-    while data.d1 + m - l * data.d21 > 0 and data.d3 - l * data.d23 > 0:
-        l += 1
-    assert l >= 2
-    return l
+    return min(-(-(data.d1 + m) // data.d21), -(-data.d3 // data.d23))
 
 
-def extra_binomials(data: BresinskyData, m: int) -> ExtraBinomials:
-    """The case-2 companions p_i, q_i (1 <= i <= w-2) and r.
+def extra_binomials(data: BresinskyData, m: int) -> tuple[Binomial, ...]:
+    """The case-2 companions of the five generators, in the order
+    p_1..p_{w-2}, q_1..q_{w-2}, r.
 
-    The branch of r follows the sign of d1 + m - w*d21.  A negative
-    exponent here would mean the case assumptions are violated; it
-    surfaces as a ValueError from the monomial constructor.
+    The i = 0 instances of p and q coincide with two of the generators
+    and are never re-emitted, so for w = 2 the result is (r,).  The
+    branch of r follows the sign of d1 + m - w*d21.  A negative exponent
+    here would mean the case assumptions are violated; it surfaces as a
+    ValueError from the monomial constructor.
     """
     d = data
     w = compute_w(data, m)
-    branch_positive = d.d1 + m - w * d.d21 > 0
-
-    p = []
-    q = []
-    for i in range(1, w - 1):
-        p.append(
-            _oriented(
-                {2: (i + 1) * d.d2 - d.d32, 3: d.d3 - (i + 1) * d.d23},
-                {1: (i + 1) * d.d21, 4: d.d34},
-            )
+    p = tuple(
+        _oriented(
+            {2: (i + 1) * d.d2 - d.d32, 3: d.d3 - (i + 1) * d.d23},
+            {1: (i + 1) * d.d21, 4: d.d34},
         )
-        q.append(
-            _oriented(
-                {1: d.d1 + m - (i + 1) * d.d21, 2: (i + 1) * d.d2 - d.d32},
-                {3: i * d.d23, 4: d.d4 + m},
-            )
+        for i in range(1, w - 1)
+    )
+    q = tuple(
+        _oriented(
+            {1: d.d1 + m - (i + 1) * d.d21, 2: (i + 1) * d.d2 - d.d32},
+            {3: i * d.d23, 4: d.d4 + m},
         )
-
-    lead = {2: w * d.d2 - d.d32}
-    if branch_positive:
+        for i in range(1, w - 1)
+    )
+    if d.d1 + m - w * d.d21 > 0:
         tail = {1: w * d.d21, 3: w * d.d23 - d.d3, 4: d.d34}
     else:
         tail = {1: w * d.d21 - d.d1 - m, 3: (w - 1) * d.d23, 4: d.d4 + m}
-    r = _oriented(lead, tail)
-
-    return ExtraBinomials(p=tuple(p), q=tuple(q), r=r, w=w, branch_positive=branch_positive)
+    return p + q + (_oriented({2: w * d.d2 - d.d32}, tail),)
 
 
 def _oriented(lhs: Mapping[int, int], rhs: Mapping[int, int]) -> Binomial:
+    """The binomial of two power maps, led by the larger side."""
     b = Binomial.from_pair(Monomial.from_powers(lhs), Monomial.from_powers(rhs), AFFINE_ORDER)
-    assert b is not None
+    assert b is not None  # the two sides have disjoint supports
     return b
 
 
@@ -290,6 +264,7 @@ def case_conditions(data: BresinskyData, m: int) -> CaseConditions:
     Every condition is reported as an integer that must be >= 0; the
     names spell out the formula evaluated.
     """
+    m = _shift_index(m)
     d = data
     c1 = ConditionValue("d1-d13-d14", d.d1 - d.d13 - d.d14)
     c2 = ConditionValue("d3-d32-d34", d.d3 - d.d32 - d.d34)
@@ -340,7 +315,7 @@ def closed_form_basis(data: BresinskyData, m: int) -> ClosedFormBasis:
 
     elems = list(generators(data, m))
     if cc.case == 2:
-        elems.extend(extra_binomials(data, m).all())
+        elems.extend(extra_binomials(data, m))
 
     basis = BinomialBasis(
         canonical(elems, AFFINE_ORDER),

@@ -44,10 +44,19 @@ class UsageError(Exception):
     pass
 
 
+def _invalid_choice(value: str, choices) -> str:
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; our contract wants 1
     def error(self, message):
         raise UsageError(message)
+
+    # pinned: newer argparse patch releases list the choices unquoted
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, _invalid_choice(value, action.choices))
 
 
 _FORMATS = ("json", "table")
@@ -61,8 +70,7 @@ def _apply_env(args: argparse.Namespace) -> None:
     if args.format is None:
         raw = os.environ.get(ENV_PREFIX + "FORMAT")
         if raw and raw not in _FORMATS:
-            choices = ", ".join(map(repr, _FORMATS))
-            raise UsageError(f"{ENV_PREFIX}FORMAT: invalid choice: {raw!r} (choose from {choices})")
+            raise UsageError(f"{ENV_PREFIX}FORMAT: {_invalid_choice(raw, _FORMATS)}")
         args.format = raw or "table"
     if hasattr(args, "step_bound") and args.step_bound is None:
         raw = os.environ.get(ENV_PREFIX + "STEP_BOUND")

@@ -11,6 +11,7 @@ from curvelab import (
     BresinskyData,
     RefusalError,
     a_from_d,
+    case_conditions,
     closed_form_basis,
     compute_w,
     cross_validate,
@@ -151,23 +152,36 @@ class TestW:
         for _ in range(200):
             assert compute_w(random_valid_data(rng), rng.randint(0, 12)) >= 2
 
+    def test_matches_least_l_definition(self):
+        # m runs far past the point where w stops growing
+        rng = Random(13)
+        for _ in range(300):
+            data = random_valid_data(rng, max_row=30)
+            for m in (0, rng.randint(1, 40), rng.randint(41, 2000)):
+                l = 1
+                while data.d1 + m - l * data.d21 > 0 and data.d3 - l * data.d23 > 0:
+                    l += 1
+                assert compute_w(data, m) == l
+
 
 class TestExtraBinomials:
     def test_big_m0_single_r(self, big_data):
-        extras = extra_binomials(big_data, 0)
-        assert extras.w == 2 and not extras.branch_positive
-        assert extras.p == () and extras.q == ()
-        assert extras.r.lead == m4(0, 21)
-        assert extras.r.trail == m4(2, 0, 5, 9)
+        (r,) = extra_binomials(big_data, 0)
+        assert compute_w(big_data, 0) == 2
+        assert not case_conditions(big_data, 0).branch_positive
+        assert r.lead == m4(0, 21)
+        assert r.trail == m4(2, 0, 5, 9)
 
     def test_big_m12_full_set(self, big_data):
         extras = extra_binomials(big_data, 12)
-        assert extras.w == 3 and extras.branch_positive
-        assert pair_set(extras.p) == {frozenset(((0, 21, 4, 0), (18, 0, 0, 3)))}
-        assert pair_set(extras.q) == {frozenset(((10, 21, 0, 0), (0, 0, 5, 21)))}
-        assert pair_set((extras.r,)) == {frozenset(((0, 32, 0, 0), (27, 0, 1, 3)))}
+        assert compute_w(big_data, 12) == 3
+        assert case_conditions(big_data, 12).branch_positive
+        p1, q1, r = extras
+        assert pair_set((p1,)) == {frozenset(((0, 21, 4, 0), (18, 0, 0, 3)))}
+        assert pair_set((q1,)) == {frozenset(((10, 21, 0, 0), (0, 0, 5, 21)))}
+        assert pair_set((r,)) == {frozenset(((0, 32, 0, 0), (27, 0, 1, 3)))}
         degrees = (2979, 2931, 1086, 4091)
-        for b in extras.all():
+        for b in extras:
             assert toric_membership(b, degrees)
 
     def test_w2_always_just_r(self):
@@ -179,8 +193,7 @@ class TestExtraBinomials:
             if compute_w(data, m) != 2:
                 continue
             found += 1
-            extras = extra_binomials(data, m)
-            assert extras.all() == (extras.r,)
+            assert len(extra_binomials(data, m)) == 1
 
     def test_membership_randomized(self):
         rng = Random(31)
@@ -188,7 +201,7 @@ class TestExtraBinomials:
             data = random_valid_data(rng)
             m = rng.randint(0, 8)
             degrees = tuple(a + m * s for a, s in zip(a_from_d(data), shift_vector(data)))
-            for b in extra_binomials(data, m).all():
+            for b in extra_binomials(data, m):
                 assert toric_membership(b, degrees)
 
 
@@ -355,8 +368,13 @@ class TestMemberDegrees:
         assert degree_refusal(member_degrees(basic_data, 8)) == SKIP_MAX
 
     def test_rejects_negative_index(self, basic_data):
-        with pytest.raises(ValueError):
-            member_degrees(basic_data, -1)
+        calls = (
+            lambda: member_degrees(basic_data, -1),
+            lambda: case_conditions(family_data(2), -3),  # case 1
+        )
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
 
     def test_rejects_non_integer_shifts(self, basic_data):
         # a float shift is neither truncated to a member nor carried into
@@ -365,6 +383,7 @@ class TestMemberDegrees:
             lambda: member_degrees(basic_data, 2.0),
             lambda: generators(basic_data, 2.0),
             lambda: compute_w(basic_data, 2.0),
+            lambda: case_conditions(family_data(2), 2.5),  # case 1
             lambda: cross_validate(basic_data, [2.5]),
         )
         for call in calls:
