@@ -47,20 +47,21 @@ from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial
 
 SKIP_STEP_BOUND = "step bound exceeded"
 
+_AFFINE = Packing(AFFINE_ORDER)
 #: x4 packed under AFFINE_ORDER, the divisor the verdict tests leads against.
-_X4 = Packing(AFFINE_ORDER).pack(Monomial.from_powers({4: 1}))
+_X4 = _AFFINE.pack(Monomial.from_powers({4: 1}))
 
 
 @dataclass(frozen=True)
 class GroebnerVerdict:
     """Verdict of the Groebner oracle.
 
-    `x4_leads` lists the minimal initial-ideal generators divisible by
-    x4; the verdict is ACM exactly when it is empty.
+    `witness` is a minimal initial-ideal generator divisible by x4, or
+    None; the verdict is ACM exactly when there is none.
     """
 
     acm: bool
-    x4_leads: tuple[Monomial, ...]
+    witness: Optional[Monomial]
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,10 @@ class AcmReport:
     `skip_reason`.  When the fourth coordinate of the shifted vector is
     not the strict maximum but some permutation of it is analyzable, the
     verdicts are computed in permuted coordinates and labelled as such
-    via `reordered` and `permuted_degrees`.  `x4_initial` carries the
-    string forms of any x4-bearing minimal initial generators; it is
-    diagnostic and not part of the serialized record.
+    via `reordered` and `permuted_degrees`.  `generators` carries the
+    binomials both verdicts were computed from, in those coordinates, so
+    `x4_initial_generators` can list what a table prints; it is not part
+    of the serialized record.
     """
 
     m: int
@@ -88,7 +90,7 @@ class AcmReport:
     agree: Optional[bool] = None
     reordered: bool = False
     permuted_degrees: Optional[Vec4] = None
-    x4_initial: tuple[str, ...] = field(default=(), compare=False)
+    generators: tuple[Binomial, ...] = field(default=(), compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -134,18 +136,65 @@ def acm_by_groebner(
     x4 least gives the same verdict; this one is pinned for deterministic
     reports) and returns ACM iff no minimal generator of the initial
     ideal is divisible by x4.
+
+    The generators must be homogeneous for the grading deg(x_i) = a_i by
+    `degrees`, as those of I(a) are; ValueError otherwise.  The kernel
+    then pops its pairs by ascending a-degree, and when the first pair of
+    a-degree D pops, no lead below D can join or leave the basis any
+    more (see `groebner._buchberger`).  A lead below D that x4 divides
+    and no other lead divides is therefore a minimal generator of the
+    initial ideal: a divisor of it would have a lower a-degree and would
+    already be a lead.  The run stops there with that lead as witness.
+    A run that ends without one reads the verdict off the minimal leads
+    of the whole basis, and its witness is the first of them that x4
+    divides, if any.
     """
     vec = _validated_vector(degrees)
     reason = degree_refusal(vec)
     if reason is not None:
         raise RefusalError(reason, {"degrees": vec})
-    pk, leads, trails = _buchberger(gens, AFFINE_ORDER, step_bound)
+    gens = tuple(gens)
+    for b in gens:
+        if b.lead.weight(vec) != b.trail.weight(vec):
+            raise ValueError(f"generator {b} is not homogeneous for the degrees {vec}")
+    g = _AFFINE.guards
+    witness: list[int] = []
+
+    def x4_minimal(ready: list[int], leads: list[int]) -> bool:
+        # x4 divides p and no other lead does, the divisibility test of
+        # _first_reducer inlined
+        for p in ready:
+            x = p | g
+            if (x - _X4) & g == g and all(q == p or (x - q) & g != g for q in leads):
+                witness.append(p)
+                return True
+        return False
+
+    pk, leads, trails = _buchberger(gens, AFFINE_ORDER, step_bound, vec, x4_minimal)
+    if not witness:
+        witness = _x4_minimal_leads(pk, leads, trails)[:1]
+    return GroebnerVerdict(not witness, pk.unpack(witness[0]) if witness else None)
+
+
+def _x4_minimal_leads(pk: Packing, leads: list[int], trails: list[int]) -> list[int]:
+    """The packed minimal leads of a Groebner basis that x4 divides, in
+    canonical order."""
     _, minimal, _ = _minimal_packed(pk, leads, trails)
     # x4 divides p, the divisibility test of _first_reducer inlined; only
-    # those leads are unpacked
+    # those leads are ever unpacked
     g = pk.guards
-    x4_leads = tuple(pk.unpack(p) for p in minimal if ((p | g) - _X4) & g == g)
-    return GroebnerVerdict(not x4_leads, x4_leads)
+    return [p for p in minimal if ((p | g) - _X4) & g == g]
+
+
+def x4_initial_generators(
+    gens: Iterable[Binomial], step_bound: int = DEFAULT_STEP_BOUND
+) -> tuple[Monomial, ...]:
+    """Every minimal generator of the initial ideal of `gens` under the
+    order of `acm_by_groebner` that x4 divides, in canonical order.  The
+    verdict keeps one witness; this runs Buchberger to the end for the
+    whole list, which `analyze`'s table and the disagreement dump print."""
+    pk, leads, trails = _buchberger(gens, AFFINE_ORDER, step_bound)
+    return tuple(map(pk.unpack, _x4_minimal_leads(pk, leads, trails)))
 
 
 def homogenize(b: Binomial) -> Binomial:
@@ -236,22 +285,23 @@ def _skip(m: int, degrees: Vec4, reason: str) -> AcmReport:
     return AcmReport(m=m, degrees=degrees, applicable=False, skip_reason=reason)
 
 
-def _agreement_checked(
-    report: AcmReport, gb: GroebnerVerdict, gens: tuple[Binomial, ...], step_bound: int
-) -> AcmReport:
+def _agreement_checked(report: AcmReport, step_bound: int) -> AcmReport:
     """`report` when its two verdicts agree; otherwise DisagreementError
-    with a dump that carries the Buchberger basis of `gens`.
+    with a dump that carries every x4-bearing minimal initial generator
+    and the Buchberger basis of the report's generators.
 
-    The verdict keeps no basis, so the dump rebuilds it.  The rebuild
-    cannot newly raise: it runs on the same generators, under the same
-    order and step bound as the run that just produced `gb`.
+    The verdict keeps one witness and no basis, so the dump runs
+    Buchberger to the end on the same generators, under the same order
+    and step bound.  That run may need more reduction steps than the
+    verdict's, which can stop early, so it may raise StepBoundExceeded.
     """
     if report.agree:
         return report
+    gens = report.generators
     dump = json.dumps(
         {
             "report": report.to_dict(),
-            "x4_leads": [str(mono) for mono in gb.x4_leads],
+            "x4_leads": [str(mono) for mono in x4_initial_generators(gens, step_bound)],
             "groebner_basis": buchberger(gens, AFFINE_ORDER, step_bound).to_json(),
         },
         indent=2,
@@ -306,9 +356,9 @@ def analyze_member(
         agree=crit.all_pass == gb.acm,
         reordered=reordered,
         permuted_degrees=tdeg if reordered else None,
-        x4_initial=tuple(str(mono) for mono in gb.x4_leads),
+        generators=gens,
     )
-    return _agreement_checked(report, gb, gens, step_bound)
+    return _agreement_checked(report, step_bound)
 
 
 def cross_validate(

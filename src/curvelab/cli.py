@@ -15,7 +15,7 @@ import sys
 import traceback
 from typing import Optional, Sequence
 
-from .acm import AcmReport, analyze_member, cross_validate, homogenized
+from .acm import AcmReport, analyze_member, cross_validate, homogenized, x4_initial_generators
 from .bresinsky import (
     SKIP_FORM,
     BresinskyData,
@@ -271,12 +271,18 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
             doc["homogeneous_basis"] = hom.to_json() if hom else None
         print(to_canonical_json(doc), file=out)
     else:
+        # the verdict keeps one witness; the table lists every x4 generator,
+        # found before anything is printed, since the full run may trip the
+        # step bound where the verdict's did not
+        x4 = ()
+        if report.verdict_groebner is False:
+            x4 = x4_initial_generators(report.generators, args.step_bound)
         print(_ROW_HEADER, file=out)
         print(report_row(report), file=out)
         for c in report.conditions:
             print(f"cond {c.name} = {c.value} ({'pass' if c.passed else 'fail'})", file=out)
-        if report.x4_initial:
-            print(f"x4-bearing initial generators: {', '.join(report.x4_initial)}", file=out)
+        if x4:
+            print(f"x4-bearing initial generators: {', '.join(map(str, x4))}", file=out)
         if hom is not None:
             print("homogeneous basis:", file=out)
             _print_basis(hom, out)

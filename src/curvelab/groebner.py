@@ -16,6 +16,20 @@ leading monomial is reduced before the trailing one.  Against a verified
 Groebner basis the normal form is independent of these choices; against
 an arbitrary set only the deterministic strategy result is contractual.
 
+Graded selection.  The kernel `_buchberger` may also be given weights
+for the variables under which every generator is homogeneous, as the
+degree vector a is for the toric ideal I(a) with deg(x_i) = a_i.  Every
+S-binomial and every rewrite then stays homogeneous of the same weight,
+so popping pairs by ascending weight of their lcm (with the unweighted
+order as tie-break) makes the basis below each weight D final once the
+first pair of weight D pops: a Groebner basis truncated at D
+(Kreuzer-Robbiano 2005, Computational Commutative Algebra 2).  The
+Gebauer-Moeller update stays sound under this order, because every pair
+it drops is justified by pairs whose lcms divide its own and so weigh no
+more (see `_buchberger`).  `acm.acm_by_groebner` uses this to stop at the
+first lead that proves its verdict; `buchberger`, `reduce_basis` and
+`is_groebner` pass no weights and keep the unweighted selection.
+
 Packed monomials.  The Buchberger kernel `_buchberger` returns its basis
 as a packing and the packed leads and trails, and `buchberger`,
 `normal_form`, `is_groebner`, `reduce_basis` and `initial_generators`
@@ -24,9 +38,9 @@ division using dynamic arrays, heaps, and packed exponent vectors";
 Bachmann-Schoenemann 1998, "Monomial representations for Groebner bases
 computations").  `Monomial` and `Binomial` objects are built only where
 those functions take and return them.  `acm.acm_by_groebner` calls the
-kernel itself and unpacks only the minimal leads that x4 divides; its
-verdict keeps no basis, and the disagreement dump rebuilds one with
-`buchberger`.  Under an order
+kernel itself, weighted by the degree vector, and unpacks only the one
+lead that proves its verdict; it keeps no basis, and the disagreement
+dump rebuilds one with `buchberger`.  Under an order
 on n variables a monomial is one int P: each exponent sits in its own
 field of W = FIELD_BITS = 64 bits, the fields follow
 `MonomialOrder.scan` with the least-priority variable in the top field,
@@ -59,11 +73,12 @@ the degree.  Past the bound the kernel raises OverflowError instead of
 wrapping.
 
 Each formula is written once, in `_first_reducer` (divisibility),
-`_lcms`, `_degree` and `_key`.  The divisibility test is inlined three
+`_lcms`, `_degree` and `_key`.  The divisibility test is inlined five
 more times where a call per test would cost too much: twice in the
 update of `_buchberger` (the chain criterion on the pending pairs and
-the minimal lcms of the new pairs) and once in `acm.acm_by_groebner`
-(does x4 divide a minimal lead).
+the minimal lcms of the new pairs) and three times in `acm` (does x4
+divide a lead, does another lead divide it, does x4 divide a minimal
+lead).
 A basis keeps its packed form once built, so repeated `normal_form`
 calls against it do not repack it.
 """
@@ -73,7 +88,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AmbientMismatchError, NotGroebnerError, StepBoundExceeded
 from .monomials import EQUAL, GREATER, Monomial, MonomialOrder
@@ -279,6 +294,16 @@ def _key(p: int, shift: int) -> int:
     return ((p % _FIELD) << shift) - p
 
 
+def _weight(p: int, fields: Sequence[int]) -> int:
+    """The weight of packed p when the exponent in each field weighs the
+    matching entry of `fields`, bottom field first (0 for no fields)."""
+    w = 0
+    for c in fields:
+        w += (p & _FIELD) * c
+        p >>= FIELD_BITS
+    return w
+
+
 def _lcms(monomials: Iterable[int], b: int, guards: int) -> list[int]:
     """The lcm of packed b with each packed monomial, unchecked: the guard
     bits surviving (a | G) - b mark the fields where a >= b, and each is
@@ -368,7 +393,8 @@ def buchberger(
     """Groebner basis of the ideal generated by `gens` under `order`.
 
     Buchberger's algorithm with the normal selection strategy (the pending
-    pair whose lead-lcm is smallest in the order is processed first) and
+    pair whose lead-lcm is smallest in the order is processed first, with
+    no weights; see `_buchberger`) and
     Buchberger's two criteria applied as the Gebauer-Moeller update
     (Gebauer-Moeller 1988; Cox-Little-O'Shea, Ideals, Varieties, and
     Algorithms, §2.10).  When an element t joins the basis:
@@ -388,18 +414,49 @@ def buchberger(
 
 
 def _buchberger(
-    gens: Iterable[Binomial], order: MonomialOrder, step_bound: int
+    gens: Iterable[Binomial],
+    order: MonomialOrder,
+    step_bound: int,
+    degrees: Optional[Sequence[int]] = None,
+    stop: Optional[Callable[[list[int], list[int]], bool]] = None,
 ) -> tuple[Packing, list[int], list[int]]:
     """The packed kernel of `buchberger`: the packing of `order` and the
     packed leads and trails of the basis, in the order the elements
-    joined it."""
+    joined it.
+
+    Given the weights `degrees` of the variables, under which every
+    generator is homogeneous, a pending pair is weighed by the weight of
+    its lcm and the lightest pops first, ties broken as without weights
+    (smallest lcm, then the pair's indices).  Every S-binomial and every
+    rewrite of a homogeneous binomial is homogeneous of the same weight,
+    so each new element weighs what its pair weighs, its own pairs weigh
+    at least as much, and the weights of the popped pairs never fall.
+    When the first pair of weight D pops, every pair below D has been
+    handled and no element below D can join any more: the elements below
+    D are a Groebner basis truncated at D (Kreuzer-Robbiano 2005,
+    Computational Commutative Algebra 2).  The Gebauer-Moeller update
+    stays sound under this selection, and so does the truncation: every
+    pair it drops is justified by pairs whose lcms divide its own, which
+    weigh no more and pop no later.  For a pending pair (i, j) dropped by
+    the chain criterion these are (i, t) and (j, t), whose lcms strictly
+    divide lcm(i, j), so they weigh strictly less and pop first.
+
+    At each such step `stop`, when given (it needs `degrees`), is called
+    with the packed leads below D that it has not yet been offered and
+    with all the packed leads; when it returns True the kernel returns
+    the partial basis at once.
+    """
     pk = Packing(order)
     guards, shift = pk.guards, pk.shift
+    # the weight of each field, bottom field first; without weights every
+    # pair weighs 0 and only the tie-break orders them
+    fields = () if degrees is None else tuple(degrees[k] for k in reversed(order.scan))
     leads: list[int] = []
     trails: list[int] = []
     live: list[int] = []  # indices that still form new pairs
-    heap: list[tuple[int, int, int]] = []
+    heap: list[tuple[int, int, int, int]] = []  # (weight, key, i, j) of a pair's lcm
     pending: dict[tuple[int, int], int] = {}  # pair -> lcm of its leads
+    unoffered: list[tuple[int, int]] = []  # (weight, index) of the leads stop has not seen
 
     def add(lt: int, tt: int) -> None:
         # a divides b exactly when lcm(a, b) == b
@@ -434,11 +491,13 @@ def _buchberger(
                 i, coprime = candidates[lcm]
                 if not coprime:  # coprime leads: S-binomial reduces to zero
                     pending[(i, t)] = lcm
-                    heapq.heappush(heap, (_key(lcm, shift), i, t))
+                    heapq.heappush(heap, (_weight(lcm, fields), _key(lcm, shift), i, t))
         live[:] = [i for i in live if lcms[i] != leads[i]]
         live.append(t)
         leads.append(lt)
         trails.append(tt)
+        if stop is not None:
+            heapq.heappush(unoffered, (_weight(lt, fields), t))
 
     for g in gens:
         g = g.oriented(order)
@@ -446,8 +505,16 @@ def _buchberger(
     if not leads:
         raise ValueError("need at least one generator")
 
+    level = -1  # the weight of the pairs popping now
     while heap:
-        _, i, j = heapq.heappop(heap)
+        weight, _, i, j = heapq.heappop(heap)
+        if stop is not None and weight > level:
+            level = weight
+            ready = []
+            while unoffered and unoffered[0][0] < weight:
+                ready.append(leads[heapq.heappop(unoffered)[1]])
+            if ready and stop(ready, leads):
+                break
         lcm = pending.pop((i, j), None)
         if lcm is None:
             continue  # dropped by a later element

@@ -38,7 +38,7 @@ from curvelab import (
     member_degrees,
     reduce_basis,
 )
-from curvelab.acm import homogenized
+from curvelab.acm import homogenized, x4_initial_generators
 from curvelab.bresinsky import degree_refusal
 from curvelab.cli import main
 from curvelab.groebner import Packing
@@ -52,6 +52,7 @@ from helpers import (
     pair_set,
     random_valid_data,
     sample_applicable,
+    sample_long_basis,
 )
 
 
@@ -127,7 +128,7 @@ class TestGroebnerOracle:
     def test_acm_fixture(self):
         data = family_data(2)
         verdict = acm_by_groebner((8, 5, 7, 9), generators(data, 0))
-        assert verdict.acm and verdict.x4_leads == ()
+        assert verdict.acm and verdict.witness is None
 
     def test_noncm_a3_fixture(self):
         data = family_data(3)
@@ -137,8 +138,9 @@ class TestGroebnerOracle:
 
     def test_basic_exhibits_x4_lead(self, basic_data):
         verdict = acm_by_groebner((19, 29, 26, 43), generators(basic_data, 0))
+        x4_leads = x4_initial_generators(generators(basic_data, 0))
         assert not verdict.acm
-        assert m4(4, 0, 1, 1) in verdict.x4_leads
+        assert m4(4, 0, 1, 1) in x4_leads and verdict.witness in x4_leads
 
     def test_refusals(self, basic_data):
         with pytest.raises(RefusalError) as exc:
@@ -147,6 +149,31 @@ class TestGroebnerOracle:
         with pytest.raises(RefusalError) as exc:
             acm_by_groebner((9, 5, 7, 8), generators(basic_data, 0))
         assert exc.value.reason == "max-coordinate fails"
+
+    def test_refusals_come_before_the_grading_check(self, basic_data):
+        # each pair matches: its generators are homogeneous for its degrees
+        for m, reason in ((1, "gcd>1"), (8, "max-coordinate fails")):
+            deg, gens = member_degrees(basic_data, m), generators(basic_data, m)
+            assert all(b.lead.weight(deg) == b.trail.weight(deg) for b in gens)
+            with pytest.raises(RefusalError) as exc:
+                acm_by_groebner(deg, gens)
+            assert exc.value.reason == reason
+
+    def test_rejects_generators_inhomogeneous_for_the_degrees(self, basic_data):
+        # (8, 5, 7, 9) passes the refusal checks, but the generators of
+        # (19, 29, 26, 43) are not homogeneous for it, so an early verdict
+        # would have no proof
+        with pytest.raises(ValueError, match="not homogeneous"):
+            acm_by_groebner((8, 5, 7, 9), generators(basic_data, 0))
+
+    def test_a_redundant_x4_lead_is_no_witness(self):
+        # x4 * (x1^2 - x3*x4) lies in the ideal; x4 divides its lead
+        # x1^2*x4, but so does x1^2, so it is no minimal generator and the
+        # member stays ACM
+        gens = generators(family_data(2), 0) + (bino(m4(2, 0, 0, 1), m4(0, 0, 1, 2)),)
+        verdict = acm_by_groebner((8, 5, 7, 9), gens)
+        assert verdict.acm and verdict.witness is None
+        assert x4_initial_generators(gens) == ()
 
     @pytest.mark.parametrize("degrees", [(8, 5, 7), (0, 5, 7, 9)])
     def test_rejects_malformed_vectors(self, degrees):
@@ -158,12 +185,15 @@ class TestGroebnerOracle:
         with pytest.raises(TypeError):
             acm_by_groebner((8.5, 5, 7, 9), generators(family_data(2), 0))
 
-    def test_verdict_unpacks_only_the_x4_leads(self, monkeypatch):
-        # the first long-basis benchmark member (seed 7)
-        data, m = BresinskyData(2, 4, 1, 1, 36, 1, 1, 2), 38
-        gens = generators(data, m)
-        calls = {"pack": 0, "unpack": 0, "binomial": 0}
-        for name in calls:
+    #: the first long-basis benchmark member (seed 7)
+    LONG_7 = (BresinskyData(2, 4, 1, 1, 36, 1, 1, 2), 38)
+
+    @staticmethod
+    def _counted(monkeypatch, run):
+        """The result of run() and how often it packed, unpacked, built
+        a Binomial from packed monomials and formed a normal form."""
+        calls = {"pack": 0, "unpack": 0, "binomial": 0, "_normal_form": 0}
+        for name in ("pack", "unpack", "binomial"):
             real = getattr(Packing, name)
 
             def counting(self, *args, name=name, real=real):
@@ -171,9 +201,32 @@ class TestGroebnerOracle:
                 return real(self, *args)
 
             monkeypatch.setattr(Packing, name, counting)
-        verdict = acm_by_groebner(member_degrees(data, m), gens)
-        assert len(verdict.x4_leads) == 35
-        assert calls == {"pack": 2 * len(gens), "unpack": 35, "binomial": 0}
+        real_nf = groebner_mod._normal_form
+
+        def counting_nf(*args):
+            calls["_normal_form"] += 1
+            return real_nf(*args)
+
+        monkeypatch.setattr(groebner_mod, "_normal_form", counting_nf)
+        return run(), calls
+
+    def test_verdict_unpacks_only_the_x4_leads(self, monkeypatch):
+        # the full list unpacks the x4 leads and nothing else
+        data, m = self.LONG_7
+        gens = generators(data, m)
+        x4_leads, calls = self._counted(monkeypatch, lambda: x4_initial_generators(gens))
+        assert len(x4_leads) == 35
+        assert calls == {"pack": 2 * len(gens), "unpack": 35, "binomial": 0, "_normal_form": 226}
+
+    def test_early_verdict_unpacks_its_witness_only(self, monkeypatch):
+        data, m = self.LONG_7
+        gens = generators(data, m)
+        full = x4_initial_generators(gens)
+        verdict, calls = self._counted(
+            monkeypatch, lambda: acm_by_groebner(member_degrees(data, m), gens)
+        )
+        assert not verdict.acm and verdict.witness == m4(0, 0, 3, 41) and verdict.witness in full
+        assert calls == {"pack": 2 * len(gens), "unpack": 1, "binomial": 0, "_normal_form": 43}
 
     def test_verdict_matches_the_unpacked_route(self):
         members = sample_applicable(seed=59, count=40) + [test_groebner.TestPairCriteria.LONG]
@@ -182,8 +235,23 @@ class TestGroebnerOracle:
             verdict = acm_by_groebner(member_degrees(data, m), gens)
             basis = buchberger(gens, AFFINE_ORDER)
             x4_leads = tuple(mono for mono in initial_generators(basis) if mono.exponent(4) > 0)
-            assert verdict.x4_leads == x4_leads and verdict.acm == (not x4_leads), (data, m)
+            assert x4_initial_generators(gens) == x4_leads, (data, m)
+            assert verdict.acm == (not x4_leads), (data, m)
+            assert verdict.witness in x4_leads if x4_leads else verdict.witness is None
             assert acm_by_groebner(member_degrees(data, m), gens) == verdict
+
+    def test_early_verdict_matches_the_criterion_and_the_full_route(self):
+        # long-basis members are non-ACM by construction; the applicable
+        # corpus brings ACM members too
+        verdicts = []
+        for data, m in sample_long_basis(7, 20) + sample_applicable(seed=23, count=150):
+            gens = generators(data, m)
+            verdict = acm_by_groebner(member_degrees(data, m), gens)
+            full = x4_initial_generators(gens)
+            assert verdict.acm == acm_by_criterion(data, m).all_pass == (not full), (data, m)
+            assert verdict.witness in full if full else verdict.witness is None, (data, m)
+            verdicts.append(verdict.acm)
+        assert verdicts[:20] == [False] * 20 and True in verdicts
 
     def test_verdict_builds_no_reduced_basis(self, monkeypatch, basic_data, big_data):
         real = groebner_mod.reduce_basis
@@ -233,9 +301,12 @@ class TestCrossValidate:
         assert r8.case == 1
 
     def test_step_bound_is_a_typed_skip(self, basic_data):
-        reports = cross_validate(basic_data, range(0, 3), step_bound=1)
-        assert [r.skip_reason for r in reports] == ["step bound exceeded", "gcd>1",
-                                                    "step bound exceeded"]
+        # ACM members run Buchberger to the end, so one step trips each
+        reports = cross_validate(family_data(2), range(0, 4), step_bound=1)
+        assert [r.skip_reason for r in reports] == ["step bound exceeded"] * 4
+        # a non-ACM verdict may stop early: at m = 0 it still needs a step
+        reports = cross_validate(basic_data, range(0, 1), step_bound=0)
+        assert [r.skip_reason for r in reports] == ["step bound exceeded"]
 
     def test_refusal_inside_a_member_is_not_a_skip_row(self, monkeypatch, basic_data):
         # analyze_member returns its own skip rows, so a RefusalError from
@@ -278,6 +349,8 @@ class TestCrossValidate:
             basis = BinomialBasis(gb.elements, AFFINE_ORDER)  # unflagged, so the check runs
             assert is_groebner(basis).ok
             assert doc["x4_leads"] and set(doc["x4_leads"]) <= {str(b.lead) for b in basis}
+            # every x4 generator, not the verdict's one witness
+            assert doc["x4_leads"] == [str(x) for x in x4_initial_generators(generators(target, 0))]
         with pytest.raises(DisagreementError):
             cross_validate(basic_data, range(0, 4))  # not a skip row
         out = io.StringIO()

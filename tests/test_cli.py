@@ -356,6 +356,19 @@ class TestExitCodeContract:
         rc, _ = run_cli("gb", "--a", "8,5,7,9", "--m", "0", "--oracle", "--step-bound", "1")
         assert rc == 2
 
+    def test_table_runs_buchberger_to_the_end_under_the_bound(self, capsys):
+        # the JSON verdict stops at its witness within one step; the table
+        # lists every x4 generator, which needs the full run, so it trips
+        # the bound and prints nothing
+        argv = ("analyze", "--a", "19,29,26,43", "--m", "0", "--step-bound", "1")
+        rc, out = run_cli(*argv, "--format", "json")
+        assert rc == 0 and json.loads(out)["verdict_groebner"] is False
+        rc, out = run_cli(*argv, "--format", "table")
+        assert rc == 2 and out == ""
+        assert capsys.readouterr().err == "refused: normal form exceeded 1 reduction steps\n"
+        rc, out = run_cli("analyze", "--a", "19,29,26,43", "--m", "0", "--step-bound", "2")
+        assert rc == 0 and "x4-bearing initial generators: " in out
+
 
 class TestOracleEquivalence:
     def test_case2_reduced_forms_agree(self):

@@ -19,6 +19,7 @@ from curvelab import (
     homogenize,
     initial_generators,
     is_groebner,
+    member_degrees,
     normal_form,
     reduce_basis,
     s_binomial,
@@ -379,6 +380,21 @@ class TestPairCriteria:
             assert is_groebner(out).ok, (data, m)
             expected = reduce_basis(plain_buchberger(gens, AFFINE_ORDER)).elements
             assert reduce_basis(out).elements == expected, (data, m)
+
+    def test_weighted_selection_ends_at_the_same_reduced_basis(self):
+        # weighed by the degree vector, the kernel pops the pairs in
+        # another order (by ascending a-degree) but, run to the end, still
+        # returns a Groebner basis of the same ideal
+        members = sample_applicable(43, 30, max_row=10, max_m=10) + sample_long_basis(3, 3)
+        for data, m in members:
+            gens = generators(data, m)
+            pk, leads, trails = groebner._buchberger(
+                gens, AFFINE_ORDER, groebner.DEFAULT_STEP_BOUND, member_degrees(data, m)
+            )
+            elements = tuple(pk.binomial(lead, trail) for lead, trail in zip(leads, trails))
+            weighted = BinomialBasis(elements, AFFINE_ORDER)  # unflagged, so the check runs
+            expected = reduce_basis(buchberger(gens, AFFINE_ORDER)).elements
+            assert reduce_basis(weighted).elements == expected, (data, m)
 
     def test_same_reduced_basis_as_all_pairs_oracle_homogenized(self):
         members = sample_applicable(47, 30, max_row=10, max_m=10) + sample_long_basis(5, 2)
