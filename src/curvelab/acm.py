@@ -72,10 +72,7 @@ class AcmReport:
     `skip_reason`.  When the fourth coordinate of the shifted vector is
     not the strict maximum but some permutation of it is analyzable, the
     verdicts are computed in permuted coordinates and labelled as such
-    via `reordered` and `permuted_degrees`.  `generators` carries the
-    binomials both verdicts were computed from, in those coordinates, so
-    `x4_initial_generators` can list what a table prints; it is not part
-    of the serialized record.
+    via `reordered` and `permuted_degrees`.
     """
 
     m: int
@@ -90,7 +87,6 @@ class AcmReport:
     agree: Optional[bool] = None
     reordered: bool = False
     permuted_degrees: Optional[Vec4] = None
-    generators: tuple[Binomial, ...] = field(default=(), compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -285,27 +281,36 @@ def _skip(m: int, degrees: Vec4, reason: str) -> AcmReport:
     return AcmReport(m=m, degrees=degrees, applicable=False, skip_reason=reason)
 
 
-def _agreement_checked(report: AcmReport, step_bound: int) -> AcmReport:
+def _agreement_checked(
+    report: AcmReport,
+    gens: tuple[Binomial, ...],
+    step_bound: int,
+    x4: Optional[tuple[Monomial, ...]],
+) -> AcmReport:
     """`report` when its two verdicts agree; otherwise DisagreementError
     with a dump that carries every x4-bearing minimal initial generator
-    and the Buchberger basis of the report's generators.
+    of `gens`, the generators both verdicts were computed from (`x4`,
+    when the caller already has them), and their Buchberger basis.
 
     The verdict keeps one witness and no basis, so the dump runs
     Buchberger to the end on the same generators, under the same order
-    and step bound.  That run may need more reduction steps than the
-    verdict's, which can stop early, so it may raise StepBoundExceeded.
+    and step bound.  A verdict that stopped early may fit a bound that
+    this run exceeds; the dump then records that the basis was not
+    rebuilt, and the disagreement is raised all the same, so a budget
+    never turns it into a skip row.
     """
     if report.agree:
         return report
-    gens = report.generators
-    dump = json.dumps(
-        {
-            "report": report.to_dict(),
-            "x4_leads": [str(mono) for mono in x4_initial_generators(gens, step_bound)],
+    try:
+        if x4 is None:
+            x4 = x4_initial_generators(gens, step_bound)
+        rebuilt = {
+            "x4_leads": [str(mono) for mono in x4],
             "groebner_basis": buchberger(gens, AFFINE_ORDER, step_bound).to_json(),
-        },
-        indent=2,
-    )
+        }
+    except StepBoundExceeded:
+        rebuilt = {"x4_leads": None, "groebner_basis": None, "not_rebuilt": SKIP_STEP_BOUND}
+    dump = json.dumps({"report": report.to_dict(), **rebuilt}, indent=2)
     raise DisagreementError(
         f"verdicts disagree at m={report.m}: criterion={report.verdict_criterion} "
         f"groebner={report.verdict_groebner}",
@@ -327,23 +332,39 @@ def analyze_member(
     parameter form; the verdicts are then labelled as permuted.  A
     disagreement between the two routes raises DisagreementError.
     """
+    return _analyze(data, m, step_bound, full=False)[0]
+
+
+def _analyze(
+    data: BresinskyData, m: int, step_bound: int, full: bool
+) -> tuple[AcmReport, tuple[Monomial, ...]]:
+    """`analyze_member`, with every x4-bearing minimal initial generator
+    when `full` (none otherwise, or for a skip row).  With `full` the
+    Groebner verdict is read off that list, so one run of Buchberger to
+    the end gives both; without it the verdict may stop at its witness.
+    """
     deg = member_degrees(data, m)
     reason = degree_refusal(deg)
     if reason is None:
         target, tm, tdeg = data, m, deg
     elif reason == SKIP_GCD or deg.count(max(deg)) > 1:
-        return _skip(m, deg, reason)
+        return _skip(m, deg, reason), ()
     else:
         hit = next(_any_order_hits(deg), None)
         if hit is None:
-            return _skip(m, deg, SKIP_FORM)
+            return _skip(m, deg, SKIP_FORM), ()
         perm, target = hit
         tm, tdeg = 0, tuple(deg[i] for i in perm)
 
     reordered = reason is not None
     crit = acm_by_criterion(target, tm)
     gens = generators(target, tm)
-    gb = acm_by_groebner(tdeg, gens, step_bound)
+    if full:
+        x4 = x4_initial_generators(gens, step_bound)
+        acm = not x4
+    else:
+        x4 = ()
+        acm = acm_by_groebner(tdeg, gens, step_bound).acm
     report = AcmReport(
         m=m,
         degrees=deg,
@@ -352,13 +373,12 @@ def analyze_member(
         w=crit.w,
         conditions=crit.conditions,
         verdict_criterion=crit.all_pass,
-        verdict_groebner=gb.acm,
-        agree=crit.all_pass == gb.acm,
+        verdict_groebner=acm,
+        agree=crit.all_pass == acm,
         reordered=reordered,
         permuted_degrees=tdeg if reordered else None,
-        generators=gens,
     )
-    return _agreement_checked(report, step_bound)
+    return _agreement_checked(report, gens, step_bound, x4 if full else None), x4
 
 
 def cross_validate(

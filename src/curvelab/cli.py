@@ -15,7 +15,7 @@ import sys
 import traceback
 from typing import Optional, Sequence
 
-from .acm import AcmReport, analyze_member, cross_validate, homogenized, x4_initial_generators
+from .acm import AcmReport, _analyze, analyze_member, cross_validate, homogenized
 from .bresinsky import (
     SKIP_FORM,
     BresinskyData,
@@ -260,7 +260,13 @@ def _print_basis(basis: BinomialBasis, out) -> None:
 
 def cmd_analyze(args: argparse.Namespace, out) -> int:
     data = _member_input(args)
-    report = analyze_member(data, args.m, step_bound=args.step_bound)
+    if args.format == "json":
+        report, x4 = analyze_member(data, args.m, step_bound=args.step_bound), ()
+    else:
+        # the table lists every x4-bearing initial generator, found before
+        # anything is printed: one run of Buchberger to the end gives the
+        # list and the verdict
+        report, x4 = _analyze(data, args.m, args.step_bound, full=True)
     hom = None
     if args.homogenize and report.applicable and report.verdict_criterion and not report.reordered:
         # the criterion has passed, so the closed form exists: homogenize it directly
@@ -271,12 +277,6 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
             doc["homogeneous_basis"] = hom.to_json() if hom else None
         print(to_canonical_json(doc), file=out)
     else:
-        # the verdict keeps one witness; the table lists every x4 generator,
-        # found before anything is printed, since the full run may trip the
-        # step bound where the verdict's did not
-        x4 = ()
-        if report.verdict_groebner is False:
-            x4 = x4_initial_generators(report.generators, args.step_bound)
         print(_ROW_HEADER, file=out)
         print(report_row(report), file=out)
         for c in report.conditions:

@@ -20,6 +20,7 @@ from curvelab import (
     DisagreementError,
     HomogeneousBasis,
     RefusalError,
+    StepBoundExceeded,
     a_from_d,
     acm_by_criterion,
     acm_by_groebner,
@@ -228,6 +229,17 @@ class TestGroebnerOracle:
         assert not verdict.acm and verdict.witness == m4(0, 0, 3, 41) and verdict.witness in full
         assert calls == {"pack": 2 * len(gens), "unpack": 1, "binomial": 0, "_normal_form": 43}
 
+    def test_table_runs_buchberger_once(self, monkeypatch):
+        # the table reads the verdict off its run to the end; the JSON form
+        # stops at the witness
+        data, m = self.LONG_7
+        argv = ["analyze", "--d", "2,4,1,1,36,1,1,2", "--m", str(m)]
+        for fmt, normal_forms in (("table", 226), ("json", 43)):
+            rc, calls = self._counted(
+                monkeypatch, lambda: main([*argv, "--format", fmt], out=io.StringIO())
+            )
+            assert rc == 0 and calls["_normal_form"] == normal_forms, fmt
+
     def test_verdict_matches_the_unpacked_route(self):
         members = sample_applicable(seed=59, count=40) + [test_groebner.TestPairCriteria.LONG]
         for data, m in members:
@@ -356,6 +368,31 @@ class TestCrossValidate:
         out = io.StringIO()
         assert main(["family", "--a", "19,29,26,43", "--m-range", "0..3"], out=out) == 3
         assert out.getvalue() == ""
+
+    def test_disagreement_under_a_tight_bound_is_not_a_skip_row(self, monkeypatch, basic_data):
+        # at m = 0 the verdict stops within one step, but the dump's run to
+        # the end does not: the disagreement must still be raised
+        gens = generators(basic_data, 0)
+        with pytest.raises(StepBoundExceeded):
+            x4_initial_generators(gens, 1)
+        [row] = cross_validate(basic_data, range(0, 1), step_bound=1)
+        assert row.applicable and row.agree
+        real = acm_mod.acm_by_groebner
+
+        def flipped(*args):
+            gb = real(*args)
+            return dataclasses.replace(gb, acm=not gb.acm)
+
+        monkeypatch.setattr(acm_mod, "acm_by_groebner", flipped)
+        with pytest.raises(DisagreementError) as exc:
+            cross_validate(basic_data, range(0, 1), step_bound=1)
+        doc = json.loads(exc.value.dump)
+        assert doc["report"]["agree"] is False
+        assert doc["x4_leads"] is None and doc["groebner_basis"] is None
+        assert doc["not_rebuilt"] == "step bound exceeded"
+        argv = ["analyze", "--a", "19,29,26,43", "--m", "0", "--step-bound", "1", "--format", "json"]
+        out = io.StringIO()
+        assert main(argv, out=out) == 3 and out.getvalue() == ""
 
     def test_agreement_on_random_corpus(self):
         for data, m in sample_applicable(seed=101, count=40):
