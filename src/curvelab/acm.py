@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .bresinsky import (
     SKIP_FORM,
@@ -39,7 +39,7 @@ from .groebner import (
     BinomialBasis,
     Packing,
     _buchberger,
-    _minimal_packed,
+    _key,
     buchberger,
     canonical,
 )
@@ -134,17 +134,47 @@ def acm_by_groebner(
     ideal is divisible by x4.
 
     The generators must be homogeneous for the grading deg(x_i) = a_i by
-    `degrees`, as those of I(a) are; ValueError otherwise.  The kernel
-    then pops its pairs by ascending a-degree, and when the first pair of
-    a-degree D pops, no lead below D can join or leave the basis any
-    more (see `groebner._buchberger`).  A lead below D that x4 divides
-    and no other lead divides is therefore a minimal generator of the
-    initial ideal: a divisor of it would have a lower a-degree and would
-    already be a lead.  The run stops there with that lead as witness.
-    A run that ends without one reads the verdict off the minimal leads
-    of the whole basis, and its witness is the first of them that x4
-    divides, if any.
+    `degrees`, as those of I(a) are; ValueError otherwise, after the
+    refusal checks.  The kernel then pops generators and pairs by
+    ascending a-degree, and every lead is a minimal generator of the
+    initial ideal from the moment it joins (see `groebner._buchberger`).
+    So the run stops at the first lead that x4 divides, and that lead is
+    the witness; a run that ends without one is ACM.
     """
+    pk, leads, _ = _graded(degrees, gens, step_bound, _x4_divides)
+    witness = pk.unpack(leads[-1]) if _x4_divides(leads[-1]) else None
+    return GroebnerVerdict(witness is None, witness)
+
+
+def x4_initial_generators(
+    degrees: Iterable[int], gens: Iterable[Binomial], step_bound: int = DEFAULT_STEP_BOUND
+) -> tuple[Monomial, ...]:
+    """Every minimal generator of the initial ideal of `gens` under the
+    order of `acm_by_groebner` that x4 divides, in canonical order.  The
+    verdict keeps one witness; this runs the same graded Buchberger to the
+    end for the whole list, which `analyze`'s table and the disagreement
+    dump print.  It refuses and rejects what `acm_by_groebner` does."""
+    pk, leads, _ = _graded(degrees, gens, step_bound)
+    # every lead of a graded run is minimal; only the x4 leads are unpacked
+    x4_leads = sorted(filter(_x4_divides, leads), key=lambda p: _key(p, pk.shift))
+    return tuple(map(pk.unpack, x4_leads))
+
+
+def _x4_divides(p: int) -> bool:
+    """x4 divides packed p, the divisibility test of _first_reducer inlined."""
+    g = _AFFINE.guards
+    return ((p | g) - _X4) & g == g
+
+
+def _graded(
+    degrees: Iterable[int],
+    gens: Iterable[Binomial],
+    step_bound: int,
+    stop: Optional[Callable[[int], bool]] = None,
+) -> tuple[Packing, list[int], list[int]]:
+    """`groebner._buchberger` under `AFFINE_ORDER`, weighed by `degrees`,
+    after the refusal checks; ValueError unless every generator is
+    homogeneous for them."""
     vec = _validated_vector(degrees)
     reason = degree_refusal(vec)
     if reason is not None:
@@ -153,44 +183,7 @@ def acm_by_groebner(
     for b in gens:
         if b.lead.weight(vec) != b.trail.weight(vec):
             raise ValueError(f"generator {b} is not homogeneous for the degrees {vec}")
-    g = _AFFINE.guards
-    witness: list[int] = []
-
-    def x4_minimal(ready: list[int], leads: list[int]) -> bool:
-        # x4 divides p and no other lead does, the divisibility test of
-        # _first_reducer inlined
-        for p in ready:
-            x = p | g
-            if (x - _X4) & g == g and all(q == p or (x - q) & g != g for q in leads):
-                witness.append(p)
-                return True
-        return False
-
-    pk, leads, trails = _buchberger(gens, AFFINE_ORDER, step_bound, vec, x4_minimal)
-    if not witness:
-        witness = _x4_minimal_leads(pk, leads, trails)[:1]
-    return GroebnerVerdict(not witness, pk.unpack(witness[0]) if witness else None)
-
-
-def _x4_minimal_leads(pk: Packing, leads: list[int], trails: list[int]) -> list[int]:
-    """The packed minimal leads of a Groebner basis that x4 divides, in
-    canonical order."""
-    _, minimal, _ = _minimal_packed(pk, leads, trails)
-    # x4 divides p, the divisibility test of _first_reducer inlined; only
-    # those leads are ever unpacked
-    g = pk.guards
-    return [p for p in minimal if ((p | g) - _X4) & g == g]
-
-
-def x4_initial_generators(
-    gens: Iterable[Binomial], step_bound: int = DEFAULT_STEP_BOUND
-) -> tuple[Monomial, ...]:
-    """Every minimal generator of the initial ideal of `gens` under the
-    order of `acm_by_groebner` that x4 divides, in canonical order.  The
-    verdict keeps one witness; this runs Buchberger to the end for the
-    whole list, which `analyze`'s table and the disagreement dump print."""
-    pk, leads, trails = _buchberger(gens, AFFINE_ORDER, step_bound)
-    return tuple(map(pk.unpack, _x4_minimal_leads(pk, leads, trails)))
+    return _buchberger(gens, AFFINE_ORDER, step_bound, vec, stop)
 
 
 def homogenize(b: Binomial) -> Binomial:
@@ -283,6 +276,7 @@ def _skip(m: int, degrees: Vec4, reason: str) -> AcmReport:
 
 def _agreement_checked(
     report: AcmReport,
+    degrees: Vec4,
     gens: tuple[Binomial, ...],
     step_bound: int,
     x4: Optional[tuple[Monomial, ...]],
@@ -290,7 +284,8 @@ def _agreement_checked(
     """`report` when its two verdicts agree; otherwise DisagreementError
     with a dump that carries every x4-bearing minimal initial generator
     of `gens`, the generators both verdicts were computed from (`x4`,
-    when the caller already has them), and their Buchberger basis.
+    when the caller already has them; `degrees` grades them), and their
+    Buchberger basis.
 
     The verdict keeps one witness and no basis, so the dump runs
     Buchberger to the end on the same generators, under the same order
@@ -303,7 +298,7 @@ def _agreement_checked(
         return report
     try:
         if x4 is None:
-            x4 = x4_initial_generators(gens, step_bound)
+            x4 = x4_initial_generators(degrees, gens, step_bound)
         rebuilt = {
             "x4_leads": [str(mono) for mono in x4],
             "groebner_basis": buchberger(gens, AFFINE_ORDER, step_bound).to_json(),
@@ -360,7 +355,7 @@ def _analyze(
     crit = acm_by_criterion(target, tm)
     gens = generators(target, tm)
     if full:
-        x4 = x4_initial_generators(gens, step_bound)
+        x4 = x4_initial_generators(tdeg, gens, step_bound)
         acm = not x4
     else:
         x4 = ()
@@ -378,7 +373,7 @@ def _analyze(
         reordered=reordered,
         permuted_degrees=tdeg if reordered else None,
     )
-    return _agreement_checked(report, gens, step_bound, x4 if full else None), x4
+    return _agreement_checked(report, tdeg, gens, step_bound, x4 if full else None), x4
 
 
 def cross_validate(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import traceback
 from typing import Optional, Sequence
@@ -413,4 +414,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 
 def main_entry() -> None:
+    # a closed stdout ends the process like any Unix filter, not as an internal error
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

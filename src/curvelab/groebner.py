@@ -16,19 +16,20 @@ leading monomial is reduced before the trailing one.  Against a verified
 Groebner basis the normal form is independent of these choices; against
 an arbitrary set only the deterministic strategy result is contractual.
 
-Graded selection.  The kernel `_buchberger` may also be given weights
-for the variables under which every generator is homogeneous, as the
-degree vector a is for the toric ideal I(a) with deg(x_i) = a_i.  Every
-S-binomial and every rewrite then stays homogeneous of the same weight,
-so popping pairs by ascending weight of their lcm (with the unweighted
-order as tie-break) makes the basis below each weight D final once the
-first pair of weight D pops: a Groebner basis truncated at D
+Graded selection.  The kernel `_buchberger` queues the generators with
+the pairs, and each joins reduced when an earlier lead divides its lead.
+It may also be given weights for the variables under which every
+generator is homogeneous, as the degree vector a is for the toric ideal
+I(a) with deg(x_i) = a_i.  Every S-binomial and every rewrite then stays
+homogeneous of the same weight, so popping entries by ascending weight
+(with the unweighted order as tie-break) makes every lead a minimal
+generator of the initial ideal from the moment it joins
 (Kreuzer-Robbiano 2005, Computational Commutative Algebra 2).  The
 Gebauer-Moeller update stays sound under this order, because every pair
 it drops is justified by pairs whose lcms divide its own and so weigh no
 more (see `_buchberger`).  `acm.acm_by_groebner` uses this to stop at the
-first lead that proves its verdict; `buchberger`, `reduce_basis` and
-`is_groebner` pass no weights and keep the unweighted selection.
+first lead that x4 divides; `buchberger` passes no weights, so every
+entry weighs 0 and the generators join first, in input order.
 
 Packed monomials.  The Buchberger kernel `_buchberger` returns its basis
 as a packing and the packed leads and trails, and `buchberger`,
@@ -73,11 +74,10 @@ the degree.  Past the bound the kernel raises OverflowError instead of
 wrapping.
 
 Each formula is written once, in `_first_reducer` (divisibility),
-`_lcms`, `_degree` and `_key`.  The divisibility test is inlined five
+`_lcms`, `_degree` and `_key`.  The divisibility test is inlined three
 more times where a call per test would cost too much: twice in the
 update of `_buchberger` (the chain criterion on the pending pairs and
-the minimal lcms of the new pairs) and three times in `acm` (does x4
-divide a lead, does another lead divide it, does x4 divide a minimal
+the minimal lcms of the new pairs) and once in `acm` (does x4 divide a
 lead).
 A basis keeps its packed form once built, so repeated `normal_form`
 calls against it do not repack it.
@@ -406,7 +406,9 @@ def buchberger(
       coprime leads shares (chain and coprime criteria);
     - an element whose lead lead_t divides forms no further pairs.
 
-    Every element stays in the basis and serves as a reducer.
+    A generator whose lead an earlier lead divides joins as its normal
+    form, or not at all when that is zero; every element that joins stays
+    in the basis and serves as a reducer.
     """
     pk, leads, trails = _buchberger(gens, order, step_bound)
     elements = tuple(pk.binomial(l, t) for l, t in zip(leads, trails))
@@ -418,45 +420,54 @@ def _buchberger(
     order: MonomialOrder,
     step_bound: int,
     degrees: Optional[Sequence[int]] = None,
-    stop: Optional[Callable[[list[int], list[int]], bool]] = None,
+    stop: Optional[Callable[[int], bool]] = None,
 ) -> tuple[Packing, list[int], list[int]]:
     """The packed kernel of `buchberger`: the packing of `order` and the
     packed leads and trails of the basis, in the order the elements
     joined it.
 
-    Given the weights `degrees` of the variables, under which every
-    generator is homogeneous, a pending pair is weighed by the weight of
-    its lcm and the lightest pops first, ties broken as without weights
-    (smallest lcm, then the pair's indices).  Every S-binomial and every
-    rewrite of a homogeneous binomial is homogeneous of the same weight,
-    so each new element weighs what its pair weighs, its own pairs weigh
-    at least as much, and the weights of the popped pairs never fall.
-    When the first pair of weight D pops, every pair below D has been
-    handled and no element below D can join any more: the elements below
-    D are a Groebner basis truncated at D (Kreuzer-Robbiano 2005,
-    Computational Commutative Algebra 2).  The Gebauer-Moeller update
-    stays sound under this selection, and so does the truncation: every
-    pair it drops is justified by pairs whose lcms divide its own, which
-    weigh no more and pop no later.  For a pending pair (i, j) dropped by
-    the chain criterion these are (i, t) and (j, t), whose lcms strictly
+    Each generator waits on the pair heap, weighed by its lead, and joins
+    when it pops: unchanged when no current lead divides its lead,
+    otherwise as its normal form, or not at all when that is zero.
+
+    Given the weights `degrees` of the variables, each at least 1, under
+    which every generator is homogeneous, an entry weighs what its lead or
+    lcm weighs and the lightest pops first, ties broken as without weights
+    (smallest lcm, then the pair's indices).  Every S-binomial and rewrite
+    of a homogeneous binomial is homogeneous of the same weight, so each
+    element weighs what its entry weighs, its pairs weigh at least as
+    much, and the popped weights never fall.  A lead that joins later thus
+    weighs at least as much as every current lead, so it can neither
+    strictly divide one (a strict divisor weighs less) nor equal one (no
+    current lead divides it): every lead of a weighted run is a minimal
+    generator of the initial ideal from the moment it joins
+    (Kreuzer-Robbiano 2005, Computational Commutative Algebra 2).  The
+    Gebauer-Moeller update stays sound under this selection: every pair
+    it drops is justified by pairs whose lcms divide its own, which weigh
+    no more and pop no later.  For a pending pair (i, j) dropped by the
+    chain criterion these are (i, t) and (j, t), whose lcms strictly
     divide lcm(i, j), so they weigh strictly less and pop first.
 
-    At each such step `stop`, when given (it needs `degrees`), is called
-    with the packed leads below D that it has not yet been offered and
-    with all the packed leads; when it returns True the kernel returns
-    the partial basis at once.
+    `stop`, when given, is asked about each packed lead as it joins; when
+    it returns True the kernel returns at once, with that lead last.
     """
     pk = Packing(order)
     guards, shift = pk.guards, pk.shift
     # the weight of each field, bottom field first; without weights every
-    # pair weighs 0 and only the tie-break orders them
+    # entry weighs 0 and only the tie-break orders them
     fields = () if degrees is None else tuple(degrees[k] for k in reversed(order.scan))
+    # the packed lead and trail of each generator
+    queued = [(pk.pack(g.lead), pk.pack(g.trail)) for g in (b.oriented(order) for b in gens)]
+    if not queued:
+        raise ValueError("need at least one generator")
+    # (weight, key, i, j): pair (i, j) with the key of its lcm, or generator
+    # i with key 0 and j = -1, which pops before the pairs of its weight;
+    # a sorted list is a heap
+    heap = sorted((_weight(lead, fields), 0, k, -1) for k, (lead, _) in enumerate(queued))
     leads: list[int] = []
     trails: list[int] = []
     live: list[int] = []  # indices that still form new pairs
-    heap: list[tuple[int, int, int, int]] = []  # (weight, key, i, j) of a pair's lcm
     pending: dict[tuple[int, int], int] = {}  # pair -> lcm of its leads
-    unoffered: list[tuple[int, int]] = []  # (weight, index) of the leads stop has not seen
 
     def add(lt: int, tt: int) -> None:
         # a divides b exactly when lcm(a, b) == b
@@ -496,35 +507,26 @@ def _buchberger(
         live.append(t)
         leads.append(lt)
         trails.append(tt)
-        if stop is not None:
-            heapq.heappush(unoffered, (_weight(lt, fields), t))
 
-    for g in gens:
-        g = g.oriented(order)
-        add(pk.pack(g.lead), pk.pack(g.trail))
-    if not leads:
-        raise ValueError("need at least one generator")
-
-    level = -1  # the weight of the pairs popping now
     while heap:
-        weight, _, i, j = heapq.heappop(heap)
-        if stop is not None and weight > level:
-            level = weight
-            ready = []
-            while unoffered and unoffered[0][0] < weight:
-                ready.append(leads[heapq.heappop(unoffered)[1]])
-            if ready and stop(ready, leads):
-                break
-        lcm = pending.pop((i, j), None)
-        if lcm is None:
-            continue  # dropped by a later element
-        s = _s_pair(lcm, leads[i], trails[i], leads[j], trails[j], shift)
-        if s is None:
-            continue
-        h = _normal_form(s[0], s[1], leads, trails, pk, step_bound)
+        _, _, i, j = heapq.heappop(heap)
+        if j < 0:
+            h = queued[i]
+            if _first_reducer(h[0], leads, guards) >= 0:
+                h = _normal_form(*h, leads, trails, pk, step_bound)
+        else:
+            lcm = pending.pop((i, j), None)
+            if lcm is None:
+                continue  # dropped by a later element
+            s = _s_pair(lcm, leads[i], trails[i], leads[j], trails[j], shift)
+            if s is None:
+                continue
+            h = _normal_form(s[0], s[1], leads, trails, pk, step_bound)
         if h is None:
             continue
         add(*h)
+        if stop is not None and stop(h[0]):
+            break
 
     return pk, leads, trails
 
@@ -539,15 +541,7 @@ def _minimal(basis: BinomialBasis, step_bound: int) -> tuple[Packing, list[int],
             raise NotGroebnerError(
                 f"input is not a Groebner basis; {len(cert.failures)} failing pair(s)"
             )
-    return _minimal_packed(*basis._packed)
-
-
-def _minimal_packed(
-    pk: Packing, packed_leads: Sequence[int], packed_trails: Sequence[int]
-) -> tuple[Packing, list[int], list[int]]:
-    """The pass of `_minimal` on a Groebner basis given packed under `pk`:
-    `pk` and the packed leads and trails of the elements whose lead no
-    other lead divides (one per lead), in canonical order."""
+    pk, packed_leads, packed_trails = basis._packed
     guards, shift = pk.guards, pk.shift
     leads: list[int] = []
     trails: list[int] = []

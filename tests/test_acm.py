@@ -139,7 +139,7 @@ class TestGroebnerOracle:
 
     def test_basic_exhibits_x4_lead(self, basic_data):
         verdict = acm_by_groebner((19, 29, 26, 43), generators(basic_data, 0))
-        x4_leads = x4_initial_generators(generators(basic_data, 0))
+        x4_leads = x4_initial_generators((19, 29, 26, 43), generators(basic_data, 0))
         assert not verdict.acm
         assert m4(4, 0, 1, 1) in x4_leads and verdict.witness in x4_leads
 
@@ -174,7 +174,7 @@ class TestGroebnerOracle:
         gens = generators(family_data(2), 0) + (bino(m4(2, 0, 0, 1), m4(0, 0, 1, 2)),)
         verdict = acm_by_groebner((8, 5, 7, 9), gens)
         assert verdict.acm and verdict.witness is None
-        assert x4_initial_generators(gens) == ()
+        assert x4_initial_generators((8, 5, 7, 9), gens) == ()
 
     @pytest.mark.parametrize("degrees", [(8, 5, 7), (0, 5, 7, 9)])
     def test_rejects_malformed_vectors(self, degrees):
@@ -214,15 +214,15 @@ class TestGroebnerOracle:
     def test_verdict_unpacks_only_the_x4_leads(self, monkeypatch):
         # the full list unpacks the x4 leads and nothing else
         data, m = self.LONG_7
-        gens = generators(data, m)
-        x4_leads, calls = self._counted(monkeypatch, lambda: x4_initial_generators(gens))
+        deg, gens = member_degrees(data, m), generators(data, m)
+        x4_leads, calls = self._counted(monkeypatch, lambda: x4_initial_generators(deg, gens))
         assert len(x4_leads) == 35
         assert calls == {"pack": 2 * len(gens), "unpack": 35, "binomial": 0, "_normal_form": 226}
 
     def test_early_verdict_unpacks_its_witness_only(self, monkeypatch):
         data, m = self.LONG_7
         gens = generators(data, m)
-        full = x4_initial_generators(gens)
+        full = x4_initial_generators(member_degrees(data, m), gens)
         verdict, calls = self._counted(
             monkeypatch, lambda: acm_by_groebner(member_degrees(data, m), gens)
         )
@@ -247,7 +247,7 @@ class TestGroebnerOracle:
             verdict = acm_by_groebner(member_degrees(data, m), gens)
             basis = buchberger(gens, AFFINE_ORDER)
             x4_leads = tuple(mono for mono in initial_generators(basis) if mono.exponent(4) > 0)
-            assert x4_initial_generators(gens) == x4_leads, (data, m)
+            assert x4_initial_generators(member_degrees(data, m), gens) == x4_leads, (data, m)
             assert verdict.acm == (not x4_leads), (data, m)
             assert verdict.witness in x4_leads if x4_leads else verdict.witness is None
             assert acm_by_groebner(member_degrees(data, m), gens) == verdict
@@ -259,11 +259,41 @@ class TestGroebnerOracle:
         for data, m in sample_long_basis(7, 20) + sample_applicable(seed=23, count=150):
             gens = generators(data, m)
             verdict = acm_by_groebner(member_degrees(data, m), gens)
-            full = x4_initial_generators(gens)
+            full = x4_initial_generators(member_degrees(data, m), gens)
             assert verdict.acm == acm_by_criterion(data, m).all_pass == (not full), (data, m)
             assert verdict.witness in full if full else verdict.witness is None, (data, m)
             verdicts.append(verdict.acm)
         assert verdicts[:20] == [False] * 20 and True in verdicts
+
+    def test_graded_leads_are_minimal_and_the_witness_is_the_last(self):
+        # under the a-grading no lead of the kernel divides another, so the
+        # first lead that x4 divides ends the run and is the witness
+        members = sample_applicable(seed=61, count=200) + sample_long_basis(13, 8)
+        verdicts = set()
+        for data, m in members:
+            deg, gens = member_degrees(data, m), generators(data, m)
+            run = (gens, AFFINE_ORDER, groebner_mod.DEFAULT_STEP_BOUND, deg)
+            pk, leads, _ = groebner_mod._buchberger(*run)
+            monos = [pk.unpack(p) for p in leads]
+            assert not any(
+                k != idx and a.divides(b) for k, a in enumerate(monos) for idx, b in enumerate(monos)
+            ), (data, m)
+            asked = []
+
+            def x4_lead(p):
+                asked.append(p)
+                return pk.unpack(p).exponent(4) > 0
+
+            pk, leads, _ = groebner_mod._buchberger(*run, x4_lead)
+            assert asked == leads, (data, m)
+            verdict = acm_by_groebner(deg, gens)
+            if verdict.acm:
+                assert verdict.witness is None and not any(mono.exponent(4) for mono in monos)
+            else:
+                assert pk.unpack(leads[-1]) == verdict.witness, (data, m)
+                assert verdict.witness in x4_initial_generators(deg, gens), (data, m)
+            verdicts.add(verdict.acm)
+        assert verdicts == {True, False}
 
     def test_verdict_builds_no_reduced_basis(self, monkeypatch, basic_data, big_data):
         real = groebner_mod.reduce_basis
@@ -362,7 +392,8 @@ class TestCrossValidate:
             assert is_groebner(basis).ok
             assert doc["x4_leads"] and set(doc["x4_leads"]) <= {str(b.lead) for b in basis}
             # every x4 generator, not the verdict's one witness
-            assert doc["x4_leads"] == [str(x) for x in x4_initial_generators(generators(target, 0))]
+            x4_leads = x4_initial_generators(member_degrees(target, 0), generators(target, 0))
+            assert doc["x4_leads"] == [str(x) for x in x4_leads]
         with pytest.raises(DisagreementError):
             cross_validate(basic_data, range(0, 4))  # not a skip row
         out = io.StringIO()
@@ -374,7 +405,7 @@ class TestCrossValidate:
         # the end does not: the disagreement must still be raised
         gens = generators(basic_data, 0)
         with pytest.raises(StepBoundExceeded):
-            x4_initial_generators(gens, 1)
+            x4_initial_generators(member_degrees(basic_data, 0), gens, 1)
         [row] = cross_validate(basic_data, range(0, 1), step_bound=1)
         assert row.applicable and row.agree
         real = acm_mod.acm_by_groebner

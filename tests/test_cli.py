@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from curvelab.bresinsky import d_from_a_any_order, member_degrees
 from curvelab.cli import main, to_canonical_json
 
+from conftest import SRC
 from helpers import sample_applicable
 
 
@@ -351,6 +356,21 @@ class TestExitCodeContract:
         assert rc == 3
         assert out == ""
         assert capsys.readouterr().err.startswith("internal error: injected ring mix-up\n")
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_closed_stdout_ends_the_process_by_sigpipe(self):
+        # the scan writes about 100 KB, more than a pipe buffer holds, so
+        # a write always meets the closed pipe
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = ["family", "--a", "19,29,26,43", "--m-range", "0..200", "--format", "json"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "curvelab", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == -signal.SIGPIPE and err == b""
 
     def test_step_bound_exhaustion_maps_to_2(self):
         rc, _ = run_cli("gb", "--a", "8,5,7,9", "--m", "0", "--oracle", "--step-bound", "1")

@@ -374,12 +374,20 @@ class TestPairCriteria:
 
     def test_same_reduced_basis_as_all_pairs_oracle(self):
         members = sample_applicable(41, 94, max_row=10, max_m=10) + sample_long_basis(3, 6)
+        x3 = m4(0, 0, 1)
         for data, m in members:
             gens = generators(data, m)
-            out = buchberger(gens, AFFINE_ORDER)
-            assert is_groebner(out).ok, (data, m)
-            expected = reduce_basis(plain_buchberger(gens, AFFINE_ORDER)).elements
-            assert reduce_basis(out).elements == expected, (data, m)
+            # a generator whose lead an earlier lead divides joins as its
+            # normal form, here zero
+            padded = (*gens, Binomial(gens[0].lead * x3, gens[0].trail * x3))
+            outs = []
+            for gs in (gens, padded):
+                out = buchberger(gs, AFFINE_ORDER)
+                assert is_groebner(out).ok, (data, m)
+                expected = reduce_basis(plain_buchberger(gs, AFFINE_ORDER)).elements
+                assert reduce_basis(out).elements == expected, (data, m)
+                outs.append(out.elements)
+            assert outs[0] == outs[1], (data, m)
 
     def test_weighted_selection_ends_at_the_same_reduced_basis(self):
         # weighed by the degree vector, the kernel pops the pairs in
@@ -522,15 +530,19 @@ class TestInitialGenerators:
         x3 = m4(0, 0, 1)
         for data, m in members:
             gens = generators(data, m)
-            # buchberger keeps every input, so a multiple of a generator
-            # stays in its output with a non-minimal lead and trail
-            padded = (*gens, Binomial(gens[0].lead * x3, gens[0].trail * x3))
-            for gs in (gens, padded):
-                for order, hs in ((AFFINE_ORDER, gs), (PROJECTIVE_ORDER, map(homogenize, gs))):
-                    out = buchberger(hs, order)
-                    leads = tuple(b.lead for b in reduce_basis(out))
-                    assert initial_generators(out) == leads, (data, m, order)
-                    assert len(out) > len(leads) or gs is gens
+            # a Groebner basis plus an element of its ideal is still one; x3
+            # times a generator has a non-minimal lead and trail
+            extra = Binomial(gens[0].lead * x3, gens[0].trail * x3)
+            for order, hs, h_extra in (
+                (AFFINE_ORDER, gens, extra),
+                (PROJECTIVE_ORDER, tuple(map(homogenize, gens)), homogenize(extra)),
+            ):
+                out = buchberger(hs, order)
+                leads = tuple(b.lead for b in reduce_basis(out))
+                padded = BinomialBasis((*out, h_extra), order)  # unflagged, so the check runs
+                for basis in (out, padded):
+                    assert initial_generators(basis) == leads, (data, m, order)
+                    assert len(basis) > len(leads) or basis is out
 
     def test_checks_an_unverified_basis(self, big_data):
         closed = closed_form_basis(big_data, 0).basis
