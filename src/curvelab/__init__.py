@@ -39,6 +39,7 @@ from .errors import (
     AmbientMismatchError,
     AnomalyError,
     CurveLabError,
+    DegreeLimitExceeded,
     DisagreementError,
     NotGroebnerError,
     RefusalError,
@@ -50,9 +51,7 @@ from .groebner import (
     BinomialBasis,
     GroebnerCertificate,
     buchberger,
-    initial_generators,
     is_groebner,
-    normal_form,
     reduce_basis,
     s_binomial,
 )

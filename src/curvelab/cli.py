@@ -29,7 +29,13 @@ from .bresinsky import (
     member_degrees,
     shift_vector,
 )
-from .errors import AnomalyError, DisagreementError, RefusalError, StepBoundExceeded
+from .errors import (
+    AnomalyError,
+    DegreeLimitExceeded,
+    DisagreementError,
+    RefusalError,
+    StepBoundExceeded,
+)
 from .groebner import DEFAULT_STEP_BOUND, BinomialBasis, buchberger, reduce_basis
 from .monomials import AFFINE_ORDER
 
@@ -66,19 +72,25 @@ _FORMATS = ("json", "table")
 def _apply_env(args: argparse.Namespace) -> None:
     """Fill --format and --step-bound from CURVELAB_* where the flag is
     absent.  Read on every call, since the parser is built once per
-    process; a malformed value is a usage error, like the flag's.
-    `recover` takes no --step-bound, so it ignores CURVELAB_STEP_BOUND."""
+    process; a malformed or negative value is a usage error, like the
+    flag's.  `recover` takes no --step-bound, so it ignores
+    CURVELAB_STEP_BOUND."""
     if args.format is None:
         raw = os.environ.get(ENV_PREFIX + "FORMAT")
         if raw and raw not in _FORMATS:
             raise UsageError(f"{ENV_PREFIX}FORMAT: {_invalid_choice(raw, _FORMATS)}")
         args.format = raw or "table"
-    if hasattr(args, "step_bound") and args.step_bound is None:
-        raw = os.environ.get(ENV_PREFIX + "STEP_BOUND")
-        try:
-            args.step_bound = int(raw) if raw else DEFAULT_STEP_BOUND
-        except ValueError:
-            raise UsageError(f"{ENV_PREFIX}STEP_BOUND: invalid int value: {raw!r}")
+    if hasattr(args, "step_bound"):
+        source = "--step-bound"
+        if args.step_bound is None:
+            source = ENV_PREFIX + "STEP_BOUND"
+            raw = os.environ.get(source)
+            try:
+                args.step_bound = int(raw) if raw else DEFAULT_STEP_BOUND
+            except ValueError:
+                raise UsageError(f"{source}: invalid int value: {raw!r}")
+        if args.step_bound < 0:
+            raise UsageError(f"{source} must be non-negative, got {args.step_bound}")
 
 
 def _parse_vector(raw: str, n: int, flag: str) -> tuple[int, ...]:
@@ -401,7 +413,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RefusalError, StepBoundExceeded) as exc:
+    except (RefusalError, StepBoundExceeded, DegreeLimitExceeded) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except (DisagreementError, AnomalyError) as exc:

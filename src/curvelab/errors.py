@@ -24,6 +24,12 @@ class StepBoundExceeded(CurveLabError):
     """
 
 
+class DegreeLimitExceeded(CurveLabError, OverflowError):
+    """A monomial degree past the packed kernel's limit
+    (`groebner.MAX_DEGREE`): the input is too large for the kernel, so
+    the CLI refuses it, and library callers may catch it as OverflowError."""
+
+
 class NotGroebnerError(CurveLabError):
     """An operation requiring a Groebner basis received a set that fails
     the Buchberger criterion."""

@@ -33,20 +33,19 @@ entry weighs 0 and the generators join first, in input order.
 
 Packed monomials.  The Buchberger kernel `_buchberger` returns its basis
 as a packing and the packed leads and trails, and `buchberger`,
-`normal_form`, `is_groebner`, `reduce_basis` and `initial_generators`
-work on packed exponent vectors too (Monagan-Pearce 2007, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors";
-Bachmann-Schoenemann 1998, "Monomial representations for Groebner bases
-computations").  `Monomial` and `Binomial` objects are built only where
-those functions take and return them.  `acm.acm_by_groebner` calls the
-kernel itself, weighted by the degree vector, and unpacks only the one
-lead that proves its verdict; it keeps no basis, and the disagreement
-dump rebuilds one with `buchberger`.  Under an order
-on n variables a monomial is one int P: each exponent sits in its own
-field of W = FIELD_BITS = 64 bits, the fields follow
-`MonomialOrder.scan` with the least-priority variable in the top field,
-and the top bit of every field is a guard bit that stays clear.  With G
-the mask of the guard bits:
+`is_groebner` and `reduce_basis` work on packed exponent vectors too
+(Monagan-Pearce 2007, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors"; Bachmann-Schoenemann 1998, "Monomial
+representations for Groebner bases computations").  `Monomial` and
+`Binomial` objects are built only where those functions take and return
+them.  `acm.acm_by_groebner` calls the kernel itself, weighted by the
+degree vector, and unpacks only the one lead that proves its verdict; it
+keeps no basis, and the disagreement dump rebuilds one with
+`buchberger`.  Under an order on n variables a monomial is one int P:
+each exponent sits in its own field of W = FIELD_BITS = 64 bits, the
+fields follow `MonomialOrder.scan` with the least-priority variable in
+the top field, and the top bit of every field is a guard bit that stays
+clear.  With G the mask of the guard bits:
 
 - a divides b iff ((b | G) - a) & G == G: every field of b | G is at
   least 2**(W-1), so the subtraction borrows across no field, and a
@@ -70,8 +69,8 @@ the mask of the guard bits:
 A degree above MAX_DEGREE = 2**(W-1) - 1 would let a field reach its
 guard bit.  It is checked where new monomials arise, on the packed
 inputs and on each new lcm; under a graded order a rewrite never raises
-the degree.  Past the bound the kernel raises OverflowError instead of
-wrapping.
+the degree.  Past the bound the kernel raises DegreeLimitExceeded, an
+OverflowError, instead of wrapping.
 
 Each formula is written once, in `_first_reducer` (divisibility),
 `_lcms`, `_degree` and `_key`.  The divisibility test is inlined three
@@ -79,18 +78,15 @@ more times where a call per test would cost too much: twice in the
 update of `_buchberger` (the chain criterion on the pending pairs and
 the minimal lcms of the new pairs) and once in `acm` (does x4 divide a
 lead).
-A basis keeps its packed form once built, so repeated `normal_form`
-calls against it do not repack it.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import AmbientMismatchError, NotGroebnerError, StepBoundExceeded
+from .errors import AmbientMismatchError, DegreeLimitExceeded, NotGroebnerError, StepBoundExceeded
 from .monomials import EQUAL, GREATER, Monomial, MonomialOrder
 
 #: Default ceiling on reduction steps per normal-form computation.
@@ -192,17 +188,6 @@ class BinomialBasis:
     def sorted_elements(self) -> tuple[Binomial, ...]:
         return canonical(self.elements, self.order)
 
-    @cached_property
-    def _packed(self) -> tuple[Packing, tuple[int, ...], tuple[int, ...]]:
-        """The packing of the order and the packed leads and trails, built
-        on first use and kept with the basis (whose fields are frozen)."""
-        pk = Packing(self.order)
-        return (
-            pk,
-            tuple(pk.pack(b.lead) for b in self.elements),
-            tuple(pk.pack(b.trail) for b in self.elements),
-        )
-
     def to_json(self) -> dict:
         return {
             "order": self.order.to_json(),
@@ -277,7 +262,7 @@ class Packing:
 
 def _check_degree(d: int) -> None:
     if d > MAX_DEGREE:
-        raise OverflowError(f"monomial degree {d} exceeds the packed limit {MAX_DEGREE}")
+        raise DegreeLimitExceeded(f"monomial degree {d} exceeds the packed limit {MAX_DEGREE}")
 
 
 def _degree(p: int) -> int:
@@ -369,20 +354,6 @@ def _normal_form(
         if trail == lead:
             return None
     return lead, trail
-
-
-def normal_form(f: Binomial, basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> Optional[Binomial]:
-    """Deterministic normal form of f against the basis; None means zero.
-
-    The basis is packed on the first call and the packed form is kept
-    with it, so further calls against the same basis pack only f.
-    """
-    if f.nvars != basis.order.nvars:
-        raise AmbientMismatchError("binomial and basis live in different rings")
-    f = f.oriented(basis.order)
-    pk, leads, trails = basis._packed
-    h = _normal_form(pk.pack(f.lead), pk.pack(f.trail), leads, trails, pk, step_bound)
-    return None if h is None else pk.binomial(*h)
 
 
 def buchberger(
@@ -531,29 +502,10 @@ def _buchberger(
     return pk, leads, trails
 
 
-def _minimal(basis: BinomialBasis, step_bound: int) -> tuple[Packing, list[int], list[int]]:
-    """The packing and the packed leads and trails of the elements whose
-    lead no other lead divides (one per lead), in canonical order.
-    Raises NotGroebnerError unless `basis` is a Groebner basis."""
-    if not basis.is_groebner_verified:
-        cert = is_groebner(basis, step_bound=step_bound)
-        if not cert.ok:
-            raise NotGroebnerError(
-                f"input is not a Groebner basis; {len(cert.failures)} failing pair(s)"
-            )
-    pk, packed_leads, packed_trails = basis._packed
-    guards, shift = pk.guards, pk.shift
-    leads: list[int] = []
-    trails: list[int] = []
-    # ascending leads, so any divisor of a lead is already kept
-    by_key = sorted(
-        zip(packed_leads, packed_trails), key=lambda p: (_key(p[0], shift), _key(p[1], shift))
-    )
-    for lead, trail in by_key:
-        if _first_reducer(lead, leads, guards) < 0:
-            leads.append(lead)
-            trails.append(trail)
-    return pk, leads, trails
+def _pack(basis: BinomialBasis) -> tuple[Packing, list[int], list[int]]:
+    """The packing of the basis order and the packed leads and trails."""
+    pk = Packing(basis.order)
+    return pk, [pk.pack(b.lead) for b in basis], [pk.pack(b.trail) for b in basis]
 
 
 def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> BinomialBasis:
@@ -561,10 +513,29 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
 
     Elements with redundant leads are dropped, the survivors are
     tail-reduced against each other, and the result is sorted canonically
-    by lead.  Raises NotGroebnerError when the input is not a Groebner
-    basis (checked unless already flagged verified).
+    by lead; its leads are the minimal generators of the initial ideal
+    (Cox-Little-O'Shea, §2.7).  Raises NotGroebnerError when the input is
+    not a Groebner basis (checked unless already flagged verified).
     """
-    pk, leads, trails = _minimal(basis, step_bound)
+    if not basis.is_groebner_verified:
+        cert = is_groebner(basis, step_bound=step_bound)
+        if not cert.ok:
+            raise NotGroebnerError(
+                f"input is not a Groebner basis; {len(cert.failures)} failing pair(s)"
+            )
+    pk, packed_leads, packed_trails = _pack(basis)
+    guards, shift = pk.guards, pk.shift
+    # Keep the elements whose lead no other lead divides, one per lead:
+    # by ascending leads, any divisor of a lead is already kept.
+    leads: list[int] = []
+    trails: list[int] = []
+    by_key = sorted(
+        zip(packed_leads, packed_trails), key=lambda p: (_key(p[0], shift), _key(p[1], shift))
+    )
+    for lead, trail in by_key:
+        if _first_reducer(lead, leads, guards) < 0:
+            leads.append(lead)
+            trails.append(trail)
     # Tail reduction against the other kept elements.  An element's own
     # lead never divides its trail, which stays below it, so the first
     # reducer among all kept leads is the first among the others.  The
@@ -572,7 +543,7 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
     out: list[Binomial] = []
     for lead, t in zip(leads, trails):
         steps = 0
-        while (k := _first_reducer(t, leads, pk.guards)) >= 0:
+        while (k := _first_reducer(t, leads, guards)) >= 0:
             t = t - leads[k] + trails[k]
             steps += 1
             if steps > step_bound:
@@ -589,7 +560,7 @@ def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> G
     pair shortcuts, so the certificate is a direct witness: it lists every
     failing pair together with its irreducible remainder.
     """
-    pk, leads, trails = basis._packed
+    pk, leads, trails = _pack(basis)
     failures: list[tuple[int, int, Binomial]] = []
     for i in range(len(leads)):
         for j, lcm in enumerate(_lcms(leads[i + 1:], leads[i], pk.guards), i + 1):
@@ -613,12 +584,3 @@ def is_interreduced(elements: Sequence[Binomial]) -> bool:
                 return False
     return True
 
-
-def initial_generators(basis: BinomialBasis) -> tuple[Monomial, ...]:
-    """Minimal monomial generators of the initial ideal, in canonical
-    order: the leads of any Groebner basis that no other lead divides,
-    which are the leads of the reduced basis (Cox-Little-O'Shea, §2.7).
-    Raises NotGroebnerError when the input is not a Groebner basis
-    (checked unless already flagged verified)."""
-    pk, leads, _ = _minimal(basis, DEFAULT_STEP_BOUND)
-    return tuple(pk.unpack(p) for p in leads)

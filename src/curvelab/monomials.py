@@ -55,29 +55,14 @@ class Monomial:
     def nvars(self) -> int:
         return len(self.exponents)
 
-    @property
-    def var_ids(self) -> tuple[int, ...]:
-        return _VAR_IDS[self.nvars]
-
     def degree(self) -> int:
         return sum(self.exponents)
-
-    def exponent(self, var_id: int) -> int:
-        """Exponent of the variable with the given id."""
-        ids = self.var_ids
-        if var_id not in ids:
-            raise ValueError(f"variable id {var_id} not in ambient ring of size {self.nvars}")
-        return self.exponents[ids.index(var_id)]
 
     def _same_ring(self, other: "Monomial") -> None:
         if self.nvars != other.nvars:
             raise AmbientMismatchError(
                 f"ambient rings differ: {self.nvars} vs {other.nvars} variables"
             )
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        self._same_ring(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def divides(self, other: "Monomial") -> bool:
         """True iff every exponent of self is <= the matching one of other."""
@@ -99,7 +84,7 @@ class Monomial:
 
     def __str__(self) -> str:
         parts = []
-        for vid, e in zip(self.var_ids, self.exponents):
+        for vid, e in zip(_VAR_IDS[self.nvars], self.exponents):
             if e == 1:
                 parts.append(f"x{vid}")
             elif e > 1:
@@ -130,10 +115,8 @@ class MonomialOrder:
     `curvelab.groebner` orders monomials itself, `compare` runs only at
     its boundary (about 14 calls per small-members benchmark call, 10 per
     long-basis call; traced, seed 7).  Derived from `key` it takes
-    2.5-2.9 us a call against 0.7-0.9 us (timeit, CPython 3.11, x86-64);
-    at the 20 calls a small-members call made when the verdict still
-    unpacked its whole basis, that was some 4-5% of the call.  The tests
-    check that the two agree.
+    2.5-2.9 us a call against 0.7-0.9 us (timeit, CPython 3.11, x86-64).
+    The tests check that the two agree.
     """
 
     priority: tuple[int, ...]

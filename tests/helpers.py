@@ -1,7 +1,8 @@
 """Shared test utilities: monomial builders, an independent comparison
 oracle, toric membership and dehomogenization oracles, a brute-force
-recovery oracle, a tuple-based normal-form oracle, an all-pairs
-Buchberger oracle, and a seeded generator of valid parameter sets."""
+recovery oracle, the packed normal form on binomials with its tuple-based
+oracle, an all-pairs Buchberger oracle, and a seeded generator of valid
+parameter sets."""
 
 import heapq
 from random import Random
@@ -29,6 +30,12 @@ def m4(e1=0, e2=0, e3=0, e4=0) -> Monomial:
 
 def m5(e0=0, e1=0, e2=0, e3=0, e4=0) -> Monomial:
     return Monomial((e0, e1, e2, e3, e4))
+
+
+def times(a: Monomial, b: Monomial) -> Monomial:
+    """The product a*b: exponents add."""
+    assert a.nvars == b.nvars
+    return Monomial(tuple(x + y for x, y in zip(a.exponents, b.exponents)))
 
 
 def bino(lead: Monomial, trail: Monomial) -> Binomial:
@@ -63,9 +70,11 @@ def oracle_compare(ma: Monomial, mb: Monomial, priority) -> int:
     da, db = sum(ma.exponents), sum(mb.exponents)
     if da != db:
         return 1 if da > db else -1
+    ids = list(range(5 - ma.nvars, 5))  # x1..x4, or x0..x4
     last = 0
     for vid in priority:
-        diff = ma.exponent(vid) - mb.exponent(vid)
+        i = ids.index(vid)
+        diff = ma.exponents[i] - mb.exponents[i]
         if diff != 0:
             last = diff
     if last == 0:
@@ -243,8 +252,18 @@ def _first_reducer(m: Monomial, elements):
     return None
 
 
+def normal_form(f: Binomial, basis: BinomialBasis, step_bound: int = groebner.DEFAULT_STEP_BOUND):
+    """`groebner._normal_form` on binomials: f, oriented under the basis
+    order, and the basis are packed, and the normal form is unpacked;
+    None means zero."""
+    f = f.oriented(basis.order)
+    pk, leads, trails = groebner._pack(basis)
+    h = groebner._normal_form(pk.pack(f.lead), pk.pack(f.trail), leads, trails, pk, step_bound)
+    return None if h is None else pk.binomial(*h)
+
+
 def tuple_normal_form(f: Binomial, elements, order, step_bound: int = groebner.DEFAULT_STEP_BOUND):
-    """Reference oracle for `groebner.normal_form`: the same strategy
+    """Reference oracle for `groebner._normal_form`: the same strategy
     (smallest-index reducer, lead before trail, the same step count and
     StepBoundExceeded text) on exponent tuples, through `Binomial.rewrite`
     and `MonomialOrder.compare`.  `f` must be oriented under `order`."""
@@ -278,9 +297,10 @@ def tuple_normal_form(f: Binomial, elements, order, step_bound: int = groebner.D
 
 def plain_buchberger(gens, order, step_bound: int = groebner.DEFAULT_STEP_BOUND) -> BinomialBasis:
     """Reference oracle for `buchberger`: every pair with non-coprime
-    leads is normal-formed, in the same selection order, with no chain
-    criterion, on exponent tuples through `s_binomial` and
-    `tuple_normal_form`."""
+    leads is normal-formed, smallest lcm first, with no chain criterion,
+    on exponent tuples through `s_binomial` and `tuple_normal_form`.  The
+    basis it returns may differ from `buchberger`'s; only the reduced
+    bases agree."""
     basis = [g.oriented(order) for g in gens]
     heap = []
 

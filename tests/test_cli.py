@@ -299,6 +299,11 @@ class TestUsage:
         rc, _ = run_cli("recover", "--a", "19,29,26,43", "--no-such-option", "64")
         assert rc == 1
 
+    def test_negative_step_bound(self, capsys):
+        rc, out = run_cli("analyze", "--a", "8,5,7,9", "--m", "0", "--step-bound", "-5")
+        assert rc == 1 and out == ""
+        assert capsys.readouterr().err == "usage error: --step-bound must be non-negative, got -5\n"
+
     def test_malformed_vector(self):
         rc, _ = run_cli("analyze", "--a", "8,5,7", "--m", "0")
         assert rc == 1
@@ -372,6 +377,23 @@ class TestExitCodeContract:
             err = proc.stderr.read()
         assert proc.returncode == -signal.SIGPIPE and err == b""
 
+    def test_degree_past_the_packed_limit_maps_to_2(self, capsys):
+        # the Buchberger route packs each exponent into 63 bits; the closed
+        # form of `gb` packs nothing, so it still answers
+        m = "10000000000000000000"
+        for argv in (
+            ("analyze", "--a", "8,5,7,9", "--m", m),
+            ("analyze", "--a", "8,5,7,9", "--m", m, "--format", "json"),
+            ("family", "--a", "8,5,7,9", "--m-range", f"{m}..{m}"),
+        ):
+            rc, out = run_cli(*argv)
+            assert rc == 2 and out == "", argv
+            assert capsys.readouterr().err == (
+                "refused: monomial degree 10000000000000000002 exceeds the packed limit "
+                "9223372036854775807\n"
+            ), argv
+        assert run_cli("gb", "--a", "8,5,7,9", "--m", m)[0] == 0
+
     def test_step_bound_exhaustion_maps_to_2(self):
         rc, _ = run_cli("gb", "--a", "8,5,7,9", "--m", "0", "--oracle", "--step-bound", "1")
         assert rc == 2
@@ -429,6 +451,14 @@ class TestEnvOverrides:
         assert rc == 1 and out == ""
         assert capsys.readouterr().err == (
             "usage error: CURVELAB_STEP_BOUND: invalid int value: 'abc'\n"
+        )
+
+    def test_negative_step_bound_env_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("CURVELAB_STEP_BOUND", "-5")
+        rc, out = run_cli("analyze", "--a", "8,5,7,9", "--m", "0")
+        assert rc == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "usage error: CURVELAB_STEP_BOUND must be non-negative, got -5\n"
         )
 
     def test_malformed_format_env_is_a_usage_error(self, monkeypatch, capsys):
