@@ -342,34 +342,90 @@ def _validated_vector(a: Iterable[int]) -> Vec4:
 _ROWS = ((0, 2, 3), (1, 0, 2), (2, 1, 3), (3, 0, 1))
 
 
+def _least_hit(a: int, m: int, lo: int, hi: int) -> Optional[int]:
+    """The least d >= 0 with lo <= (a*d mod m) <= hi, for 0 <= lo <= hi < m;
+    None when a*d mod m never lands there.
+
+    If a multiple of a lies in [lo, hi] the first one answers.  Otherwise
+    a*d - m*q lands in [lo, hi] exactly when m*q mod a lies in
+    [-hi mod a, -lo mod a], so the least such q solves the same problem
+    for (m mod a, a), as in Euclid's algorithm, and d is the least d with
+    a*d >= lo + m*q.  The reduction runs in a loop, not by recursion, so
+    the depth of the Euclidean chain is not limited by the stack.
+    """
+    lifts = []
+    while True:
+        a %= m
+        if lo == 0:
+            d = 0
+            break
+        if a == 0:
+            return None
+        d = -(-lo // a)
+        if a * d <= hi:
+            break
+        lifts.append((a, m, lo))
+        a, m, lo, hi = m % a, a, -hi % a, -lo % a
+    for a, m, lo in reversed(lifts):
+        d = -(-(lo + m * d) // a)
+    return d
+
+
 def _least_representations(a: Vec4, i: int, j: int, k: int) -> Optional[tuple[int, list]]:
     """The least c with c*a_i = x*a_j + y*a_k for some x, y >= 1, with
-    every such (x, y) at that c; None when there is none up to the bound.
+    every such (x, y) at that c; None when that c exceeds the bound.
 
     For a vector of the parameter form, d_i is the least c with c*a_i in
     the semigroup of the other three degrees (Herzog 1970, Bresinsky
     1975).  At c = a_j / gcd(a_i, a_j) the product c*a_i is a multiple
-    of a_j, so d_i never exceeds the smaller of these over j and k; the
-    search stops there.  For each c, x is fixed modulo a_k / gcd(a_j, a_k)
-    by a modular inverse.
+    of a_j, so d_i never exceeds the smaller of these over j and k; a
+    larger least c means the row has no solution.
+
+    The least c minimises x*a_j + y*a_k over x, y >= 1 with a_i dividing
+    it.  With g = gcd(a_k, a_i), divisibility by g forces x = s*t with
+    s = g / gcd(g, a_j) and t >= 1, and then divisibility by M = a_i / g
+    fixes y modulo M: the least y is z(t) + 1 with
+    z(t) = (-gamma*t - 1) mod M, gamma = (s*a_j/g) * (a_k/g)^-1 mod M.
+    The objective s*t*a_j + (z(t) + 1)*a_k grows with t for a fixed z, so
+    the optimum sits at a strict prefix minimum (a record) of z.  From a
+    record (t, z) the next one is t + d for the least d >= 1 with
+    delta = gamma*d mod M in [1, z], where z falls by delta.  While z
+    stays >= delta the same d is still the least such step, so it repeats
+    floor(z / delta) times; the objective is linear along that run, and
+    only its far end needs scoring.  Then z < delta, so delta falls from
+    run to run; the runs follow the continued fraction of gamma / M
+    (the three-distance theorem, Sós 1958), so there are O(log M) of
+    them, each found by `_least_hit` in O(log M) steps.  At the least c,
+    x is fixed modulo a_k / gcd(a_j, a_k) by a modular inverse, which
+    lists every representation.
     """
     ai, aj, ak = a[i], a[j], a[k]
-    g = math.gcd(aj, ak)
-    step = ak // g
-    inv = pow(aj // g, -1, step)
-    bound = min(aj // math.gcd(ai, aj), ak // math.gcd(ai, ak))
-    for c in range(-(-(aj + ak) // ai), bound + 1):
-        t = c * ai
-        if t % g:
-            continue
-        x = (t // g) * inv % step or step
-        reps = []
-        while t - x * aj >= ak:
-            reps.append((x, (t - x * aj) // ak))
-            x += step
-        if reps:
-            return c, reps
-    return None
+    g = math.gcd(ak, ai)
+    gj = math.gcd(g, aj)
+    sx = g // gj * aj  # the weight of one step of t: s*a_j
+    big_m = ai // g
+    gamma = aj // gj * pow(ak // g, -1, big_m) % big_m
+    t, z = 1, (-gamma - 1) % big_m
+    best = sx + (z + 1) * ak
+    while z:
+        d = _least_hit(gamma, big_m, 1, z)
+        if d is None:
+            break
+        delta = gamma * d % big_m
+        t += z // delta * d
+        z %= delta
+        best = min(best, t * sx + (z + 1) * ak)
+    c = best // ai
+    if c > min(aj // math.gcd(ai, aj), ak // math.gcd(ai, ak)):
+        return None
+    h = math.gcd(aj, ak)
+    step = ak // h
+    x = (best // h) * pow(aj // h, -1, step) % step or step
+    reps = []
+    while best - x * aj >= ak:
+        reps.append((x, (best - x * aj) // ak))
+        x += step
+    return c, reps
 
 
 def _solve_parameters(a: Vec4) -> list[BresinskyData]:

@@ -1,10 +1,11 @@
 """Shared test utilities: monomial builders, an independent comparison
 oracle, toric membership and dehomogenization oracles, a brute-force
-recovery oracle, the packed normal form on binomials with its tuple-based
-oracle, an all-pairs Buchberger oracle, and a seeded generator of valid
-parameter sets."""
+recovery oracle, a linear-walk oracle for one row of recovery, the packed
+normal form on binomials with its tuple-based oracle, an all-pairs
+Buchberger oracle, and a seeded generator of valid parameter sets."""
 
 import heapq
+import math
 from random import Random
 
 from curvelab import (
@@ -238,6 +239,32 @@ def brute_force_parameters(a, cap: int) -> list:
                             if a_from_d(data) == a:
                                 sols.append(data)
     return sols
+
+
+def least_representations_by_walk(a, i, j, k):
+    """Reference oracle for `bresinsky._least_representations`: walk c
+    upward from ceil((a_j + a_k) / a_i) to the bound
+    min(a_j / gcd(a_i, a_j), a_k / gcd(a_i, a_k)) and return the first c
+    with c*a_i = x*a_j + y*a_k for some x, y >= 1, with every such (x, y);
+    None when the walk reaches the bound.  For each c, x is fixed modulo
+    a_k / gcd(a_j, a_k) by a modular inverse.  Linear in the degrees."""
+    ai, aj, ak = a[i], a[j], a[k]
+    g = math.gcd(aj, ak)
+    step = ak // g
+    inv = pow(aj // g, -1, step)
+    bound = min(aj // math.gcd(ai, aj), ak // math.gcd(ai, ak))
+    for c in range(-(-(aj + ak) // ai), bound + 1):
+        t = c * ai
+        if t % g:
+            continue
+        x = (t // g) * inv % step or step
+        reps = []
+        while t - x * aj >= ak:
+            reps.append((x, (t - x * aj) // ak))
+            x += step
+        if reps:
+            return c, reps
+    return None
 
 
 def _first_reducer(m: Monomial, elements):

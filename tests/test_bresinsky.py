@@ -11,6 +11,7 @@ from curvelab import (
     BresinskyData,
     RefusalError,
     a_from_d,
+    analyze_member,
     case_conditions,
     closed_form_basis,
     compute_w,
@@ -24,9 +25,23 @@ from curvelab import (
     reduce_basis,
     shift_vector,
 )
-from curvelab.bresinsky import SKIP_GCD, SKIP_MAX, degree_refusal
+from curvelab.bresinsky import (
+    _ROWS,
+    SKIP_GCD,
+    SKIP_MAX,
+    _least_hit,
+    _least_representations,
+    degree_refusal,
+)
 from conftest import even_family_data, family_data
-from helpers import brute_force_parameters, m4, pair_set, random_valid_data, toric_membership
+from helpers import (
+    brute_force_parameters,
+    least_representations_by_walk,
+    m4,
+    pair_set,
+    random_valid_data,
+    toric_membership,
+)
 
 
 class TestData:
@@ -334,22 +349,66 @@ class TestRecovery:
         assert found >= 10  # the corpus is not vacuous
 
     def test_large_vector_not_of_this_form_stops_at_the_bound(self):
-        # unbounded, row 1 would accept c = 100006 (2c = a3 + a4); the
-        # bound a3 / gcd(a1, a3) = 100005 ends it first
-        vec = (2, 100003, 100005, 100007)
-        start = time.perf_counter()
-        assert d_from_a(vec) is None
-        assert d_from_a_any_order(vec) == []
-        assert time.perf_counter() - start < 1.0
+        # unbounded, row 1 would accept c = n + 6 (2c = a3 + a4); the
+        # bound a3 / gcd(a1, a3) = n + 5 rejects it
+        for n in (100000, 10**12):
+            vec = (2, n + 3, n + 5, n + 7)
+            start = time.perf_counter()
+            assert d_from_a(vec) is None
+            assert d_from_a_any_order(vec) == []
+            assert time.perf_counter() - start < 1.0
 
     def test_recovery_is_cap_free(self, basic_data):
         # every coprime member from m=8 on has its maximum in x2
-        for m in (60, 200, 1002):
+        for m in (60, 200, 1002, 1_000_002):
             deg = member_degrees(basic_data, m)
             assert degree_refusal(deg) == SKIP_MAX
             [(perm, data)] = d_from_a_any_order(deg)
             assert a_from_d(data) == tuple(deg[i] for i in perm)
             assert max(data.d1, data.d2, data.d3, data.d4) > 64
+
+    def test_far_member_is_analyzed(self, basic_data):
+        # a linear walk over c would take about 10^12 steps per row here
+        m = 10**12 + 2
+        start = time.perf_counter()
+        report = analyze_member(basic_data, m)
+        assert time.perf_counter() - start < 1.0
+        assert report.applicable and report.reordered
+        assert report.case == 1
+        assert report.verdict_criterion is False and report.verdict_groebner is False
+        [(perm, data)] = d_from_a_any_order(report.degrees)
+        assert tuple(report.degrees[i] for i in perm) == report.permuted_degrees
+        assert (data.d32, data.d23) == (m + 3, m + 1)
+
+
+class TestLeastRepresentations:
+    def test_matches_the_linear_walk(self):
+        rng = Random(17)
+        rows = 0
+        none = 0
+        for hi, count in ((10, 4000), (30, 4000), (100, 4000), (1000, 2000), (10**5, 300)):
+            for _ in range(count):
+                a = tuple(rng.randint(1, hi) for _ in range(4))
+                for row in (rng.choice(_ROWS), tuple(rng.sample(range(4), 3))):
+                    expected = least_representations_by_walk(a, *row)
+                    assert _least_representations(a, *row) == expected, (a, row)
+                    rows += 1
+                    none += expected is None
+        assert 0 < none < rows  # both outcomes are exercised
+
+    def test_least_hit_matches_a_scan(self):
+        for m in range(1, 31):
+            for a in range(m + 1):  # a = m is a = 0 again
+                first = {}
+                for d in range(m):
+                    first.setdefault(a * d % m, d)
+                for lo in range(m):
+                    best = None
+                    for hi in range(lo, m):
+                        d = first.get(hi)
+                        if d is not None and (best is None or d < best):
+                            best = d
+                        assert _least_hit(a, m, lo, hi) == best, (a, m, lo, hi)
 
 
 class TestMemberDegrees:
