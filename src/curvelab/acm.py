@@ -12,7 +12,6 @@ failure and aborts with a diagnostic dump.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -44,6 +43,7 @@ from .groebner import (
     canonical,
 )
 from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial
+from .render import to_canonical_json
 
 SKIP_STEP_BOUND = "step bound exceeded"
 
@@ -305,7 +305,7 @@ def _agreement_checked(
         }
     except StepBoundExceeded:
         rebuilt = {"x4_leads": None, "groebner_basis": None, "not_rebuilt": SKIP_STEP_BOUND}
-    dump = json.dumps({"report": report.to_dict(), **rebuilt}, indent=2)
+    dump = to_canonical_json({"report": report.to_dict(), **rebuilt})
     raise DisagreementError(
         f"verdicts disagree at m={report.m}: criterion={report.verdict_criterion} "
         f"groebner={report.verdict_groebner}",

@@ -9,7 +9,6 @@ I/O is exact integers; JSON output round-trips byte-identically.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import sys
@@ -38,6 +37,7 @@ from .errors import (
 )
 from .groebner import DEFAULT_STEP_BOUND, BinomialBasis, buchberger, reduce_basis
 from .monomials import AFFINE_ORDER
+from .render import to_canonical_json
 
 ENV_PREFIX = "CURVELAB_"
 
@@ -228,12 +228,6 @@ def _member_input(args: argparse.Namespace) -> BresinskyData:
     if args.m < 0:
         raise UsageError(f"--m must be non-negative, got {args.m}")
     return data
-
-
-def to_canonical_json(obj) -> str:
-    """The one JSON rendering used everywhere, so that output parsed with
-    json.loads re-serializes byte-identically."""
-    return json.dumps(obj, indent=2)
 
 
 _ROW_HEADER = (

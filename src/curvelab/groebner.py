@@ -83,6 +83,7 @@ lead).
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -425,7 +426,7 @@ def _buchberger(
     pk = Packing(order)
     guards, shift = pk.guards, pk.shift
     # the weight of each field, bottom field first; without weights every
-    # entry weighs 0 and only the tie-break orders them
+    # entry weighs 0 (no `_weight` call) and only the tie-break orders them
     fields = () if degrees is None else tuple(degrees[k] for k in reversed(order.scan))
     # the packed lead and trail of each generator
     queued = [(pk.pack(g.lead), pk.pack(g.trail)) for g in (b.oriented(order) for b in gens)]
@@ -434,7 +435,9 @@ def _buchberger(
     # (weight, key, i, j): pair (i, j) with the key of its lcm, or generator
     # i with key 0 and j = -1, which pops before the pairs of its weight;
     # a sorted list is a heap
-    heap = sorted((_weight(lead, fields), 0, k, -1) for k, (lead, _) in enumerate(queued))
+    heap = sorted(
+        (_weight(lead, fields) if fields else 0, 0, k, -1) for k, (lead, _) in enumerate(queued)
+    )
     leads: list[int] = []
     trails: list[int] = []
     live: list[int] = []  # indices that still form new pairs
@@ -473,7 +476,8 @@ def _buchberger(
                 i, coprime = candidates[lcm]
                 if not coprime:  # coprime leads: S-binomial reduces to zero
                     pending[(i, t)] = lcm
-                    heapq.heappush(heap, (_weight(lcm, fields), _key(lcm, shift), i, t))
+                    w = _weight(lcm, fields) if fields else 0
+                    heapq.heappush(heap, (w, _key(lcm, shift), i, t))
         live[:] = [i for i in live if lcms[i] != leads[i]]
         live.append(t)
         leads.append(lt)
@@ -577,10 +581,24 @@ def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> G
 def is_interreduced(elements: Sequence[Binomial]) -> bool:
     """True when no lead divides the lead of another element or any
     trail: a Groebner basis with this property, sorted canonically, is
-    the reduced one."""
-    for k, f in enumerate(elements):
-        for idx, g in enumerate(elements):
-            if (idx != k and f.lead.divides(g.lead)) or f.lead.divides(g.trail):
+    the reduced one.  Elements from rings of different sizes raise
+    AmbientMismatchError.
+
+    The test runs on plain exponent tuples, not packed ints, so it holds
+    for any exponent size."""
+    leads = [b.lead.exponents for b in elements]
+    trails = [b.trail.exponents for b in elements]
+    sizes = {len(e) for e in leads}
+    if len(sizes) > 1:
+        raise AmbientMismatchError(f"ambient rings differ: {min(sizes)} vs {max(sizes)} variables")
+    le = operator.le
+    for k, lead in enumerate(leads):
+        # lead divides e exactly when each exponent of lead is <= e's
+        for idx, e in enumerate(leads):
+            if idx != k and all(map(le, lead, e)):
+                return False
+        for e in trails:
+            if all(map(le, lead, e)):
                 return False
     return True
 

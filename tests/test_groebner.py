@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from curvelab import (
     AFFINE_ORDER,
     PROJECTIVE_ORDER,
+    AmbientMismatchError,
     Binomial,
     BinomialBasis,
     BresinskyData,
@@ -27,6 +28,7 @@ from curvelab.groebner import MAX_DEGREE, Packing, is_interreduced
 from helpers import (
     bino,
     m4,
+    m5,
     normal_form,
     pair_set,
     plain_buchberger,
@@ -428,6 +430,15 @@ class TestPairCriteria:
             fast = self._calls(monkeypatch, "_s_pair", lambda: buchberger(gens, AFFINE_ORDER))
             assert fast == expected, (data, m)
 
+    def test_only_weighted_runs_weigh_their_entries(self, monkeypatch):
+        # without degrees every heap entry weighs 0 and `_weight` is not called
+        data, m = self.LONG
+        gens = generators(data, m)
+        assert self._calls(monkeypatch, "_weight", lambda: buchberger(gens, AFFINE_ORDER)) == 0
+        weighted = self._calls(monkeypatch, "_weight", lambda: groebner._buchberger(
+            gens, AFFINE_ORDER, groebner.DEFAULT_STEP_BOUND, member_degrees(data, m)))
+        assert weighted > len(gens)
+
     def test_criterion_skips_pairs(self, monkeypatch, basic_data):
         # `buchberger` forms its S-pairs packed, in `_s_pair`; the oracle
         # forms them on tuples, through `s_binomial`
@@ -502,6 +513,36 @@ class TestIsInterreduced:
 
     def test_lead_dividing_a_lead_fails(self):
         assert not is_interreduced((bino(m4(2), m4(0, 0, 1)), bino(m4(3), m4(0, 1, 1))))
+
+    def test_duplicate_element_fails(self):
+        f = bino(m4(2), m4(0, 0, 1))
+        assert not is_interreduced((f, f))
+
+    def test_exponents_past_the_packed_limit(self):
+        big = MAX_DEGREE + 1
+        assert is_interreduced((bino(m4(big), m4(0, 0, 1)), bino(m4(0, big), m4(0, 0, 0, 1))))
+        assert not is_interreduced((bino(m4(big), m4(0, 0, 1)), bino(m4(big + 1), m4(0, 1, 1))))
+
+    def test_mixed_rings_raise(self):
+        g = Binomial.from_pair(m5(0, 0, 3), m5(1, 0, 0, 1), PROJECTIVE_ORDER)
+        with pytest.raises(AmbientMismatchError):
+            is_interreduced((bino(m4(2), m4(0, 0, 1)), g))
+        # even when a lead of the same ring already divides another
+        with pytest.raises(AmbientMismatchError):
+            is_interreduced((bino(m4(2), m4(0, 0, 1)), bino(m4(3), m4(0, 1, 1)), g))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 4),
+                              st.tuples(*[st.integers(0, 2)] * 4)), max_size=5))
+    def test_matches_pairwise_divides(self, pairs):
+        elements = [Binomial.from_pair(Monomial(a), Monomial(b), AFFINE_ORDER) for a, b in pairs]
+        elements = [f for f in elements if f is not None]
+        expected = not any(
+            (idx != k and f.lead.divides(g.lead)) or f.lead.divides(g.trail)
+            for k, f in enumerate(elements)
+            for idx, g in enumerate(elements)
+        )
+        assert is_interreduced(elements) == expected
 
 
 def leads(basis: BinomialBasis) -> tuple[Monomial, ...]:
