@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from .bresinsky import (
     SKIP_FORM,
@@ -24,11 +24,11 @@ from .bresinsky import (
     ConditionValue,
     Vec4,
     _any_order_hits,
+    _generator_exponents,
     _validated_vector,
     case_conditions,
     closed_form_basis,
     degree_refusal,
-    generators,
     member_degrees,
 )
 from .errors import AmbientMismatchError, DisagreementError, RefusalError, StepBoundExceeded
@@ -36,6 +36,7 @@ from .groebner import (
     DEFAULT_STEP_BOUND,
     Binomial,
     BinomialBasis,
+    ExponentPair,
     Packing,
     _buchberger,
     _key,
@@ -49,7 +50,10 @@ SKIP_STEP_BOUND = "step bound exceeded"
 
 _AFFINE = Packing(AFFINE_ORDER)
 #: x4 packed under AFFINE_ORDER, the divisor the verdict tests leads against.
-_X4 = _AFFINE.pack(Monomial.from_powers({4: 1}))
+_X4 = _AFFINE.pack((0, 0, 0, 1))
+
+#: The generator forms the verdict accepts (see `groebner._buchberger`).
+_Generators = Iterable[Union[Binomial, ExponentPair]]
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ def acm_by_criterion(data: BresinskyData, m: int) -> CaseConditions:
 
 def acm_by_groebner(
     degrees: Iterable[int],
-    gens: Iterable[Binomial],
+    gens: _Generators,
     step_bound: int = DEFAULT_STEP_BOUND,
 ) -> GroebnerVerdict:
     """Decide Cohen-Macaulayness by the initial-ideal test.
@@ -133,9 +137,12 @@ def acm_by_groebner(
     reports) and returns ACM iff no minimal generator of the initial
     ideal is divisible by x4.
 
-    The generators must be homogeneous for the grading deg(x_i) = a_i by
-    `degrees`, as those of I(a) are; ValueError otherwise, after the
-    refusal checks.  The kernel then pops generators and pairs by
+    Each generator is a `Binomial` or an (lhs, rhs) pair of x1..x4
+    exponent tuples in either orientation, as `analyze_member` passes
+    them (`bresinsky._generator_exponents`); the kernel packs and orients
+    either form itself.  The generators must be homogeneous for the
+    grading deg(x_i) = a_i by `degrees`, as those of I(a) are; ValueError
+    otherwise, after the refusal checks.  The kernel then pops generators and pairs by
     ascending a-degree, and every lead is a minimal generator of the
     initial ideal from the moment it joins (see `groebner._buchberger`).
     So the run stops at the first lead that x4 divides, and that lead is
@@ -147,13 +154,14 @@ def acm_by_groebner(
 
 
 def x4_initial_generators(
-    degrees: Iterable[int], gens: Iterable[Binomial], step_bound: int = DEFAULT_STEP_BOUND
+    degrees: Iterable[int], gens: _Generators, step_bound: int = DEFAULT_STEP_BOUND
 ) -> tuple[Monomial, ...]:
     """Every minimal generator of the initial ideal of `gens` under the
     order of `acm_by_groebner` that x4 divides, in canonical order.  The
     verdict keeps one witness; this runs the same graded Buchberger to the
     end for the whole list, which `analyze`'s table and the disagreement
-    dump print.  It refuses and rejects what `acm_by_groebner` does."""
+    dump print.  It takes the generator forms that `acm_by_groebner`
+    takes, and refuses and rejects what it does."""
     pk, leads, _ = _graded(degrees, gens, step_bound)
     # every lead of a graded run is minimal; only the x4 leads are unpacked
     x4_leads = sorted(filter(_x4_divides, leads), key=lambda p: _key(p, pk.shift))
@@ -168,21 +176,17 @@ def _x4_divides(p: int) -> bool:
 
 def _graded(
     degrees: Iterable[int],
-    gens: Iterable[Binomial],
+    gens: _Generators,
     step_bound: int,
     stop: Optional[Callable[[int], bool]] = None,
 ) -> tuple[Packing, list[int], list[int]]:
     """`groebner._buchberger` under `AFFINE_ORDER`, weighed by `degrees`,
-    after the refusal checks; ValueError unless every generator is
-    homogeneous for them."""
+    after the refusal checks; the kernel raises ValueError unless every
+    generator is homogeneous for them."""
     vec = _validated_vector(degrees)
     reason = degree_refusal(vec)
     if reason is not None:
         raise RefusalError(reason, {"degrees": vec})
-    gens = tuple(gens)
-    for b in gens:
-        if b.lead.weight(vec) != b.trail.weight(vec):
-            raise ValueError(f"generator {b} is not homogeneous for the degrees {vec}")
     return _buchberger(gens, AFFINE_ORDER, step_bound, vec, stop)
 
 
@@ -277,7 +281,7 @@ def _skip(m: int, degrees: Vec4, reason: str) -> AcmReport:
 def _agreement_checked(
     report: AcmReport,
     degrees: Vec4,
-    gens: tuple[Binomial, ...],
+    gens: tuple[ExponentPair, ...],
     step_bound: int,
     x4: Optional[tuple[Monomial, ...]],
 ) -> AcmReport:
@@ -353,7 +357,8 @@ def _analyze(
 
     reordered = reason is not None
     crit = acm_by_criterion(target, tm)
-    gens = generators(target, tm)
+    # exponent pairs straight from the formulas: no Binomial is built
+    gens = _generator_exponents(target, tm)
     if full:
         x4 = x4_initial_generators(tdeg, gens, step_bound)
         acm = not x4

@@ -18,10 +18,10 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import AnomalyError, RefusalError
-from .groebner import Binomial, BinomialBasis, canonical, is_interreduced
+from .groebner import Binomial, BinomialBasis, ExponentPair, canonical, is_interreduced
 from .monomials import AFFINE_ORDER, Monomial
 
 SKIP_GCD = "gcd>1"
@@ -192,17 +192,21 @@ def generators(data: BresinskyData, m: int) -> tuple[Binomial, ...]:
     Only the first and fourth pick up the shift: their x1 and x4
     exponents each grow by m.
     """
+    return tuple(_oriented(lhs, rhs) for lhs, rhs in _generator_exponents(data, m))
+
+
+def _generator_exponents(data: BresinskyData, m: int) -> tuple[ExponentPair, ...]:
+    """The five generators of `generators` as unoriented (lhs, rhs) pairs
+    of x1..x4 exponent tuples: the one place their formulas are written,
+    read as they are by the Groebner verdict."""
     m = _shift_index(m)
     d = data
-    return tuple(
-        _oriented(lhs, rhs)
-        for lhs, rhs in (
-            ({1: d.d1 + m}, {3: d.d13, 4: d.d14 + m}),
-            ({2: d.d2}, {1: d.d21, 3: d.d23}),
-            ({3: d.d3}, {2: d.d32, 4: d.d34}),
-            ({1: d.d41 + m, 2: d.d42}, {4: d.d4 + m}),
-            ({2: d.d42, 3: d.d13}, {1: d.d21, 4: d.d34}),
-        )
+    return (
+        ((d.d1 + m, 0, 0, 0), (0, 0, d.d13, d.d14 + m)),
+        ((0, d.d2, 0, 0), (d.d21, 0, d.d23, 0)),
+        ((0, 0, d.d3, 0), (0, d.d32, 0, d.d34)),
+        ((d.d41 + m, d.d42, 0, 0), (0, 0, 0, d.d4 + m)),
+        ((0, d.d42, d.d13, 0), (d.d21, 0, 0, d.d34)),
     )
 
 
@@ -232,28 +236,28 @@ def extra_binomials(data: BresinskyData, m: int) -> tuple[Binomial, ...]:
     w = compute_w(data, m)
     p = tuple(
         _oriented(
-            {2: (i + 1) * d.d2 - d.d32, 3: d.d3 - (i + 1) * d.d23},
-            {1: (i + 1) * d.d21, 4: d.d34},
+            (0, (i + 1) * d.d2 - d.d32, d.d3 - (i + 1) * d.d23, 0),
+            ((i + 1) * d.d21, 0, 0, d.d34),
         )
         for i in range(1, w - 1)
     )
     q = tuple(
         _oriented(
-            {1: d.d1 + m - (i + 1) * d.d21, 2: (i + 1) * d.d2 - d.d32},
-            {3: i * d.d23, 4: d.d4 + m},
+            (d.d1 + m - (i + 1) * d.d21, (i + 1) * d.d2 - d.d32, 0, 0),
+            (0, 0, i * d.d23, d.d4 + m),
         )
         for i in range(1, w - 1)
     )
     if d.d1 + m - w * d.d21 > 0:
-        tail = {1: w * d.d21, 3: w * d.d23 - d.d3, 4: d.d34}
+        tail = (w * d.d21, 0, w * d.d23 - d.d3, d.d34)
     else:
-        tail = {1: w * d.d21 - d.d1 - m, 3: (w - 1) * d.d23, 4: d.d4 + m}
-    return p + q + (_oriented({2: w * d.d2 - d.d32}, tail),)
+        tail = (w * d.d21 - d.d1 - m, 0, (w - 1) * d.d23, d.d4 + m)
+    return p + q + (_oriented((0, w * d.d2 - d.d32, 0, 0), tail),)
 
 
-def _oriented(lhs: Mapping[int, int], rhs: Mapping[int, int]) -> Binomial:
-    """The binomial of two power maps, led by the larger side."""
-    b = Binomial.from_pair(Monomial.from_powers(lhs), Monomial.from_powers(rhs), AFFINE_ORDER)
+def _oriented(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> Binomial:
+    """The binomial of two x1..x4 exponent tuples, led by the larger side."""
+    b = Binomial.from_pair(Monomial(lhs), Monomial(rhs), AFFINE_ORDER)
     assert b is not None  # the two sides have disjoint supports
     return b
 

@@ -31,21 +31,29 @@ more (see `_buchberger`).  `acm.acm_by_groebner` uses this to stop at the
 first lead that x4 divides; `buchberger` passes no weights, so every
 entry weighs 0 and the generators join first, in input order.
 
-Packed monomials.  The Buchberger kernel `_buchberger` returns its basis
-as a packing and the packed leads and trails, and `buchberger`,
-`is_groebner` and `reduce_basis` work on packed exponent vectors too
-(Monagan-Pearce 2007, "Polynomial division using dynamic arrays, heaps,
-and packed exponent vectors"; Bachmann-Schoenemann 1998, "Monomial
-representations for Groebner bases computations").  `Monomial` and
-`Binomial` objects are built only where those functions take and return
-them.  `acm.acm_by_groebner` calls the kernel itself, weighted by the
-degree vector, and unpacks only the one lead that proves its verdict; it
-keeps no basis, and the disagreement dump rebuilds one with
-`buchberger`.  Under an order on n variables a monomial is one int P:
-each exponent sits in its own field of W = FIELD_BITS = 64 bits, the
-fields follow `MonomialOrder.scan` with the least-priority variable in
-the top field, and the top bit of every field is a guard bit that stays
-clear.  With G the mask of the guard bits:
+Packed monomials.  The Buchberger kernel `_buchberger` takes its
+generators as exponent-tuple pairs (or `Binomial`s, whose exponents it
+reads), packs and orients them itself, and returns its basis as a
+packing and the packed leads and trails; `buchberger`, `is_groebner` and
+`reduce_basis` work on packed exponent vectors too (Monagan-Pearce 2007,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors"; Bachmann-Schoenemann 1998, "Monomial representations for
+Groebner bases computations").  `Monomial` and `Binomial` objects are
+built only where a basis or a monomial is returned to be printed (the
+basis of `buchberger` or `reduce_basis`, the failures of `is_groebner`,
+the verdict's x4 leads) or a generator is named in an error.
+`acm.acm_by_groebner` gets the five generators as exponent tuples
+straight from the parameter formulas (`bresinsky._generator_exponents`),
+calls the kernel itself, weighted by the degree vector, and unpacks only
+the one lead that proves its verdict; it keeps no basis, and the
+disagreement dump rebuilds one with `buchberger` on the same pairs.
+
+Under an order on n variables a monomial is one int P: each exponent
+sits in its own field of W = FIELD_BITS = 64 bits, the fields follow
+`MonomialOrder.scan` with the least-priority variable in the top field,
+and the top bit of every field is a guard bit that stays clear.
+`Packing.pack` refuses a negative exponent, which would borrow from the
+field above.  With G the mask of the guard bits:
 
 - a divides b iff ((b | G) - a) & G == G: every field of b | G is at
   least 2**(W-1), so the subtraction borrows across no field, and a
@@ -85,7 +93,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import AmbientMismatchError, DegreeLimitExceeded, NotGroebnerError, StepBoundExceeded
 from .monomials import EQUAL, GREATER, Monomial, MonomialOrder
@@ -127,12 +135,6 @@ class Binomial:
     @property
     def nvars(self) -> int:
         return self.lead.nvars
-
-    def oriented(self, order: MonomialOrder) -> "Binomial":
-        """The same binomial re-oriented under a (possibly different) order."""
-        out = Binomial.from_pair(self.lead, self.trail, order)
-        assert out is not None
-        return out
 
     def rewrite(self, m: Monomial) -> Monomial:
         """One reduction step: m / lead * trail.  Caller guarantees lead | m."""
@@ -237,13 +239,17 @@ class Packing:
         self.guards = sum(1 << (k * FIELD_BITS + FIELD_BITS - 1) for k in range(order.nvars))
         self.shift = FIELD_BITS * order.nvars
 
-    def pack(self, m: Monomial) -> int:
-        """The packed form of m; raises OverflowError past MAX_DEGREE."""
-        e = m.exponents
+    def pack(self, e: Sequence[int]) -> int:
+        """The packed form of the monomial with exponent tuple e; raises
+        AmbientMismatchError on a tuple of another size, ValueError on a
+        negative exponent (which would borrow from the next field) and
+        OverflowError past MAX_DEGREE."""
         if len(e) != len(self.scan):
             raise AmbientMismatchError(
                 f"{len(e)}-variable monomial under a {len(self.scan)}-variable order"
             )
+        if min(e) < 0:
+            raise ValueError(f"negative exponent in {tuple(e)}")
         _check_degree(sum(e))
         p = 0
         for i in self.scan:  # least-priority variable first, so it lands on top
@@ -357,12 +363,24 @@ def _normal_form(
     return lead, trail
 
 
+#: A binomial as an (lhs, rhs) pair of exponent tuples, in either orientation.
+ExponentPair = tuple[Sequence[int], Sequence[int]]
+
+
+def _exponent_pairs(gens: Iterable[Union[Binomial, ExponentPair]]) -> list[ExponentPair]:
+    """Each generator, a `Binomial` or an exponent pair, as an exponent pair."""
+    return [
+        (g.lead.exponents, g.trail.exponents) if isinstance(g, Binomial) else g for g in gens
+    ]
+
+
 def buchberger(
-    gens: Iterable[Binomial],
+    gens: Iterable[Union[Binomial, ExponentPair]],
     order: MonomialOrder,
     step_bound: int = DEFAULT_STEP_BOUND,
 ) -> BinomialBasis:
-    """Groebner basis of the ideal generated by `gens` under `order`.
+    """Groebner basis of the ideal generated by `gens` (`Binomial`s or
+    exponent-tuple pairs, see `_buchberger`) under `order`.
 
     Buchberger's algorithm with the normal selection strategy (the pending
     pair whose lead-lcm is smallest in the order is processed first, with
@@ -388,7 +406,7 @@ def buchberger(
 
 
 def _buchberger(
-    gens: Iterable[Binomial],
+    gens: Iterable[Union[Binomial, ExponentPair]],
     order: MonomialOrder,
     step_bound: int,
     degrees: Optional[Sequence[int]] = None,
@@ -397,6 +415,12 @@ def _buchberger(
     """The packed kernel of `buchberger`: the packing of `order` and the
     packed leads and trails of the basis, in the order the elements
     joined it.
+
+    Each generator is an (lhs, rhs) pair of exponent tuples, in either
+    orientation, or a `Binomial`, read as the pair of its exponents.
+    Both sides are packed (`Packing.pack` checks the ambient size, the
+    signs and the degree) and oriented by packed key; a pair with equal
+    sides is a ValueError.
 
     Each generator waits on the pair heap, weighed by its lead, and joins
     when it pops: unchanged when no current lead divides its lead,
@@ -408,7 +432,8 @@ def _buchberger(
     (smallest lcm, then the pair's indices).  Every S-binomial and rewrite
     of a homogeneous binomial is homogeneous of the same weight, so each
     element weighs what its entry weighs, its pairs weigh at least as
-    much, and the popped weights never fall.  A lead that joins later thus
+    much, and the popped weights never fall.  A generator whose sides
+    weigh differently is a ValueError.  A lead that joins later thus
     weighs at least as much as every current lead, so it can neither
     strictly divide one (a strict divisor weighs less) nor equal one (no
     current lead divides it): every lead of a weighted run is a minimal
@@ -428,16 +453,30 @@ def _buchberger(
     # the weight of each field, bottom field first; without weights every
     # entry weighs 0 (no `_weight` call) and only the tie-break orders them
     fields = () if degrees is None else tuple(degrees[k] for k in reversed(order.scan))
-    # the packed lead and trail of each generator
-    queued = [(pk.pack(g.lead), pk.pack(g.trail)) for g in (b.oriented(order) for b in gens)]
+    # the packed lead and trail of each generator, and its heap entry
+    # (weight, key, i, j): pair (i, j) with the key of its lcm, or generator
+    # i with key 0 and j = -1, which pops before the pairs of its weight
+    queued: list[tuple[int, int]] = []
+    heap: list[tuple[int, int, int, int]] = []
+    for lhs, rhs in _exponent_pairs(gens):
+        lead, trail = pk.pack(lhs), pk.pack(rhs)
+        if lead == trail:
+            raise ValueError(f"zero generator: both sides are {tuple(lhs)}")
+        if _key(lead, shift) < _key(trail, shift):
+            lead, trail = trail, lead
+        w = 0
+        if fields:
+            w = _weight(lead, fields)
+            if _weight(trail, fields) != w:
+                raise ValueError(
+                    f"generator {pk.binomial(lead, trail)} is not homogeneous "
+                    f"for the degrees {tuple(degrees)}"
+                )
+        heap.append((w, 0, len(queued), -1))
+        queued.append((lead, trail))
     if not queued:
         raise ValueError("need at least one generator")
-    # (weight, key, i, j): pair (i, j) with the key of its lcm, or generator
-    # i with key 0 and j = -1, which pops before the pairs of its weight;
-    # a sorted list is a heap
-    heap = sorted(
-        (_weight(lead, fields) if fields else 0, 0, k, -1) for k, (lead, _) in enumerate(queued)
-    )
+    heap.sort()  # a sorted list is a heap
     leads: list[int] = []
     trails: list[int] = []
     live: list[int] = []  # indices that still form new pairs
@@ -509,7 +548,11 @@ def _buchberger(
 def _pack(basis: BinomialBasis) -> tuple[Packing, list[int], list[int]]:
     """The packing of the basis order and the packed leads and trails."""
     pk = Packing(basis.order)
-    return pk, [pk.pack(b.lead) for b in basis], [pk.pack(b.trail) for b in basis]
+    return (
+        pk,
+        [pk.pack(b.lead.exponents) for b in basis],
+        [pk.pack(b.trail.exponents) for b in basis],
+    )
 
 
 def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> BinomialBasis:

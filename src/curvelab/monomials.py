@@ -112,11 +112,12 @@ class MonomialOrder:
 
     `compare` (short-circuits on degree) and `key` (for sorting)
     implement the order twice on purpose.  Since the packed kernel of
-    `curvelab.groebner` orders monomials itself, `compare` runs only at
-    its boundary (about 14 calls per small-members benchmark call, 10 per
-    long-basis call; traced, seed 7).  Derived from `key` it takes
-    2.5-2.9 us a call against 0.7-0.9 us (timeit, CPython 3.11, x86-64).
-    The tests check that the two agree.
+    `curvelab.groebner` orders monomials itself, even its generators,
+    `compare` runs only where binomials and bases are built to be
+    printed (about 7 calls per small-members benchmark call, none per
+    long-basis call; traced, seed 7).  Derived from `key` it takes 2.5-2.9
+    us a call against 0.7-0.9 us (timeit, CPython 3.11, x86-64).  The
+    tests check that the two agree.
     """
 
     priority: tuple[int, ...]

@@ -45,6 +45,13 @@ def bino(lead: Monomial, trail: Monomial) -> Binomial:
     return b
 
 
+def oriented(b: Binomial, order) -> Binomial:
+    """The same binomial re-oriented under a (possibly different) order."""
+    out = Binomial.from_pair(b.lead, b.trail, order)
+    assert out is not None
+    return out
+
+
 def pair_set(binomials) -> set:
     """Orientation-insensitive view of a collection of binomials."""
     return {frozenset((b.lead.exponents, b.trail.exponents)) for b in binomials}
@@ -283,9 +290,10 @@ def normal_form(f: Binomial, basis: BinomialBasis, step_bound: int = groebner.DE
     """`groebner._normal_form` on binomials: f, oriented under the basis
     order, and the basis are packed, and the normal form is unpacked;
     None means zero."""
-    f = f.oriented(basis.order)
+    f = oriented(f, basis.order)
     pk, leads, trails = groebner._pack(basis)
-    h = groebner._normal_form(pk.pack(f.lead), pk.pack(f.trail), leads, trails, pk, step_bound)
+    lead, trail = pk.pack(f.lead.exponents), pk.pack(f.trail.exponents)
+    h = groebner._normal_form(lead, trail, leads, trails, pk, step_bound)
     return None if h is None else pk.binomial(*h)
 
 
@@ -328,7 +336,7 @@ def plain_buchberger(gens, order, step_bound: int = groebner.DEFAULT_STEP_BOUND)
     on exponent tuples through `s_binomial` and `tuple_normal_form`.  The
     basis it returns may differ from `buchberger`'s; only the reduced
     bases agree."""
-    basis = [g.oriented(order) for g in gens]
+    basis = [oriented(g, order) for g in gens]
     heap = []
 
     def push_pairs(j):

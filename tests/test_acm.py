@@ -39,7 +39,7 @@ from curvelab import (
     reduce_basis,
 )
 from curvelab.acm import homogenized, x4_initial_generators
-from curvelab.bresinsky import degree_refusal
+from curvelab.bresinsky import _any_order_hits, _generator_exponents, degree_refusal
 from curvelab.cli import main
 from curvelab.groebner import Packing
 import test_groebner
@@ -228,6 +228,87 @@ class TestGroebnerOracle:
         assert not verdict.acm and verdict.witness == m4(0, 0, 3, 41) and verdict.witness in full
         assert calls == {"pack": 2 * len(gens), "unpack": 1, "binomial": 0, "_normal_form": 43}
 
+    @staticmethod
+    def _reordered_basic_members(basic_data, count):
+        """The first `count` members of (19, 29, 26, 43) that `analyze`
+        reads in permuted coordinates, as (first recovery hit, 0)."""
+        members = []
+        for m in range(201):
+            deg = member_degrees(basic_data, m)
+            if degree_refusal(deg) == "max-coordinate fails" and deg.count(max(deg)) == 1:
+                hit = next(_any_order_hits(deg), None)
+                if hit is not None:
+                    members.append((hit[1], 0))
+        return members[:count]
+
+    def test_exponent_pairs_run_the_kernel_as_the_binomials_do(self, monkeypatch, basic_data):
+        # the verdict hands the kernel the formulas' unoriented exponent
+        # pairs; the oriented `generators` give the same packed basis with
+        # the same work, weighted and unweighted
+        calls = []
+        real_nf = groebner_mod._normal_form
+
+        def counting_nf(*args):
+            calls.append(1)
+            return real_nf(*args)
+
+        monkeypatch.setattr(groebner_mod, "_normal_form", counting_nf)
+        reordered = self._reordered_basic_members(basic_data, 6)
+        assert len(reordered) == 6
+        members = sample_applicable(seed=67, count=60) + [self.LONG_7] + reordered
+        total = 0
+        for data, m in members:
+            deg = member_degrees(data, m)
+            runs = []
+            for gens in (_generator_exponents(data, m), generators(data, m)):
+                for degrees in (deg, None):
+                    calls.clear()
+                    pk, leads, trails = groebner_mod._buchberger(
+                        gens, AFFINE_ORDER, groebner_mod.DEFAULT_STEP_BOUND, degrees
+                    )
+                    runs.append((leads, trails, len(calls)))
+            assert runs[:2] == runs[2:], (data, m)
+            total += runs[0][2]
+        assert total > 0  # the counter sees the kernel's normal forms
+
+    def test_json_path_builds_no_binomial(self, monkeypatch, basic_data, big_data):
+        # an agreeing member's report comes from the exponent pairs alone:
+        # `bresinsky.generators` is never called and no Binomial is built
+        members = ((basic_data, 0), (basic_data, 8), (big_data, 0), (family_data(2), 0))
+        expected = [analyze_member(data, m) for data, m in members]
+        assert all(r.applicable and r.agree for r in expected)
+        assert {r.reordered for r in expected} == {True, False}
+        assert {r.verdict_groebner for r in expected} == {True, False}
+        real = bresinsky_mod.generators
+
+        def boom(*args):
+            raise RuntimeError("generators called")
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "curvelab" and getattr(mod, "generators", None) is real:
+                monkeypatch.setattr(mod, "generators", boom)
+        built = []
+        real_post_init = Binomial.__post_init__
+
+        def counting(self):
+            built.append(1)
+            real_post_init(self)
+
+        monkeypatch.setattr(Binomial, "__post_init__", counting)
+        assert [analyze_member(data, m) for data, m in members] == expected
+        assert built == []
+        Binomial(m4(1), m4(0, 1))
+        assert built == [1]  # the counter sees a Binomial being built
+
+    def test_inhomogeneous_generator_is_named_in_either_form(self, basic_data):
+        vec = (8, 5, 7, 9)
+        gens = generators(basic_data, 0)
+        first = next(b for b in gens if b.lead.weight(vec) != b.trail.weight(vec))
+        for form in (gens, _generator_exponents(basic_data, 0)):
+            with pytest.raises(ValueError) as exc:
+                acm_by_groebner(vec, form)
+            assert str(exc.value) == f"generator {first} is not homogeneous for the degrees {vec}"
+
     def test_table_runs_buchberger_once(self, monkeypatch):
         # the table reads the verdict off its run to the end; the JSON form
         # stops at the witness
@@ -355,7 +436,7 @@ class TestCrossValidate:
         def refused(*args):
             raise RefusalError("injected")
 
-        monkeypatch.setattr(acm_mod, "generators", refused)
+        monkeypatch.setattr(acm_mod, "_generator_exponents", refused)
         with pytest.raises(RefusalError, match="injected"):
             cross_validate(basic_data, range(0, 3))
 

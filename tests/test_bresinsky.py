@@ -5,10 +5,12 @@ from random import Random
 
 import pytest
 
+import curvelab.bresinsky as bresinsky_mod
 from curvelab import (
     AnomalyError,
     Binomial,
     BresinskyData,
+    Monomial,
     RefusalError,
     a_from_d,
     analyze_member,
@@ -29,12 +31,14 @@ from curvelab.bresinsky import (
     _ROWS,
     SKIP_GCD,
     SKIP_MAX,
+    _generator_exponents,
     _least_hit,
     _least_representations,
     degree_refusal,
 )
 from conftest import even_family_data, family_data
 from helpers import (
+    bino,
     brute_force_parameters,
     least_representations_by_walk,
     m4,
@@ -137,6 +141,20 @@ class TestGenerators:
     def test_negative_shift_rejected(self, basic_data):
         with pytest.raises(ValueError):
             generators(basic_data, -1)
+        with pytest.raises(ValueError):
+            _generator_exponents(basic_data, -1)
+
+    def test_exponent_pairs_are_the_generators_unoriented(self):
+        # the verdict reads the pairs; `generators` orients the same pairs
+        rng = Random(37)
+        for _ in range(80):
+            data = random_valid_data(rng)
+            m = rng.randint(0, 9)
+            pairs = _generator_exponents(data, m)
+            gens = generators(data, m)
+            assert len(pairs) == len(gens) == 5
+            for (lhs, rhs), b in zip(pairs, gens):
+                assert b == bino(Monomial(lhs), Monomial(rhs)), (data, m)
 
 
 class TestToricMembership:
@@ -208,6 +226,12 @@ class TestExtraBinomials:
                 continue
             found += 1
             assert len(extra_binomials(data, m)) == 1
+
+    def test_negative_exponent_comes_from_the_monomial_constructor(self, monkeypatch, big_data):
+        # a w past the case assumptions drives d3 - (i+1)*d23 below zero
+        monkeypatch.setattr(bresinsky_mod, "compute_w", lambda data, m: 50)
+        with pytest.raises(ValueError, match="negative exponent"):
+            extra_binomials(big_data, 0)
 
     def test_membership_randomized(self):
         rng = Random(31)

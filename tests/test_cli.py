@@ -356,7 +356,7 @@ class TestExitCodeContract:
         def boom(*args, **kwargs):
             raise AmbientMismatchError("injected ring mix-up")
 
-        monkeypatch.setattr(acm_mod, "generators", boom)
+        monkeypatch.setattr(acm_mod, "_generator_exponents", boom)
         rc, out = run_cli("family", "--a", "8,5,7,9", "--m-range", "0..3")
         assert rc == 3
         assert out == ""

@@ -218,7 +218,7 @@ class TestPacking:
         guards, shift = pk.guards, pk.shift
         rng = random.Random(sum(order.priority) * 31 + order.nvars)
         monos = self._vectors(rng, order.nvars, 60)
-        packed = [pk.pack(a) for a in monos]
+        packed = [pk.pack(a.exponents) for a in monos]
         for a, pa in zip(monos, packed):
             assert pk.unpack(pa) == a
             assert groebner._degree(pa) == a.degree()
@@ -238,7 +238,7 @@ class TestPacking:
                 else:
                     assert groebner._degree(pl) == lcm.degree()
                     assert (pl == pa + pb) == (lcm == times(a, b))
-        by_key = sorted(monos, key=lambda m: groebner._key(pk.pack(m), shift))
+        by_key = sorted(monos, key=lambda m: groebner._key(pk.pack(m.exponents), shift))
         assert by_key == sorted(monos, key=order.key)
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
@@ -273,23 +273,35 @@ class TestPacking:
         pk = Packing(order)
         least = order.priority[-1]
         x = Monomial.from_powers({least: 1}, order.nvars)
-        assert pk.pack(x) == 1 << (pk.shift - groebner.FIELD_BITS)
+        assert pk.pack(x.exponents) == 1 << (pk.shift - groebner.FIELD_BITS)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
+    def test_pack_refuses_a_negative_exponent(self, order):
+        # no Monomial stands in front of the kernel: unchecked, a negative
+        # field would borrow from the field above it and pack silently to
+        # another monomial
+        pk = Packing(order)
+        for k in range(order.nvars):
+            e = [2] * order.nvars
+            e[k] = -1
+            with pytest.raises(ValueError, match="negative exponent"):
+                pk.pack(tuple(e))
 
     def test_overflow_guard_raises_at_the_limit(self):
         for order in ORDERS:
             pk = Packing(order)
             n = order.nvars
             top = Monomial((MAX_DEGREE,) + (0,) * (n - 1))
-            assert groebner._degree(pk.pack(top)) == MAX_DEGREE
+            assert groebner._degree(pk.pack(top.exponents)) == MAX_DEGREE
             with pytest.raises(OverflowError):
-                pk.pack(Monomial((MAX_DEGREE + 1,) + (0,) * (n - 1)))
+                pk.pack((MAX_DEGREE + 1,) + (0,) * (n - 1))
             with pytest.raises(OverflowError):
-                pk.pack(Monomial((MAX_DEGREE - 1,) + (1,) * (n - 1)))
+                pk.pack((MAX_DEGREE - 1,) + (1,) * (n - 1))
             # the lcm of two packed monomials is exact field by field, and
             # its degree check refuses it
-            other = pk.pack(Monomial((0, 1) + (0,) * (n - 2)))
-            (lcm,) = groebner._lcms([pk.pack(top)], other, pk.guards)
-            assert lcm == pk.pack(top) + other
+            other = pk.pack((0, 1) + (0,) * (n - 2))
+            (lcm,) = groebner._lcms([pk.pack(top.exponents)], other, pk.guards)
+            assert lcm == pk.pack(top.exponents) + other
             with pytest.raises(OverflowError):
                 groebner._degree(lcm)
 
@@ -344,6 +356,28 @@ class TestBuchberger:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             buchberger([], AFFINE_ORDER)
+
+    def test_kernel_packs_and_orients_exponent_pairs(self, basic_data):
+        def run(gens, order=AFFINE_ORDER):
+            return groebner._buchberger(gens, order, groebner.DEFAULT_STEP_BOUND)
+
+        gens = generators(basic_data, 0)
+        pairs = [(b.lead.exponents, b.trail.exponents) for b in gens]
+        flipped = [(rhs, lhs) for lhs, rhs in pairs]
+        _, leads, trails = run(gens)
+        for form in (pairs, flipped, [(list(lhs), list(rhs)) for lhs, rhs in flipped]):
+            assert run(form)[1:] == (leads, trails)
+        assert buchberger(flipped, AFFINE_ORDER) == buchberger(gens, AFFINE_ORDER)
+        with pytest.raises(ValueError, match="negative exponent"):
+            run([((2, 0, 0, 0), (0, 1, -1, 0))])
+        with pytest.raises(ValueError, match="zero generator"):
+            run([((0, 1, 0, 0), (1, 0, 0, 0)), ((1, 2, 0, 0), (1, 2, 0, 0))])
+        with pytest.raises(AmbientMismatchError):
+            run([((1, 0, 0, 0), (0, 1, 0, 0, 0))])
+        with pytest.raises(AmbientMismatchError):
+            run([((1, 0, 0, 0), (0, 1, 0, 0))], PROJECTIVE_ORDER)
+        with pytest.raises(OverflowError):
+            run([((MAX_DEGREE + 1, 0, 0, 0), (0, 1, 0, 0))])
 
     def test_output_passes_verifier(self, basic_data, big_data, noncm_a2):
         for data in (basic_data, big_data, noncm_a2):
