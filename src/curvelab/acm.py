@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bresinsky import (
     SKIP_FORM,
@@ -38,10 +38,12 @@ from .groebner import (
     BinomialBasis,
     ExponentPair,
     Packing,
+    _binomials,
     _buchberger,
+    _canonical_pairs,
+    _exponent_pairs,
     _key,
     buchberger,
-    canonical,
 )
 from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial
 from .render import to_canonical_json
@@ -194,15 +196,34 @@ def homogenize(b: Binomial) -> Binomial:
     """Homogenize a 4-variable binomial: pad the lower-degree side with
     the needed power of x0.  The result is oriented under the extended
     order, which keeps the original lead in the lead position."""
-    if b.nvars != 4:
-        raise AmbientMismatchError(f"homogenize expects a 4-variable binomial, got {b.nvars}")
-    dl = b.lead.degree()
-    dt = b.trail.degree()
-    lead = Monomial((max(0, dt - dl),) + b.lead.exponents)
-    trail = Monomial((max(0, dl - dt),) + b.trail.exponents)
-    out = Binomial.from_pair(lead, trail, PROJECTIVE_ORDER)
-    assert out is not None
-    return out
+    pair = _padded(b.lead.exponents, b.trail.exponents)
+    return _binomials(_canonical_pairs((pair,), PROJECTIVE_ORDER))[0]
+
+
+def _padded(lead: Sequence[int], trail: Sequence[int]) -> ExponentPair:
+    """The x1..x4 exponent pair over x0..x4, its lower-degree side padded
+    with the power of x0 that equals the degrees."""
+    if len(lead) != 4:
+        raise AmbientMismatchError(f"homogenize expects a 4-variable binomial, got {len(lead)}")
+    dl, dt = sum(lead), sum(trail)
+    return (max(0, dt - dl), *lead), (max(0, dl - dt), *trail)
+
+
+def _h_weights(degrees: Iterable[int]) -> tuple[int, ...]:
+    """(0, a1..a4): the weights of x0..x4 for a checked degree vector."""
+    vec = tuple(operator.index(x) for x in degrees)
+    if len(vec) != 4:
+        raise ValueError(f"degree vector must have 4 entries, got {len(vec)}")
+    return (0,) + vec
+
+
+def _h_member(lead: Sequence[int], trail: Sequence[int], weights: Sequence[int]) -> bool:
+    """`check_h_membership` of an x0..x4 exponent pair under `_h_weights`."""
+    if len(lead) != 5:
+        raise AmbientMismatchError(f"expected a 5-variable binomial, got {len(lead)}")
+    if sum(lead) != sum(trail):
+        return False
+    return sum(map(operator.mul, lead, weights)) == sum(map(operator.mul, trail, weights))
 
 
 def check_h_membership(b: Binomial, degrees: Iterable[int]) -> bool:
@@ -213,16 +234,22 @@ def check_h_membership(b: Binomial, degrees: Iterable[int]) -> bool:
     complementary weights then follows, since that weight is
     a4 * totaldegree minus this one.
     """
-    if b.nvars != 5:
-        raise AmbientMismatchError(f"expected a 5-variable binomial, got {b.nvars}")
-    vec = tuple(operator.index(x) for x in degrees)
-    if len(vec) != 4:
-        raise ValueError(f"degree vector must have 4 entries, got {len(vec)}")
-    tweights = (0,) + vec
-    return (
-        b.lead.degree() == b.trail.degree()
-        and b.lead.weight(tweights) == b.trail.weight(tweights)
-    )
+    return _h_member(b.lead.exponents, b.trail.exponents, _h_weights(degrees))
+
+
+def _check_homogeneous(pairs: Iterable[ExponentPair], degrees: Iterable[int]) -> None:
+    """ValueError unless every (lead, trail) pair over x0..x4 is
+    degree-homogeneous and lies in the homogenized toric ideal of
+    `degrees`: the check of `HomogeneousBasis`."""
+    weights = _h_weights(degrees)
+    for lead, trail in pairs:
+        if sum(lead) != sum(trail):
+            problem = "inhomogeneous element"
+        elif not _h_member(lead, trail, weights):
+            problem = f"element fails homogeneous membership for {degrees}"
+        else:
+            continue
+        raise ValueError(f"{problem}: {_binomials(((lead, trail),))[0]}")
 
 
 @dataclass(frozen=True)
@@ -235,11 +262,7 @@ class HomogeneousBasis(BinomialBasis):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for b in self.elements:
-            if b.lead.degree() != b.trail.degree():
-                raise ValueError(f"inhomogeneous element: {b}")
-            if not check_h_membership(b, self.degrees):
-                raise ValueError(f"element fails homogeneous membership for {self.degrees}: {b}")
+        _check_homogeneous(_exponent_pairs(self.elements), self.degrees)
 
 
 def homogenized(basis: BinomialBasis, degrees: Vec4) -> HomogeneousBasis:
@@ -248,12 +271,26 @@ def homogenized(basis: BinomialBasis, degrees: Vec4) -> HomogeneousBasis:
     is degree-compatible, so no lead gains x0: the result is a Groebner
     basis, and reduced exactly when `basis` is."""
     return HomogeneousBasis(
-        canonical((homogenize(b) for b in basis.elements), PROJECTIVE_ORDER),
+        _binomials(_homogenized(_exponent_pairs(basis.elements), degrees)),
         PROJECTIVE_ORDER,
         is_groebner_verified=basis.is_groebner_verified,
         is_reduced=basis.is_reduced,
         degrees=degrees,
     )
+
+
+def _homogenized(
+    pairs: Iterable[ExponentPair], degrees: Iterable[int]
+) -> tuple[ExponentPair, ...]:
+    """`homogenized` on x1..x4 exponent pairs, as (lead, trail) pairs over
+    x0..x4 in canonical order under the extended order: the one place a
+    basis is homogenized, which the CLI's replies read without building a
+    `Binomial`.  Each pair is padded with x0 (`_padded`), led by its
+    larger side under `PROJECTIVE_ORDER` and checked as
+    `HomogeneousBasis` checks its elements."""
+    elements = _canonical_pairs((_padded(lead, trail) for lead, trail in pairs), PROJECTIVE_ORDER)
+    _check_homogeneous(elements, degrees)
+    return elements
 
 
 def homogeneous_basis(data: BresinskyData, m: int) -> HomogeneousBasis:

@@ -21,8 +21,15 @@ from itertools import permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import AnomalyError, RefusalError
-from .groebner import Binomial, BinomialBasis, ExponentPair, canonical, is_interreduced
-from .monomials import AFFINE_ORDER, Monomial
+from .groebner import (
+    Binomial,
+    BinomialBasis,
+    ExponentPair,
+    _binomials,
+    _canonical_pairs,
+    _interreduced,
+)
+from .monomials import AFFINE_ORDER
 
 SKIP_GCD = "gcd>1"
 SKIP_MAX = "max-coordinate fails"
@@ -222,6 +229,13 @@ def compute_w(data: BresinskyData, m: int) -> int:
     return min(-(-(data.d1 + m) // data.d21), -(-data.d3 // data.d23))
 
 
+def _w_and_branch(data: BresinskyData, m: int) -> tuple[int, bool]:
+    """w at shift m and the branch sign of case 2: whether
+    d1 + m - w*d21 > 0."""
+    w = compute_w(data, m)
+    return w, data.d1 + m - w * data.d21 > 0
+
+
 def extra_binomials(data: BresinskyData, m: int) -> tuple[Binomial, ...]:
     """The case-2 companions of the five generators, in the order
     p_1..p_{w-2}, q_1..q_{w-2}, r.
@@ -230,36 +244,37 @@ def extra_binomials(data: BresinskyData, m: int) -> tuple[Binomial, ...]:
     and are never re-emitted, so for w = 2 the result is (r,).  The
     branch of r follows the sign of d1 + m - w*d21.  A negative exponent
     here would mean the case assumptions are violated; it surfaces as a
-    ValueError from the monomial constructor.
+    ValueError.
     """
+    pairs = _extra_exponents(data, m, *_w_and_branch(data, m))
+    return tuple(_oriented(lhs, rhs) for lhs, rhs in pairs)
+
+
+def _extra_exponents(
+    data: BresinskyData, m: int, w: int, branch_positive: bool
+) -> tuple[ExponentPair, ...]:
+    """The binomials of `extra_binomials` as unoriented (lhs, rhs) pairs
+    of x1..x4 exponent tuples, for the w and branch that `case_conditions`
+    finds at shift m: the one place their formulas are written."""
     d = data
-    w = compute_w(data, m)
     p = tuple(
-        _oriented(
-            (0, (i + 1) * d.d2 - d.d32, d.d3 - (i + 1) * d.d23, 0),
-            ((i + 1) * d.d21, 0, 0, d.d34),
-        )
+        ((0, (i + 1) * d.d2 - d.d32, d.d3 - (i + 1) * d.d23, 0), ((i + 1) * d.d21, 0, 0, d.d34))
         for i in range(1, w - 1)
     )
     q = tuple(
-        _oriented(
-            (d.d1 + m - (i + 1) * d.d21, (i + 1) * d.d2 - d.d32, 0, 0),
-            (0, 0, i * d.d23, d.d4 + m),
-        )
+        ((d.d1 + m - (i + 1) * d.d21, (i + 1) * d.d2 - d.d32, 0, 0), (0, 0, i * d.d23, d.d4 + m))
         for i in range(1, w - 1)
     )
-    if d.d1 + m - w * d.d21 > 0:
+    if branch_positive:
         tail = (w * d.d21, 0, w * d.d23 - d.d3, d.d34)
     else:
         tail = (w * d.d21 - d.d1 - m, 0, (w - 1) * d.d23, d.d4 + m)
-    return p + q + (_oriented((0, w * d.d2 - d.d32, 0, 0), tail),)
+    return p + q + (((0, w * d.d2 - d.d32, 0, 0), tail),)
 
 
 def _oriented(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> Binomial:
     """The binomial of two x1..x4 exponent tuples, led by the larger side."""
-    b = Binomial.from_pair(Monomial(lhs), Monomial(rhs), AFFINE_ORDER)
-    assert b is not None  # the two sides have disjoint supports
-    return b
+    return _binomials(_canonical_pairs(((lhs, rhs),), AFFINE_ORDER))[0]
 
 
 def case_conditions(data: BresinskyData, m: int) -> CaseConditions:
@@ -277,13 +292,12 @@ def case_conditions(data: BresinskyData, m: int) -> CaseConditions:
     if d.d2 >= d.d21 + d.d23:
         return CaseConditions(case=1, w=None, branch_positive=None, conditions=(c1, c2, c3))
 
-    w = compute_w(data, m)
+    w, branch_positive = _w_and_branch(data, m)
     s = d.d2 - d.d21 - d.d23  # negative in case 2
     c4 = ConditionValue("(w-1)(d2-d21-d23)+d3-d32-d34", (w - 1) * s + d.d3 - d.d32 - d.d34)
     c5 = ConditionValue(
         "(w-1)(d2-d21-d23)+d1+d23-d4-d32", (w - 1) * s + d.d1 + d.d23 - d.d4 - d.d32
     )
-    branch_positive = d.d1 + m - w * d.d21 > 0
     if branch_positive:
         c67 = ConditionValue("w(d2-d21-d23)+d3-d32-d34", w * s + d.d3 - d.d32 - d.d34)
     else:
@@ -305,6 +319,18 @@ def closed_form_basis(data: BresinskyData, m: int) -> ClosedFormBasis:
     failing condition) when the case conditions do not hold, and when the
     member degrees are not coprime.
     """
+    case, elements, reduced = _closed_form(data, m)
+    basis = BinomialBasis(
+        _binomials(elements), AFFINE_ORDER, is_groebner_verified=True, is_reduced=reduced
+    )
+    return ClosedFormBasis(basis=basis, case=case)
+
+
+def _closed_form(data: BresinskyData, m: int) -> tuple[int, tuple[ExponentPair, ...], bool]:
+    """`closed_form_basis` as its case, its (lead, trail) exponent pairs
+    in canonical order and its reduced flag, refused as it refuses: the
+    one place the closed form is built, from exponent tuples, which the
+    CLI's replies read without building a `Binomial`."""
     deg = member_degrees(data, m)
     if degree_refusal(deg) == SKIP_GCD:
         raise RefusalError(SKIP_GCD, {"m": m, "degrees": deg})
@@ -317,17 +343,12 @@ def closed_form_basis(data: BresinskyData, m: int) -> ClosedFormBasis:
             {"case": cc.case, "condition": failing.name, "value": failing.value},
         )
 
-    elems = list(generators(data, m))
+    pairs = _generator_exponents(data, m)
     if cc.case == 2:
-        elems.extend(extra_binomials(data, m))
-
-    basis = BinomialBasis(
-        canonical(elems, AFFINE_ORDER),
-        AFFINE_ORDER,
-        is_groebner_verified=True,
-        is_reduced=is_interreduced(elems),
-    )
-    return ClosedFormBasis(basis=basis, case=cc.case)
+        # w and the branch as the conditions found them, not worked out again
+        pairs += _extra_exponents(data, m, cc.w, cc.branch_positive)
+    elements = _canonical_pairs(pairs, AFFINE_ORDER)
+    return cc.case, elements, _interreduced(elements)
 
 
 def _validated_vector(a: Iterable[int]) -> Vec4:

@@ -15,12 +15,12 @@ import sys
 import traceback
 from typing import Optional, Sequence
 
-from .acm import AcmReport, _analyze, analyze_member, cross_validate, homogenized
+from .acm import AcmReport, _analyze, _homogenized, analyze_member, cross_validate
 from .bresinsky import (
     SKIP_FORM,
     BresinskyData,
+    _closed_form,
     a_from_d,
-    closed_form_basis,
     d_from_a,
     d_from_a_any_order,
     degree_refusal,
@@ -35,8 +35,16 @@ from .errors import (
     RefusalError,
     StepBoundExceeded,
 )
-from .groebner import DEFAULT_STEP_BOUND, BinomialBasis, buchberger, reduce_basis
-from .monomials import AFFINE_ORDER
+from .groebner import (
+    DEFAULT_STEP_BOUND,
+    ExponentPair,
+    _basis_json,
+    _binomials,
+    _exponent_pairs,
+    buchberger,
+    reduce_basis,
+)
+from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER
 from .render import to_canonical_json
 
 ENV_PREFIX = "CURVELAB_"
@@ -56,6 +64,9 @@ def _invalid_choice(value: str, choices) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    #: the subcommand parsers by name, set on the root parser by build_parser
+    commands: dict[str, argparse.ArgumentParser]
+
     # argparse exits with code 2 on usage errors; our contract wants 1
     def error(self, message):
         raise UsageError(message)
@@ -186,13 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_recover, with_d=False)
     p_recover.set_defaults(run=cmd_recover)
 
+    # the choices of a subparsers action map each name to its parser
+    parser.commands = sub.choices
     return parser
 
 
-_PARSER: Optional[argparse.ArgumentParser] = None
+_PARSER: Optional[_Parser] = None
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     """The process's one parser, built on first use."""
     global _PARSER
     if _PARSER is None:
@@ -260,8 +273,9 @@ def _summary(reports: list[AcmReport]) -> dict:
     }
 
 
-def _print_basis(basis: BinomialBasis, out) -> None:
-    for b in basis.sorted_elements():
+def _print_basis(elements: tuple[ExponentPair, ...], out) -> None:
+    """One line per (lead, trail) pair, given in canonical order."""
+    for b in _binomials(elements):
         print(f"  {b}", file=out)
 
 
@@ -277,11 +291,11 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
     hom = None
     if args.homogenize and report.applicable and report.verdict_criterion and not report.reordered:
         # the criterion has passed, so the closed form exists: homogenize it directly
-        hom = homogenized(closed_form_basis(data, args.m).basis, report.degrees)
+        hom = _homogenized(_closed_form(data, args.m)[1], report.degrees)
     if args.format == "json":
         doc = report.to_dict()
         if args.homogenize:
-            doc["homogeneous_basis"] = hom.to_json() if hom else None
+            doc["homogeneous_basis"] = None if hom is None else _basis_json(PROJECTIVE_ORDER, hom)
         print(to_canonical_json(doc), file=out)
     else:
         print(_ROW_HEADER, file=out)
@@ -335,27 +349,28 @@ def cmd_gb(args: argparse.Namespace, out) -> int:
             buchberger(generators(data, args.m), AFFINE_ORDER, args.step_bound),
             step_bound=args.step_bound,
         )
+        elements = tuple(_exponent_pairs(basis.sorted_elements()))
         tag: dict = {"source": "oracle", "case": None, "reduced": True}
     else:
-        closed = closed_form_basis(data, args.m)
-        basis = closed.basis
-        tag = {"source": "closed-form", "case": closed.case, "reduced": basis.is_reduced}
+        case, elements, reduced = _closed_form(data, args.m)
+        tag = {"source": "closed-form", "case": case, "reduced": reduced}
+    order = AFFINE_ORDER
     if args.homogenize:
         degrees = member_degrees(data, args.m)
         reason = None if args.oracle else degree_refusal(degrees)
         if reason is not None:
             raise RefusalError(reason, {"m": args.m, "degrees": degrees})
-        basis = homogenized(basis, degrees)
+        elements, order = _homogenized(elements, degrees), PROJECTIVE_ORDER
         tag["homogenized"] = True
     if args.format == "json":
-        doc = {"tag": tag, "basis": basis.to_json()}
+        doc = {"tag": tag, "basis": _basis_json(order, elements)}
         print(to_canonical_json(doc), file=out)
     else:
         kind = "reduced Groebner basis" if tag["reduced"] else "Groebner basis"
         label = f"case {tag['case']}" if tag["case"] else "oracle"
         suffix = ", homogenized" if tag.get("homogenized") else ""
-        print(f"{label} ({kind}, {len(basis)} elements{suffix})", file=out)
-        _print_basis(basis, out)
+        print(f"{label} ({kind}, {len(elements)} elements{suffix})", file=out)
+        _print_basis(elements, out)
     return EXIT_OK
 
 
@@ -398,10 +413,24 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The root parser's `parse_args`.  On a command word the root parser
+    only hands the rest to that command's parser, so that parser is called
+    directly; anything else (no arguments, -h, an unknown command, --
+    first) goes through the root parser."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         _apply_env(args)
         return args.run(args, out)
     except UsageError as exc:

@@ -146,7 +146,11 @@ class Binomial:
         return f"{self.lead} - {self.trail}"
 
     def to_json(self) -> dict:
-        return {"lead": self.lead.to_json(), "trail": self.trail.to_json()}
+        return _pair_json(self.lead.exponents, self.trail.exponents)
+
+
+#: A binomial as an (lhs, rhs) pair of exponent tuples, in either orientation.
+ExponentPair = tuple[Sequence[int], Sequence[int]]
 
 
 def canonical(elements: Iterable[Binomial], order: MonomialOrder) -> tuple[Binomial, ...]:
@@ -155,6 +159,49 @@ def canonical(elements: Iterable[Binomial], order: MonomialOrder) -> tuple[Binom
     reduced is in this order."""
     key = order.key
     return tuple(sorted(elements, key=lambda b: (key(b.lead), key(b.trail))))
+
+
+def _canonical_pairs(
+    pairs: Iterable[ExponentPair], order: MonomialOrder
+) -> tuple[ExponentPair, ...]:
+    """The binomials of exponent pairs, each led by its larger side under
+    `order`, as (lead, trail) pairs in the canonical order of `canonical`.
+
+    The printed bases are built this way, from tuples, with the checks
+    that building `Binomial`s under `order` would make: the ambient size,
+    no negative exponent and no equal sides (the zero binomial)."""
+    key = order._exponent_key
+    n = order.nvars
+    rows = []
+    for lhs, rhs in pairs:
+        if len(lhs) != n or len(rhs) != n:
+            size = len(rhs) if len(lhs) == n else len(lhs)
+            raise AmbientMismatchError(f"{size}-variable monomial under a {n}-variable order")
+        if min(lhs) < 0 or min(rhs) < 0:
+            raise ValueError(f"negative exponent in {tuple(lhs) if min(lhs) < 0 else tuple(rhs)}")
+        kl, kr = key(lhs), key(rhs)
+        if kl == kr:
+            raise ValueError("zero binomial; represent zero as None, not lead == trail")
+        rows.append((kl, kr, lhs, rhs) if kl > kr else (kr, kl, rhs, lhs))
+    # equal keys mean equal monomials, so the keys alone decide the sort
+    rows.sort()
+    return tuple((lead, trail) for _, _, lead, trail in rows)
+
+
+def _binomials(pairs: Iterable[ExponentPair]) -> tuple[Binomial, ...]:
+    """The `Binomial`s of oriented (lead, trail) exponent pairs."""
+    return tuple(Binomial(Monomial(tuple(lead)), Monomial(tuple(trail))) for lead, trail in pairs)
+
+
+def _pair_json(lead: Sequence[int], trail: Sequence[int]) -> dict:
+    return {"lead": {"exponents": list(lead)}, "trail": {"exponents": list(trail)}}
+
+
+def _basis_json(order: MonomialOrder, pairs: Iterable[ExponentPair]) -> dict:
+    """The JSON layout of a basis under `order` whose oriented (lead,
+    trail) exponent pairs are given in canonical order."""
+    elements = [_pair_json(lead, trail) for lead, trail in pairs]
+    return {"order": order.to_json(), "elements": elements}
 
 
 @dataclass(frozen=True)
@@ -192,10 +239,7 @@ class BinomialBasis:
         return canonical(self.elements, self.order)
 
     def to_json(self) -> dict:
-        return {
-            "order": self.order.to_json(),
-            "elements": [b.to_json() for b in self.sorted_elements()],
-        }
+        return _basis_json(self.order, _exponent_pairs(self.sorted_elements()))
 
 
 @dataclass(frozen=True)
@@ -361,10 +405,6 @@ def _normal_form(
         if trail == lead:
             return None
     return lead, trail
-
-
-#: A binomial as an (lhs, rhs) pair of exponent tuples, in either orientation.
-ExponentPair = tuple[Sequence[int], Sequence[int]]
 
 
 def _exponent_pairs(gens: Iterable[Union[Binomial, ExponentPair]]) -> list[ExponentPair]:
@@ -629,19 +669,20 @@ def is_interreduced(elements: Sequence[Binomial]) -> bool:
 
     The test runs on plain exponent tuples, not packed ints, so it holds
     for any exponent size."""
-    leads = [b.lead.exponents for b in elements]
-    trails = [b.trail.exponents for b in elements]
-    sizes = {len(e) for e in leads}
+    pairs = _exponent_pairs(elements)
+    sizes = {len(lead) for lead, _ in pairs}
     if len(sizes) > 1:
         raise AmbientMismatchError(f"ambient rings differ: {min(sizes)} vs {max(sizes)} variables")
+    return _interreduced(pairs)
+
+
+def _interreduced(pairs: Sequence[ExponentPair]) -> bool:
+    """`is_interreduced` of oriented (lead, trail) exponent pairs of one
+    ring size."""
     le = operator.le
-    for k, lead in enumerate(leads):
+    for k, (lead, _) in enumerate(pairs):
         # lead divides e exactly when each exponent of lead is <= e's
-        for idx, e in enumerate(leads):
-            if idx != k and all(map(le, lead, e)):
-                return False
-        for e in trails:
-            if all(map(le, lead, e)):
+        for idx, (other, trail) in enumerate(pairs):
+            if (idx != k and all(map(le, lead, other))) or all(map(le, lead, trail)):
                 return False
     return True
-

@@ -111,13 +111,15 @@ class MonomialOrder:
     packed monomials of `curvelab.groebner` lay out their fields by it.
 
     `compare` (short-circuits on degree) and `key` (for sorting)
-    implement the order twice on purpose.  Since the packed kernel of
-    `curvelab.groebner` orders monomials itself, even its generators,
-    `compare` runs only where binomials and bases are built to be
-    printed (about 7 calls per small-members benchmark call, none per
-    long-basis call; traced, seed 7).  Derived from `key` it takes 2.5-2.9
-    us a call against 0.7-0.9 us (timeit, CPython 3.11, x86-64).  The
-    tests check that the two agree.
+    implement the order twice on purpose.  The packed kernel of
+    `curvelab.groebner` orders its own monomials, and the bases the CLI
+    prints are oriented and sorted by `key`'s tuple form on exponent
+    tuples.  So `compare` runs only in the object API (`Binomial.from_pair`
+    and the orientation check of `BinomialBasis`), which the CLI reaches
+    only where a kernel basis comes back as objects: `gb --oracle` and
+    the disagreement dump.  Derived from `key` it takes 2.5-2.9 us a call
+    against 0.7-0.9 us (timeit, CPython 3.11, x86-64).  The tests check
+    that the two agree.
     """
 
     priority: tuple[int, ...]
@@ -148,8 +150,13 @@ class MonomialOrder:
     def key(self, m: Monomial) -> tuple:
         """Sort key, ascending in the order."""
         self._check(m)
-        e = m.exponents
-        return (sum(e), tuple(-e[i] for i in self.scan))
+        return self._exponent_key(m.exponents)
+
+    def _exponent_key(self, e: Sequence[int]) -> tuple:
+        """`key` of an exponent tuple, which the caller has sized to the
+        order's ring; the printed bases are oriented and sorted by it
+        without building a `Monomial`."""
+        return (sum(e), tuple([-e[i] for i in self.scan]))
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         """LESS, EQUAL or GREATER for m1 against m2."""

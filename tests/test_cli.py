@@ -8,7 +8,7 @@ from itertools import permutations
 
 import pytest
 
-from curvelab.bresinsky import d_from_a_any_order, member_degrees
+from curvelab.bresinsky import d_from_a, d_from_a_any_order, member_degrees
 from curvelab.cli import main, to_canonical_json
 
 from conftest import SRC
@@ -175,19 +175,52 @@ class TestGb:
         assert "x2^3 - x0*x1*x3" in out
 
     def test_homogenize_builds_the_closed_form_once(self, monkeypatch):
-        from curvelab import acm, bresinsky, cli
+        from curvelab import bresinsky, cli
 
         calls = []
+        real = bresinsky._closed_form
 
         def counting(data, m):
             calls.append(m)
-            return bresinsky.closed_form_basis(data, m)
+            return real(data, m)
 
-        for module in (cli, acm):
-            monkeypatch.setattr(module, "closed_form_basis", counting)
+        for module in (cli, bresinsky):
+            monkeypatch.setattr(module, "_closed_form", counting)
         rc, _ = run_cli("gb", "--a", "8,5,7,9", "--m", "0", "--homogenize")
         assert rc == 0
         assert calls == [0]
+
+    def test_case2_works_out_w_once(self, monkeypatch):
+        # the extra binomials read w and the branch off the case conditions
+        from curvelab import bresinsky
+
+        calls = []
+        real = bresinsky.compute_w
+
+        def counting(data, m):
+            calls.append(m)
+            return real(data, m)
+
+        monkeypatch.setattr(bresinsky, "compute_w", counting)
+        rc, _ = run_cli("gb", "--a", "1191,1239,582,2303", "--m", "12", "--homogenize")
+        assert rc == 0
+        assert calls == [12]
+
+    def test_json_bases_order_no_monomial_object(self, monkeypatch):
+        # the printed bases are oriented and sorted on exponent tuples
+        from curvelab.monomials import MonomialOrder
+
+        def refuse(self, m1, m2):
+            raise AssertionError("MonomialOrder.compare called")
+
+        monkeypatch.setattr(MonomialOrder, "compare", refuse)
+        for argv in (
+            ("gb", "--a", "1191,1239,582,2303", "--m", "12", "--homogenize", "--format", "json"),
+            ("gb", "--a", "8,5,7,9", "--m", "0", "--format", "json"),
+            ("analyze", "--a", "8,5,7,9", "--m", "0", "--homogenize", "--format", "json"),
+        ):
+            rc, out = run_cli(*argv)
+            assert rc == 0 and json.loads(out), argv
 
     def test_oracle_matches_closed_form_after_reduction(self):
         rc_closed, out_closed = run_cli(
@@ -393,6 +426,7 @@ class TestExitCodeContract:
                 "9223372036854775807\n"
             ), argv
         assert run_cli("gb", "--a", "8,5,7,9", "--m", m)[0] == 0
+        assert run_cli("gb", "--a", "8,5,7,9", "--m", m, "--homogenize", "--format", "json")[0] == 0
 
     def test_step_bound_exhaustion_maps_to_2(self):
         rc, _ = run_cli("gb", "--a", "8,5,7,9", "--m", "0", "--oracle", "--step-bound", "1")
@@ -410,6 +444,48 @@ class TestExitCodeContract:
         assert capsys.readouterr().err == "refused: normal form exceeded 1 reduction steps\n"
         rc, out = run_cli("analyze", "--a", "19,29,26,43", "--m", "0", "--step-bound", "2")
         assert rc == 0 and "x4-bearing initial generators: " in out
+
+
+class TestPrintedBases:
+    """The replies of `gb --homogenize` and `analyze --homogenize`, which
+    are built from exponent tuples, against the object API."""
+
+    MEMBERS = sample_applicable(61, 80) + [
+        (d_from_a((19, 29, 26, 43)), 0),  # case 2, refused
+        (d_from_a((1191, 1239, 582, 2303)), 0),  # case 2, w = 2
+        (d_from_a((1191, 1239, 582, 2303)), 4),  # case 2, w = 3, negative branch
+        (d_from_a((1191, 1239, 582, 2303)), 12),  # case 2, w = 3, positive branch
+    ]
+
+    def test_replies_equal_the_object_api(self):
+        from curvelab import RefusalError, case_conditions, closed_form_basis
+        from curvelab.acm import homogenized
+
+        seen = set()
+        for data, m in self.MEMBERS:
+            d = ",".join(map(str, data.as_dict().values()))
+            deg = member_degrees(data, m)
+            rc_gb, out_gb = run_cli("gb", "--d", d, "--m", str(m), "--homogenize",
+                                    "--format", "json")
+            rc_an, out_an = run_cli("analyze", "--d", d, "--m", str(m), "--homogenize",
+                                    "--format", "json")
+            assert rc_an == 0
+            try:
+                closed = closed_form_basis(data, m)
+            except RefusalError:
+                assert rc_gb == 2 and out_gb == ""
+                assert json.loads(out_an)["homogeneous_basis"] is None
+                continue
+            hom = homogenized(closed.basis, deg)
+            reply = json.loads(out_gb)
+            assert rc_gb == 0
+            assert reply["basis"] == hom.to_json()
+            assert reply["tag"]["reduced"] == hom.is_reduced == closed.basis.is_reduced
+            assert reply["tag"]["case"] == closed.case
+            assert json.loads(out_an)["homogeneous_basis"] == hom.to_json()
+            cc = case_conditions(data, m)
+            seen.add((cc.case, cc.branch_positive))
+        assert seen == {(1, None), (2, True), (2, False)}
 
 
 class TestOracleEquivalence:
@@ -511,3 +587,17 @@ class TestParserCache:
                      ("family", "--a", "8,5,7,9", "--m-range", "0..2", "--format", "json")):
             run_cli(*argv)
         assert len(builds) == 1
+
+    def test_a_command_word_skips_the_root_parser(self, monkeypatch):
+        import curvelab.cli as cli_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("root parser called")
+
+        monkeypatch.setattr(cli_mod._parser(), "parse_args", refuse)
+        assert run_cli("analyze", "--a", "8,5,7,9", "--m", "0")[0] == 0
+        # the command word is still recorded: verify's table says so
+        rc, out = run_cli("verify", "--a", "8,5,7,9", "--m-range", "0..2")
+        assert rc == 0 and out.endswith("verified: both routes agree on every applicable member\n")
+        rc, out = run_cli("family", "--a", "8,5,7,9", "--m-range", "0..2")
+        assert rc == 0 and "verified" not in out

@@ -59,6 +59,10 @@ CASES = {
     "gb-oracle-homogenize-json": ["gb", "--a", "19,29,26,43", "--m", "0", "--oracle",
                                   "--homogenize", "--format", "json"],
     "gb-case2-homogenize": ["gb", "--a", "1191,1239,582,2303", "--m", "0", "--homogenize"],
+    "gb-case2-w3-positive-homogenize-json": ["gb", "--a", "1191,1239,582,2303", "--m", "12",
+                                             "--homogenize", "--format", "json"],
+    "gb-case2-w3-negative-homogenize-json": ["gb", "--a", "1191,1239,582,2303", "--m", "4",
+                                             "--homogenize", "--format", "json"],
     "gb-conditions-refused": ["gb", "--a", "19,29,26,43", "--m", "0"],
     "gb-oracle-gcd-base": ["gb", "--oracle", "--d", "1,1,1,1,1,1,1,1", "--m", "0"],
     "gb-gcd-input-negative-m": ["gb", "--a", "2,4,6,8", "--m", "-1"],
@@ -74,6 +78,9 @@ CASES = {
     "usage-missing-m": ["analyze", "--a", "8,5,7,9"],
     "usage-negative-m": ["analyze", "--a", "8,5,7,9", "--m", "-3"],
     "usage-unknown-command": ["frobnicate"],
+    "usage-no-command": [],
+    "usage-unrecognized-arguments": ["analyze", "--a", "8,5,7,9", "--m", "0", "extra"],
+    "usage-double-dash-first": ["--", "analyze", "--a", "8,5,7,9", "--m", "0"],
     "help": ["--help"],
     "help-analyze": ["analyze", "--help"],
     "help-recover": ["recover", "--help"],
