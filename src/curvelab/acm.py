@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .bresinsky import (
     SKIP_FORM,
@@ -37,7 +37,6 @@ from .groebner import (
     Binomial,
     BinomialBasis,
     ExponentPair,
-    Packing,
     _binomials,
     _buchberger,
     _canonical_pairs,
@@ -50,9 +49,8 @@ from .render import to_canonical_json
 
 SKIP_STEP_BOUND = "step bound exceeded"
 
-_AFFINE = Packing(AFFINE_ORDER)
-#: x4 packed under AFFINE_ORDER, the divisor the verdict tests leads against.
-_X4 = _AFFINE.pack((0, 0, 0, 1))
+#: The exponent index of x4, the variable the verdict tests leads for.
+_X4 = 3
 
 #: The generator forms the verdict accepts (see `groebner._buchberger`).
 _Generators = Iterable[Union[Binomial, ExponentPair]]
@@ -150,9 +148,7 @@ def acm_by_groebner(
     So the run stops at the first lead that x4 divides, and that lead is
     the witness; a run that ends without one is ACM.
     """
-    pk, leads, _ = _graded(degrees, gens, step_bound, _x4_divides)
-    witness = pk.unpack(leads[-1]) if _x4_divides(leads[-1]) else None
-    return GroebnerVerdict(witness is None, witness)
+    return _verdict(_checked_degrees(degrees), gens, step_bound)
 
 
 def x4_initial_generators(
@@ -164,32 +160,37 @@ def x4_initial_generators(
     end for the whole list, which `analyze`'s table and the disagreement
     dump print.  It takes the generator forms that `acm_by_groebner`
     takes, and refuses and rejects what it does."""
-    pk, leads, _ = _graded(degrees, gens, step_bound)
-    # every lead of a graded run is minimal; only the x4 leads are unpacked
-    x4_leads = sorted(filter(_x4_divides, leads), key=lambda p: _key(p, pk.shift))
-    return tuple(map(pk.unpack, x4_leads))
+    return _x4_leads(_checked_degrees(degrees), gens, step_bound)
 
 
-def _x4_divides(p: int) -> bool:
-    """x4 divides packed p, the divisibility test of _first_reducer inlined."""
-    g = _AFFINE.guards
-    return ((p | g) - _X4) & g == g
-
-
-def _graded(
-    degrees: Iterable[int],
-    gens: _Generators,
-    step_bound: int,
-    stop: Optional[Callable[[int], bool]] = None,
-) -> tuple[Packing, list[int], list[int]]:
-    """`groebner._buchberger` under `AFFINE_ORDER`, weighed by `degrees`,
-    after the refusal checks; the kernel raises ValueError unless every
-    generator is homogeneous for them."""
+def _checked_degrees(degrees: Iterable[int]) -> Vec4:
+    """The degree vector, refused (RefusalError) outside the hypotheses of
+    both routes and rejected when malformed (ValueError, TypeError)."""
     vec = _validated_vector(degrees)
     reason = degree_refusal(vec)
     if reason is not None:
         raise RefusalError(reason, {"degrees": vec})
-    return _buchberger(gens, AFFINE_ORDER, step_bound, vec, stop)
+    return vec
+
+
+def _verdict(vec: Vec4, gens: _Generators, step_bound: int) -> GroebnerVerdict:
+    """`acm_by_groebner` for a checked degree vector.  The kernel, weighed
+    by `vec` under `AFFINE_ORDER`, raises ValueError unless every
+    generator is homogeneous for it."""
+    pk, leads, _ = _buchberger(gens, AFFINE_ORDER, step_bound, vec, _X4)
+    last = leads[-1]
+    witness = pk.unpack(last) if last & pk.variable_field(_X4) else None
+    return GroebnerVerdict(witness is None, witness)
+
+
+def _x4_leads(vec: Vec4, gens: _Generators, step_bound: int) -> tuple[Monomial, ...]:
+    """`x4_initial_generators` for a checked degree vector, run as
+    `_verdict` runs the kernel but to the end."""
+    pk, leads, _ = _buchberger(gens, AFFINE_ORDER, step_bound, vec)
+    x4 = pk.variable_field(_X4)
+    # every lead of a graded run is minimal; only the x4 leads are unpacked
+    x4_leads = sorted((p for p in leads if p & x4), key=lambda p: _key(p, pk))
+    return tuple(map(pk.unpack, x4_leads))
 
 
 def homogenize(b: Binomial) -> Binomial:
@@ -339,7 +340,7 @@ def _agreement_checked(
         return report
     try:
         if x4 is None:
-            x4 = x4_initial_generators(degrees, gens, step_bound)
+            x4 = _x4_leads(degrees, gens, step_bound)
         rebuilt = {
             "x4_leads": [str(mono) for mono in x4],
             "groebner_basis": buchberger(gens, AFFINE_ORDER, step_bound).to_json(),
@@ -393,15 +394,17 @@ def _analyze(
         tm, tdeg = 0, tuple(deg[i] for i in perm)
 
     reordered = reason is not None
-    crit = acm_by_criterion(target, tm)
+    # tdeg is checked (no refusal), so the private cores of
+    # `acm_by_criterion` and `acm_by_groebner` take it as it is
+    crit = case_conditions(target, tm)
     # exponent pairs straight from the formulas: no Binomial is built
     gens = _generator_exponents(target, tm)
     if full:
-        x4 = x4_initial_generators(tdeg, gens, step_bound)
+        x4 = _x4_leads(tdeg, gens, step_bound)
         acm = not x4
     else:
         x4 = ()
-        acm = acm_by_groebner(tdeg, gens, step_bound).acm
+        acm = _verdict(tdeg, gens, step_bound).acm
     report = AcmReport(
         m=m,
         degrees=deg,

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
-import traceback
 from typing import Optional, Sequence
 
 from .acm import AcmReport, _analyze, _homogenized, analyze_member, cross_validate
@@ -443,12 +441,16 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except Exception as exc:  # a bug; exit 1 would pass it off as a usage error
+        import traceback  # only a bug needs it, so no call pays for its import
+
         print(f"internal error: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INCONSISTENT
 
 
 def main_entry() -> None:
+    import signal  # only the console entry point sets a signal disposition
+
     # a closed stdout ends the process like any Unix filter, not as an internal error
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)

@@ -49,9 +49,11 @@ the one lead that proves its verdict; it keeps no basis, and the
 disagreement dump rebuilds one with `buchberger` on the same pairs.
 
 Under an order on n variables a monomial is one int P: each exponent
-sits in its own field of W = FIELD_BITS = 64 bits, the fields follow
-`MonomialOrder.scan` with the least-priority variable in the top field,
-and the top bit of every field is a guard bit that stays clear.
+sits in its own field of W bits, the fields follow `MonomialOrder.scan`
+with the least-priority variable in the top field, and the top bit of
+every field is a guard bit that stays clear.  `Packing` owns the format:
+its width W, the masks and the degree limit are attributes of the
+packing, and every primitive reads them from the packing it is given.
 `Packing.pack` refuses a negative exponent, which would borrow from the
 field above.  With G the mask of the guard bits:
 
@@ -64,6 +66,8 @@ field above.  With G the mask of the guard bits:
   a >= b; spreading each into a full field mask M gives
   lcm = b ^ ((a ^ b) & M);
 - two monomials are coprime iff their lcm equals a + b;
+- the variable x_i divides P iff P shares a bit with the field of x_i
+  (`Packing.variable_field`);
 - the degree is P % (2**W - 1), since 2**W leaves remainder 1;
 - (deg << W*n) - P is the degrevlex key.  The degree term decides first,
   because 0 <= P < 2**(W*n).  On equal degree the key falls as P grows,
@@ -74,18 +78,45 @@ field above.  With G the mask of the guard bits:
   reverse-lexicographic tie-break.  The key is an int that sorts exactly
   like `MonomialOrder.key`, and equal keys mean equal monomials.
 
-A degree above MAX_DEGREE = 2**(W-1) - 1 would let a field reach its
-guard bit.  It is checked where new monomials arise, on the packed
-inputs and on each new lcm; under a graded order a rewrite never raises
-the degree.  Past the bound the kernel raises DegreeLimitExceeded, an
-OverflowError, instead of wrapping.
+A degree above 2**(W-1) - 1 would let a field reach its guard bit.  It
+is checked where new monomials arise, on the packed inputs and on each
+new lcm; under a graded order a rewrite never raises the degree.  Past
+the bound the packing raises DegreeLimitExceeded, an OverflowError,
+instead of wrapping.
+
+Field width per run.  `Packing(order)` has fields of FIELD_BITS = 64
+bits, so MAX_DEGREE = 2**63 - 1; `is_groebner` and `reduce_basis` pack
+with it.  The kernel `_buchberger` first packs with fields of
+_NARROW_FIELD_BITS = 15 bits (degree limit 16383), where a monomial in
+four variables is a 60-bit int of two 30-bit CPython digits, not nine,
+and its key has three; the largest degree a kernel run meets on the
+benchmark workloads is 209.  Only when that run raises
+DegreeLimitExceeded does the kernel rerun the same generators with
+64-bit fields, so MAX_DEGREE stays the only limit a caller can hit.  The
+choice depends on nothing but the degrees the run meets; there is no
+option.  The rerun is exact:
+
+- until its first overflow, a narrow run makes exactly the decisions a
+  64-bit run makes: while no field reaches its guard bit, keys sort the
+  same way and divisibility tests, lcms, degrees and weights give the
+  same answers, so the same pairs are kept, popped and reduced in the
+  same order;
+- every new monomial is degree-checked: the inputs when they are packed
+  and each new lcm.  Under a graded order the sides of an S-binomial
+  and every rewrite have at most the degree of their lcm, so no
+  unchecked monomial can overflow first;
+- so a narrow run that ends, stops at its witness or raises
+  StepBoundExceeded does just what the 64-bit run would do, after the
+  same steps;
+- only DegreeLimitExceeded from the narrow packing triggers the rerun,
+  nothing of the narrow run is kept, and that error never reaches a
+  caller.
 
 Each formula is written once, in `_first_reducer` (divisibility),
-`_lcms`, `_degree` and `_key`.  The divisibility test is inlined three
-more times where a call per test would cost too much: twice in the
-update of `_buchberger` (the chain criterion on the pending pairs and
-the minimal lcms of the new pairs) and once in `acm` (does x4 divide a
-lead).
+`_lcms`, `_degree` and `_key`.  The divisibility test is inlined twice
+more where a call per test would cost too much, both in the update of
+`_buchberger` (the chain criterion on the pending pairs and the minimal
+lcms of the new pairs).
 """
 
 from __future__ import annotations
@@ -93,7 +124,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import AmbientMismatchError, DegreeLimitExceeded, NotGroebnerError, StepBoundExceeded
 from .monomials import EQUAL, GREATER, Monomial, MonomialOrder
@@ -105,7 +136,8 @@ DEFAULT_STEP_BOUND = 1_000_000
 FIELD_BITS = 64
 #: Largest total degree a packed monomial may have.
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
-_FIELD = (1 << FIELD_BITS) - 1  # one field's bits; also the degree modulus 2**W - 1
+#: The field width the kernel `_buchberger` tries first (see the module docstring).
+_NARROW_FIELD_BITS = 15
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,79 +304,93 @@ def s_binomial(f: Binomial, g: Binomial, order: MonomialOrder) -> Optional[Binom
 
 
 class Packing:
-    """Packed monomials under one order (see the module docstring):
-    `guards` is the mask G of the guard bits and `shift` is W*n, the
-    offset of the degree in a key."""
+    """Packed monomials under one order, in fields of `bits` = W bits (see
+    the module docstring): the one owner of the packed format.  `field`
+    is one field's bits, 2**W - 1, which is also the degree modulus;
+    `guards` is the mask G of the guard bits; `shift` is W*n, the offset
+    of the degree in a key; `max_degree` is 2**(W-1) - 1, the largest
+    degree a packed monomial may have."""
 
-    __slots__ = ("scan", "guards", "shift")
+    __slots__ = ("scan", "bits", "field", "guards", "shift", "max_degree")
 
-    def __init__(self, order: MonomialOrder) -> None:
+    def __init__(self, order: MonomialOrder, bits: int = FIELD_BITS) -> None:
         self.scan = order.scan
-        self.guards = sum(1 << (k * FIELD_BITS + FIELD_BITS - 1) for k in range(order.nvars))
-        self.shift = FIELD_BITS * order.nvars
+        self.bits = bits
+        self.field = (1 << bits) - 1
+        self.guards = sum(1 << (k * bits + bits - 1) for k in range(order.nvars))
+        self.shift = bits * order.nvars
+        self.max_degree = (1 << (bits - 1)) - 1
 
     def pack(self, e: Sequence[int]) -> int:
         """The packed form of the monomial with exponent tuple e; raises
         AmbientMismatchError on a tuple of another size, ValueError on a
         negative exponent (which would borrow from the next field) and
-        OverflowError past MAX_DEGREE."""
+        OverflowError past `max_degree`."""
         if len(e) != len(self.scan):
             raise AmbientMismatchError(
                 f"{len(e)}-variable monomial under a {len(self.scan)}-variable order"
             )
         if min(e) < 0:
             raise ValueError(f"negative exponent in {tuple(e)}")
-        _check_degree(sum(e))
+        _check_degree(sum(e), self)
+        bits = self.bits
         p = 0
         for i in self.scan:  # least-priority variable first, so it lands on top
-            p = (p << FIELD_BITS) | e[i]
+            p = (p << bits) | e[i]
         return p
 
     def unpack(self, p: int) -> Monomial:
+        field, bits = self.field, self.bits
         e = [0] * len(self.scan)
         for i in reversed(self.scan):
-            e[i] = p & _FIELD
-            p >>= FIELD_BITS
+            e[i] = p & field
+            p >>= bits
         return Monomial(tuple(e))
+
+    def variable_field(self, i: int) -> int:
+        """The mask of the field that holds exponent i: the variable x_i
+        divides a packed monomial exactly when the two share a bit."""
+        return self.field << (self.bits * (len(self.scan) - 1 - self.scan.index(i)))
 
     def binomial(self, lead: int, trail: int) -> Binomial:
         return Binomial(self.unpack(lead), self.unpack(trail))
 
 
-def _check_degree(d: int) -> None:
-    if d > MAX_DEGREE:
-        raise DegreeLimitExceeded(f"monomial degree {d} exceeds the packed limit {MAX_DEGREE}")
+def _check_degree(d: int, pk: Packing) -> None:
+    if d > pk.max_degree:
+        raise DegreeLimitExceeded(f"monomial degree {d} exceeds the packed limit {pk.max_degree}")
 
 
-def _degree(p: int) -> int:
-    """Total degree of a packed monomial, or of the unchecked lcm of two
-    (its degree is below 2**W - 1, so the remainder is exact); raises
-    OverflowError past MAX_DEGREE."""
-    d = p % _FIELD
-    _check_degree(d)
+def _degree(p: int, pk: Packing) -> int:
+    """Total degree of a monomial packed by `pk`, or of the unchecked lcm
+    of two (its degree is below 2**W - 1, so the remainder is exact);
+    raises OverflowError past the packing's `max_degree`."""
+    d = p % pk.field
+    _check_degree(d, pk)
     return d
 
 
-def _key(p: int, shift: int) -> int:
+def _key(p: int, pk: Packing) -> int:
     """An int that sorts like `MonomialOrder.key` of the unpacked monomial."""
-    return ((p % _FIELD) << shift) - p
+    return ((p % pk.field) << pk.shift) - p
 
 
-def _weight(p: int, fields: Sequence[int]) -> int:
+def _weight(p: int, fields: Sequence[int], pk: Packing) -> int:
     """The weight of packed p when the exponent in each field weighs the
     matching entry of `fields`, bottom field first (0 for no fields)."""
+    field, bits = pk.field, pk.bits
     w = 0
     for c in fields:
-        w += (p & _FIELD) * c
-        p >>= FIELD_BITS
+        w += (p & field) * c
+        p >>= bits
     return w
 
 
-def _lcms(monomials: Iterable[int], b: int, guards: int) -> list[int]:
+def _lcms(monomials: Iterable[int], b: int, pk: Packing) -> list[int]:
     """The lcm of packed b with each packed monomial, unchecked: the guard
     bits surviving (a | G) - b mark the fields where a >= b, and each is
     spread into a full field mask."""
-    top = FIELD_BITS - 1
+    guards, top = pk.guards, pk.bits - 1
     return [b ^ ((a ^ b) & ((ge := ((a | guards) - b) & guards) - (ge >> top))) for a in monomials]
 
 
@@ -358,7 +404,7 @@ def _first_reducer(m: int, leads: Sequence[int], guards: int) -> int:
 
 
 def _s_pair(
-    lcm: int, lead_f: int, trail_f: int, lead_g: int, trail_g: int, shift: int
+    lcm: int, lead_f: int, trail_f: int, lead_g: int, trail_g: int, pk: Packing
 ) -> Optional[tuple[int, int]]:
     """Packed S-binomial of f and g, as `s_binomial` forms it: the
     oriented difference of (lcm/lead_g)*trail_g and (lcm/lead_f)*trail_f,
@@ -367,7 +413,7 @@ def _s_pair(
     mg = lcm - lead_g + trail_g
     if mf == mg:
         return None
-    if _key(mg, shift) > _key(mf, shift):
+    if _key(mg, pk) > _key(mf, pk):
         return mg, mf
     return mf, mg
 
@@ -382,15 +428,15 @@ def _normal_form(
 ) -> Optional[tuple[int, int]]:
     """Packed normal form of lead - trail (lead > trail) against the
     elements with packed `leads` and `trails`, or None for zero."""
-    guards, shift = pk.guards, pk.shift
+    guards = pk.guards
     steps = 0
-    key_t = _key(trail, shift)
+    key_t = _key(trail, pk)
     while (k := _first_reducer(lead, leads, guards)) >= 0:
         lead = lead - leads[k] + trails[k]
         steps += 1
         if steps > step_bound:
             raise StepBoundExceeded(f"normal form exceeded {step_bound} reduction steps")
-        key_l = _key(lead, shift)
+        key_l = _key(lead, pk)
         if key_l == key_t:
             return None
         if key_l < key_t:
@@ -450,11 +496,16 @@ def _buchberger(
     order: MonomialOrder,
     step_bound: int,
     degrees: Optional[Sequence[int]] = None,
-    stop: Optional[Callable[[int], bool]] = None,
+    stop: Optional[int] = None,
 ) -> tuple[Packing, list[int], list[int]]:
-    """The packed kernel of `buchberger`: the packing of `order` and the
-    packed leads and trails of the basis, in the order the elements
-    joined it.
+    """The packed kernel of `buchberger`: a packing of `order` and the
+    packed leads and trails of the basis under it, in the order the
+    elements joined it.
+
+    The kernel runs with fields of _NARROW_FIELD_BITS bits first and
+    reruns with FIELD_BITS only when a degree outgrows them, so MAX_DEGREE
+    is the only limit a caller meets (see the module docstring for why
+    the rerun is exact).
 
     Each generator is an (lhs, rhs) pair of exponent tuples, in either
     orientation, or a `Binomial`, read as the pair of its exponents.
@@ -485,29 +536,46 @@ def _buchberger(
     chain criterion these are (i, t) and (j, t), whose lcms strictly
     divide lcm(i, j), so they weigh strictly less and pop first.
 
-    `stop`, when given, is asked about each packed lead as it joins; when
-    it returns True the kernel returns at once, with that lead last.
+    `stop`, when given, is the index of a variable: the kernel returns as
+    soon as a lead that this variable divides joins, with that lead last.
     """
-    pk = Packing(order)
-    guards, shift = pk.guards, pk.shift
+    pairs = _exponent_pairs(gens)
+    try:
+        return _run(pairs, Packing(order, _NARROW_FIELD_BITS), step_bound, degrees, stop)
+    except DegreeLimitExceeded:
+        pass  # a degree outgrew the narrow fields; nothing of that run is kept
+    return _run(pairs, Packing(order), step_bound, degrees, stop)
+
+
+def _run(
+    pairs: Sequence[ExponentPair],
+    pk: Packing,
+    step_bound: int,
+    degrees: Optional[Sequence[int]],
+    stop: Optional[int],
+) -> tuple[Packing, list[int], list[int]]:
+    """One run of the kernel `_buchberger` under the packing `pk`."""
+    guards, field = pk.guards, pk.field
+    # the field of the stop variable: a lead it divides shares a bit with it
+    stop_field = 0 if stop is None else pk.variable_field(stop)
     # the weight of each field, bottom field first; without weights every
     # entry weighs 0 (no `_weight` call) and only the tie-break orders them
-    fields = () if degrees is None else tuple(degrees[k] for k in reversed(order.scan))
+    fields = () if degrees is None else tuple(degrees[k] for k in reversed(pk.scan))
     # the packed lead and trail of each generator, and its heap entry
     # (weight, key, i, j): pair (i, j) with the key of its lcm, or generator
     # i with key 0 and j = -1, which pops before the pairs of its weight
     queued: list[tuple[int, int]] = []
     heap: list[tuple[int, int, int, int]] = []
-    for lhs, rhs in _exponent_pairs(gens):
+    for lhs, rhs in pairs:
         lead, trail = pk.pack(lhs), pk.pack(rhs)
         if lead == trail:
             raise ValueError(f"zero generator: both sides are {tuple(lhs)}")
-        if _key(lead, shift) < _key(trail, shift):
+        if _key(lead, pk) < _key(trail, pk):
             lead, trail = trail, lead
         w = 0
         if fields:
-            w = _weight(lead, fields)
-            if _weight(trail, fields) != w:
+            w = _weight(lead, fields, pk)
+            if _weight(trail, fields, pk) != w:
                 raise ValueError(
                     f"generator {pk.binomial(lead, trail)} is not homogeneous "
                     f"for the degrees {tuple(degrees)}"
@@ -525,7 +593,7 @@ def _buchberger(
     def add(lt: int, tt: int) -> None:
         # a divides b exactly when lcm(a, b) == b
         t = len(leads)
-        lcms = _lcms(leads, lt, guards)  # lcm(lead_i, lt) for every i
+        lcms = _lcms(leads, lt, pk)  # lcm(lead_i, lt) for every i
         for (i, j), lcm in list(pending.items()):
             # lt divides lcm, inlined as in _first_reducer
             if ((lcm | guards) - lt) & guards == guards and lcms[i] != lcm and lcms[j] != lcm:
@@ -539,9 +607,9 @@ def _buchberger(
             if lcm in candidates:
                 coprime = coprime or candidates[lcm][1]
             candidates[lcm] = (i, coprime)
-        by_degree = sorted(candidates, key=_FIELD.__rmod__)  # lcm % (2**W - 1), the degree
+        by_degree = sorted(candidates, key=field.__rmod__)  # lcm % (2**W - 1), the degree
         if by_degree:
-            _degree(by_degree[-1])  # the largest new lcm degree fits, so all do
+            _degree(by_degree[-1], pk)  # the largest new lcm degree fits, so all do
         minimal: list[int] = []
         for lcm in by_degree:
             # _first_reducer(lcm, minimal, guards) < 0, inlined: a call per
@@ -555,8 +623,8 @@ def _buchberger(
                 i, coprime = candidates[lcm]
                 if not coprime:  # coprime leads: S-binomial reduces to zero
                     pending[(i, t)] = lcm
-                    w = _weight(lcm, fields) if fields else 0
-                    heapq.heappush(heap, (w, _key(lcm, shift), i, t))
+                    w = _weight(lcm, fields, pk) if fields else 0
+                    heapq.heappush(heap, (w, _key(lcm, pk), i, t))
         live[:] = [i for i in live if lcms[i] != leads[i]]
         live.append(t)
         leads.append(lt)
@@ -572,14 +640,14 @@ def _buchberger(
             lcm = pending.pop((i, j), None)
             if lcm is None:
                 continue  # dropped by a later element
-            s = _s_pair(lcm, leads[i], trails[i], leads[j], trails[j], shift)
+            s = _s_pair(lcm, leads[i], trails[i], leads[j], trails[j], pk)
             if s is None:
                 continue
             h = _normal_form(s[0], s[1], leads, trails, pk, step_bound)
         if h is None:
             continue
         add(*h)
-        if stop is not None and stop(h[0]):
+        if h[0] & stop_field:
             break
 
     return pk, leads, trails
@@ -611,13 +679,13 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
                 f"input is not a Groebner basis; {len(cert.failures)} failing pair(s)"
             )
     pk, packed_leads, packed_trails = _pack(basis)
-    guards, shift = pk.guards, pk.shift
+    guards = pk.guards
     # Keep the elements whose lead no other lead divides, one per lead:
     # by ascending leads, any divisor of a lead is already kept.
     leads: list[int] = []
     trails: list[int] = []
     by_key = sorted(
-        zip(packed_leads, packed_trails), key=lambda p: (_key(p[0], shift), _key(p[1], shift))
+        zip(packed_leads, packed_trails), key=lambda p: (_key(p[0], pk), _key(p[1], pk))
     )
     for lead, trail in by_key:
         if _first_reducer(lead, leads, guards) < 0:
@@ -650,9 +718,9 @@ def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> G
     pk, leads, trails = _pack(basis)
     failures: list[tuple[int, int, Binomial]] = []
     for i in range(len(leads)):
-        for j, lcm in enumerate(_lcms(leads[i + 1:], leads[i], pk.guards), i + 1):
-            _degree(lcm)
-            s = _s_pair(lcm, leads[i], trails[i], leads[j], trails[j], pk.shift)
+        for j, lcm in enumerate(_lcms(leads[i + 1:], leads[i], pk), i + 1):
+            _degree(lcm, pk)
+            s = _s_pair(lcm, leads[i], trails[i], leads[j], trails[j], pk)
             if s is None:
                 continue
             h = _normal_form(s[0], s[1], leads, trails, pk, step_bound)

@@ -286,12 +286,19 @@ def _first_reducer(m: Monomial, elements):
     return None
 
 
-def normal_form(f: Binomial, basis: BinomialBasis, step_bound: int = groebner.DEFAULT_STEP_BOUND):
+def normal_form(
+    f: Binomial,
+    basis: BinomialBasis,
+    step_bound: int = groebner.DEFAULT_STEP_BOUND,
+    bits: int = groebner.FIELD_BITS,
+):
     """`groebner._normal_form` on binomials: f, oriented under the basis
-    order, and the basis are packed, and the normal form is unpacked;
-    None means zero."""
+    order, and the basis are packed with fields of `bits` bits, and the
+    normal form is unpacked; None means zero."""
     f = oriented(f, basis.order)
-    pk, leads, trails = groebner._pack(basis)
+    pk = groebner.Packing(basis.order, bits)
+    leads = [pk.pack(b.lead.exponents) for b in basis]
+    trails = [pk.pack(b.trail.exponents) for b in basis]
     lead, trail = pk.pack(f.lead.exponents), pk.pack(f.trail.exponents)
     h = groebner._normal_form(lead, trail, leads, trails, pk, step_bound)
     return None if h is None else pk.binomial(*h)

@@ -358,19 +358,16 @@ class TestGroebnerOracle:
             assert not any(
                 k != idx and a.divides(b) for k, a in enumerate(monos) for idx, b in enumerate(monos)
             ), (data, m)
-            asked = []
-
-            def x4_lead(p):
-                asked.append(p)
-                return pk.unpack(p).exponents[3] > 0
-
-            pk, leads, _ = groebner_mod._buchberger(*run, x4_lead)
-            assert asked == leads, (data, m)
+            # stopped at x4 (index 3), the run is the full run's prefix up
+            # to and including its first lead that x4 divides
+            first = next((k for k, mono in enumerate(monos) if mono.exponents[3]), len(leads) - 1)
+            stopped_pk, stopped, _ = groebner_mod._buchberger(*run, 3)
+            assert stopped_pk.bits == pk.bits and stopped == leads[:first + 1], (data, m)
             verdict = acm_by_groebner(deg, gens)
             if verdict.acm:
                 assert verdict.witness is None and not any(mono.exponents[3] for mono in monos)
             else:
-                assert pk.unpack(leads[-1]) == verdict.witness, (data, m)
+                assert pk.unpack(stopped[-1]) == verdict.witness, (data, m)
                 assert verdict.witness in x4_initial_generators(deg, gens), (data, m)
             verdicts.add(verdict.acm)
         assert verdicts == {True, False}
@@ -450,13 +447,14 @@ class TestCrossValidate:
                 assert r.skip_reason == "gcd>1"
 
     def test_disagreement_aborts_with_a_dump(self, monkeypatch, basic_data):
-        real = acm_mod.acm_by_groebner
+        # the member analysis runs `acm_by_groebner`'s core on its checked vector
+        real = acm_mod._verdict
 
         def flipped(*args):
             gb = real(*args)
             return dataclasses.replace(gb, acm=not gb.acm)
 
-        monkeypatch.setattr(acm_mod, "acm_by_groebner", flipped)
+        monkeypatch.setattr(acm_mod, "_verdict", flipped)
         # m=8 is analysed in permuted coordinates: the dump rebuilds the
         # basis of the first recovery hit's generators, not of the base's
         target_8 = d_from_a_any_order(member_degrees(basic_data, 8))[0][1]
@@ -488,13 +486,13 @@ class TestCrossValidate:
             x4_initial_generators(member_degrees(basic_data, 0), gens, 1)
         [row] = cross_validate(basic_data, range(0, 1), step_bound=1)
         assert row.applicable and row.agree
-        real = acm_mod.acm_by_groebner
+        real = acm_mod._verdict
 
         def flipped(*args):
             gb = real(*args)
             return dataclasses.replace(gb, acm=not gb.acm)
 
-        monkeypatch.setattr(acm_mod, "acm_by_groebner", flipped)
+        monkeypatch.setattr(acm_mod, "_verdict", flipped)
         with pytest.raises(DisagreementError) as exc:
             cross_validate(basic_data, range(0, 1), step_bound=1)
         doc = json.loads(exc.value.dump)
@@ -526,14 +524,15 @@ class TestReorderedRecovery:
     that d_from_a_any_order lists first."""
 
     def _assert_first_hit(self, monkeypatch, data, m, deg):
+        # the member analysis evaluates the criterion's conditions directly
         targets = []
-        real = acm_mod.acm_by_criterion
+        real = acm_mod.case_conditions
 
         def spy(target, tm):
             targets.append((target, tm))
             return real(target, tm)
 
-        monkeypatch.setattr(acm_mod, "acm_by_criterion", spy)
+        monkeypatch.setattr(acm_mod, "case_conditions", spy)
         perm, target = d_from_a_any_order(deg)[0]
         report = analyze_member(data, m)
         assert report.reordered and report.agree

@@ -8,6 +8,7 @@ from itertools import permutations
 
 import pytest
 
+import curvelab.cli as cli_mod
 from curvelab.bresinsky import d_from_a, d_from_a_any_order, member_degrees
 from curvelab.cli import main, to_canonical_json
 
@@ -64,14 +65,15 @@ class TestAnalyze:
     def test_homogenize_runs_the_criterion_once(self, monkeypatch):
         from curvelab import acm
 
+        # the member analysis evaluates the criterion's conditions directly
         calls = []
-        real = acm.acm_by_criterion
+        real = acm.case_conditions
 
         def counting(data, m):
             calls.append(m)
             return real(data, m)
 
-        monkeypatch.setattr(acm, "acm_by_criterion", counting)
+        monkeypatch.setattr(acm, "case_conditions", counting)
         rc, out = run_cli("analyze", "--a", "8,5,7,9", "--m", "0", "--homogenize")
         assert rc == 0
         assert "homogeneous basis:" in out
@@ -111,6 +113,29 @@ class TestAnalyze:
         assert rc == 1
         rc, _ = run_cli("analyze", "--m", "0")
         assert rc == 1
+
+
+    def test_one_member_checks_its_degrees_once(self, monkeypatch):
+        # `_analyze` hands its checked vector to the private cores of both
+        # routes: besides the input's base check, only the member's own
+        # vector is worked out, and its hypotheses are checked once
+        from curvelab import acm, bresinsky
+
+        calls = {"member_degrees": 0, "degree_refusal": 0, "_validated_vector": 0}
+        for name in calls:
+            real = getattr(bresinsky, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            for mod in (bresinsky, acm, cli_mod):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting)
+        argv = ("analyze", "--d", "2,4,1,1,36,1,1,2", "--m", "38", "--format", "json")
+        rc, out = run_cli(*argv)
+        assert rc == 0 and json.loads(out)["verdict_groebner"] is False
+        assert calls == {"member_degrees": 2, "degree_refusal": 1, "_validated_vector": 0}
 
 
 class TestFamily:
@@ -601,3 +626,25 @@ class TestParserCache:
         assert rc == 0 and out.endswith("verified: both routes agree on every applicable member\n")
         rc, out = run_cli("family", "--a", "8,5,7,9", "--m-range", "0..2")
         assert rc == 0 and "verified" not in out
+
+
+class TestImports:
+    def test_the_parser_loads_only_the_standard_library(self):
+        # a fresh interpreter without site packages imports the CLI and
+        # builds its parser: every module it loads is curvelab's or the
+        # standard library's, and none that only a bug or the console
+        # entry point needs
+        code = (
+            "import sys; import curvelab.cli as cli; cli.build_parser(); "
+            "print(' '.join(sorted(sys.modules)))"
+        )
+        env = {"PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        loaded = set(proc.stdout.split())
+        assert "curvelab.cli" in loaded
+        tops = {name.partition(".")[0] for name in loaded} - {"__main__", "curvelab"}
+        assert tops <= set(sys.stdlib_module_names), sorted(tops - set(sys.stdlib_module_names))
+        assert not loaded & {"traceback", "signal", "textwrap"}, sorted(loaded)

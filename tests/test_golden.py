@@ -39,6 +39,11 @@ CASES = {
     "analyze-reordered-acm": ["analyze", "--d", "4,2,4,1,5,1,7,1", "--m", "0"],
     "analyze-reordered-homogenize": ["analyze", "--d", "4,2,4,1,5,1,7,1", "--m", "0",
                                      "--homogenize"],
+    "analyze-long-basis": ["analyze", "--d", "2,4,1,1,36,1,1,2", "--m", "38"],
+    "analyze-long-basis-json": ["analyze", "--d", "2,4,1,1,36,1,1,2", "--m", "38",
+                                "--format", "json"],
+    "analyze-far-member-json": ["analyze", "--a", "19,29,26,43", "--m", "1000000000002",
+                                "--format", "json"],
     "family-basic-0-70": ["family", "--a", "19,29,26,43", "--m-range", "0..70"],
     "family-big-json": ["family", "--a", "1191,1239,582,2303", "--m-range", "0..15",
                         "--format", "json"],
@@ -58,6 +63,8 @@ CASES = {
     "gb-oracle-json": ["gb", "--a", "19,29,26,43", "--m", "0", "--oracle", "--format", "json"],
     "gb-oracle-homogenize-json": ["gb", "--a", "19,29,26,43", "--m", "0", "--oracle",
                                   "--homogenize", "--format", "json"],
+    "gb-oracle-long-basis-json": ["gb", "--d", "2,4,1,1,36,1,1,2", "--m", "38", "--oracle",
+                                  "--format", "json"],
     "gb-case2-homogenize": ["gb", "--a", "1191,1239,582,2303", "--m", "0", "--homogenize"],
     "gb-case2-w3-positive-homogenize-json": ["gb", "--a", "1191,1239,582,2303", "--m", "12",
                                              "--homogenize", "--format", "json"],

@@ -24,6 +24,7 @@ from curvelab import (
     s_binomial,
 )
 from curvelab import groebner
+from curvelab.bresinsky import degree_refusal
 from curvelab.groebner import MAX_DEGREE, Packing, is_interreduced
 from helpers import (
     bino,
@@ -194,116 +195,137 @@ class TestNormalForm:
                 assert after == before
 
 
+#: The field widths the kernel packs with: the full one and the narrow
+#: one it tries first.
+WIDTHS = (groebner.FIELD_BITS, groebner._NARROW_FIELD_BITS)
+
+
 class TestPacking:
     """The packed primitives the engine runs (`_first_reducer`, `_lcms`,
     `_degree`, `_key`, and the rewrite inside `_normal_form`) against
     `Monomial`, `MonomialOrder` and `Binomial.rewrite`, on seeded random
-    exponent vectors."""
+    exponent vectors, at each field width of WIDTHS."""
 
     @staticmethod
-    def _vectors(rng, n, count):
-        """Small exponents; every third vector has degree MAX_DEGREE."""
+    def _vectors(rng, n, count, limit):
+        """Small exponents; every third vector has degree `limit`."""
         out = []
         for k in range(count):
             e = [rng.randint(0, 7) for _ in range(n)]
             if k % 3 == 0:
                 i = rng.randrange(n)
-                e[i] = MAX_DEGREE - (sum(e) - e[i])
+                e[i] = limit - (sum(e) - e[i])
             out.append(Monomial(tuple(e)))
         return out
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
     def test_agrees_with_tuple_operations(self, order):
-        pk = Packing(order)
-        guards, shift = pk.guards, pk.shift
-        rng = random.Random(sum(order.priority) * 31 + order.nvars)
-        monos = self._vectors(rng, order.nvars, 60)
-        packed = [pk.pack(a.exponents) for a in monos]
-        for a, pa in zip(monos, packed):
-            assert pk.unpack(pa) == a
-            assert groebner._degree(pa) == a.degree()
-            first = next((k for k, d in enumerate(monos) if d.divides(a)), -1)
-            assert groebner._first_reducer(pa, packed, guards) == first
-            lcms = groebner._lcms(packed, pa, guards)
-            for b, pb, pl in zip(monos, packed, lcms):
-                assert (groebner._first_reducer(pb, [pa], guards) == 0) == a.divides(b)
-                c = order.compare(a, b)
-                ka, kb = groebner._key(pa, shift), groebner._key(pb, shift)
-                assert (ka > kb) - (ka < kb) == c
-                lcm = a.lcm(b)
-                assert pk.unpack(pl) == lcm
-                if lcm.degree() > MAX_DEGREE:
-                    with pytest.raises(OverflowError):
-                        groebner._degree(pl)
-                else:
-                    assert groebner._degree(pl) == lcm.degree()
-                    assert (pl == pa + pb) == (lcm == times(a, b))
-        by_key = sorted(monos, key=lambda m: groebner._key(pk.pack(m.exponents), shift))
-        assert by_key == sorted(monos, key=order.key)
+        for bits in WIDTHS:
+            pk = Packing(order, bits)
+            limit, guards = pk.max_degree, pk.guards
+            rng = random.Random(sum(order.priority) * 31 + order.nvars)
+            monos = self._vectors(rng, order.nvars, 60, limit)
+            packed = [pk.pack(a.exponents) for a in monos]
+            for a, pa in zip(monos, packed):
+                assert pk.unpack(pa) == a
+                assert groebner._degree(pa, pk) == a.degree()
+                first = next((k for k, d in enumerate(monos) if d.divides(a)), -1)
+                assert groebner._first_reducer(pa, packed, guards) == first
+                lcms = groebner._lcms(packed, pa, pk)
+                for b, pb, pl in zip(monos, packed, lcms):
+                    assert (groebner._first_reducer(pb, [pa], guards) == 0) == a.divides(b)
+                    c = order.compare(a, b)
+                    ka, kb = groebner._key(pa, pk), groebner._key(pb, pk)
+                    assert (ka > kb) - (ka < kb) == c
+                    lcm = a.lcm(b)
+                    assert pk.unpack(pl) == lcm
+                    if lcm.degree() > limit:
+                        with pytest.raises(OverflowError):
+                            groebner._degree(pl, pk)
+                    else:
+                        assert groebner._degree(pl, pk) == lcm.degree()
+                        assert (pl == pa + pb) == (lcm == times(a, b))
+            by_key = sorted(monos, key=lambda m: groebner._key(pk.pack(m.exponents), pk))
+            assert by_key == sorted(monos, key=order.key), bits
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
     def test_rewrites_agree_with_binomial_rewrite_at_the_limit(self, order):
         # f = lead*c - t with c a power of a variable that neither side of
         # the reducer contains: one packed rewrite turns the lead into
-        # trail*c, of degree up to MAX_DEGREE, which that reducer no longer
-        # divides; the oracle rewrites tuples through `Binomial.rewrite`
-        rng = random.Random(order.nvars * 7 + order.priority[0])
+        # trail*c, of degree up to the packing's limit, which that reducer
+        # no longer divides; the oracle rewrites tuples through
+        # `Binomial.rewrite`
         n = order.nvars
-        checked = 0
-        for k in range(120):
-            v = rng.randrange(n)
-            sides = [[rng.randint(0, 3) for _ in range(n)] for _ in range(2)]
-            for e in sides:
-                e[v] = 0
-            b = Binomial.from_pair(Monomial(tuple(sides[0])), Monomial(tuple(sides[1])), order)
-            if b is None:
-                continue
-            c = [0] * n
-            c[v] = MAX_DEGREE - b.lead.degree() - k % 3
-            m = times(b.lead, Monomial(tuple(c)))
-            f = Binomial.from_pair(m, Monomial(tuple(rng.randint(0, 3) for _ in range(n))), order)
-            expected = tuple_normal_form(f, [b], order)
-            assert normal_form(f, BinomialBasis((b,), order)) == expected
-            assert expected.lead == b.rewrite(m)
-            checked += 1
-        assert checked > 60
+        for bits in WIDTHS:
+            limit = Packing(order, bits).max_degree
+            rng = random.Random(order.nvars * 7 + order.priority[0])
+            checked = 0
+            for k in range(120):
+                v = rng.randrange(n)
+                sides = [[rng.randint(0, 3) for _ in range(n)] for _ in range(2)]
+                for e in sides:
+                    e[v] = 0
+                b = Binomial.from_pair(Monomial(tuple(sides[0])), Monomial(tuple(sides[1])), order)
+                if b is None:
+                    continue
+                c = [0] * n
+                c[v] = limit - b.lead.degree() - k % 3
+                m = times(b.lead, Monomial(tuple(c)))
+                trail = Monomial(tuple(rng.randint(0, 3) for _ in range(n)))
+                f = Binomial.from_pair(m, trail, order)
+                expected = tuple_normal_form(f, [b], order)
+                assert normal_form(f, BinomialBasis((b,), order), bits=bits) == expected
+                assert expected.lead == b.rewrite(m)
+                checked += 1
+            assert checked > 60, bits
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
     def test_least_priority_variable_fills_the_top_field(self, order):
-        pk = Packing(order)
         least = order.priority[-1]
         x = Monomial.from_powers({least: 1}, order.nvars)
-        assert pk.pack(x.exponents) == 1 << (pk.shift - groebner.FIELD_BITS)
+        for bits in WIDTHS:
+            pk = Packing(order, bits)
+            assert pk.pack(x.exponents) == 1 << (pk.shift - bits)
+            # the field of each variable is the one the variable sits in
+            for i in range(order.nvars):
+                xi = pk.pack(tuple(int(j == i) for j in range(order.nvars)))
+                assert pk.variable_field(i) == pk.field * xi
+                assert [bool(xi & pk.variable_field(j)) for j in range(order.nvars)] == [
+                    j == i for j in range(order.nvars)
+                ]
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
     def test_pack_refuses_a_negative_exponent(self, order):
         # no Monomial stands in front of the kernel: unchecked, a negative
         # field would borrow from the field above it and pack silently to
         # another monomial
-        pk = Packing(order)
-        for k in range(order.nvars):
-            e = [2] * order.nvars
-            e[k] = -1
-            with pytest.raises(ValueError, match="negative exponent"):
-                pk.pack(tuple(e))
+        for bits in WIDTHS:
+            pk = Packing(order, bits)
+            for k in range(order.nvars):
+                e = [2] * order.nvars
+                e[k] = -1
+                with pytest.raises(ValueError, match="negative exponent"):
+                    pk.pack(tuple(e))
 
     def test_overflow_guard_raises_at_the_limit(self):
+        assert Packing(AFFINE_ORDER).max_degree == MAX_DEGREE
         for order in ORDERS:
-            pk = Packing(order)
-            n = order.nvars
-            top = Monomial((MAX_DEGREE,) + (0,) * (n - 1))
-            assert groebner._degree(pk.pack(top.exponents)) == MAX_DEGREE
-            with pytest.raises(OverflowError):
-                pk.pack((MAX_DEGREE + 1,) + (0,) * (n - 1))
-            with pytest.raises(OverflowError):
-                pk.pack((MAX_DEGREE - 1,) + (1,) * (n - 1))
-            # the lcm of two packed monomials is exact field by field, and
-            # its degree check refuses it
-            other = pk.pack((0, 1) + (0,) * (n - 2))
-            (lcm,) = groebner._lcms([pk.pack(top.exponents)], other, pk.guards)
-            assert lcm == pk.pack(top.exponents) + other
-            with pytest.raises(OverflowError):
-                groebner._degree(lcm)
+            for bits in WIDTHS:
+                pk = Packing(order, bits)
+                limit, n = pk.max_degree, order.nvars
+                top = Monomial((limit,) + (0,) * (n - 1))
+                assert groebner._degree(pk.pack(top.exponents), pk) == limit
+                with pytest.raises(OverflowError, match=f"packed limit {limit}$"):
+                    pk.pack((limit + 1,) + (0,) * (n - 1))
+                with pytest.raises(OverflowError):
+                    pk.pack((limit - 1,) + (1,) * (n - 1))
+                # the lcm of two packed monomials is exact field by field,
+                # and its degree check refuses it
+                other = pk.pack((0, 1) + (0,) * (n - 2))
+                (lcm,) = groebner._lcms([pk.pack(top.exponents)], other, pk)
+                assert lcm == pk.pack(top.exponents) + other
+                with pytest.raises(OverflowError):
+                    groebner._degree(lcm, pk)
 
     def test_buchberger_refuses_a_generator_past_the_limit(self):
         g = bino(m4(MAX_DEGREE + 1), m4(0, 1))
@@ -322,6 +344,116 @@ class TestPacking:
         g = bino(m4(0, 2), m4(0, 0, 0, 1))
         with pytest.raises(OverflowError):
             is_groebner(BinomialBasis((f, g), AFFINE_ORDER))
+
+
+class TestFieldWidth:
+    """`_buchberger` packs with _NARROW_FIELD_BITS first and reruns with
+    FIELD_BITS only when a degree outgrows the narrow fields: its result
+    is the 64-bit run's, element for element (see the module docstring)."""
+
+    NARROW = groebner._NARROW_FIELD_BITS
+
+    #: the first long-basis benchmark member (seed 7)
+    LONG_7 = (BresinskyData(2, 4, 1, 1, 36, 1, 1, 2), 38)
+
+    @staticmethod
+    def _run(gens, bits, degrees=None, step_bound=groebner.DEFAULT_STEP_BOUND):
+        """One kernel run at the given width, unpacked: the packing's width
+        and the (lead, trail) monomials in the order they joined."""
+        pairs = groebner._exponent_pairs(gens)
+        pk, leads, trails = groebner._run(
+            pairs, Packing(AFFINE_ORDER, bits), step_bound, degrees, None
+        )
+        return [(pk.unpack(lead), pk.unpack(trail)) for lead, trail in zip(leads, trails)]
+
+    @staticmethod
+    def _kernel(gens, degrees=None, step_bound=groebner.DEFAULT_STEP_BOUND):
+        pk, leads, trails = groebner._buchberger(gens, AFFINE_ORDER, step_bound, degrees)
+        return pk.bits, [(pk.unpack(lead), pk.unpack(trail)) for lead, trail in zip(leads, trails)]
+
+    def test_narrow_runs_match_the_full_width(self, basic_data, big_data):
+        anchors = [
+            (data, m)
+            for data in (basic_data, big_data)
+            for m in range(0, 41)
+            if degree_refusal(member_degrees(data, m)) is None
+        ]
+        members = sample_long_basis(7, 60) + sample_applicable(3, 300) + anchors
+        assert len(anchors) > 10
+        for data, m in members:
+            gens = generators(data, m)
+            for degrees in (None, member_degrees(data, m)):  # unweighted and weighted
+                wide = self._run(gens, groebner.FIELD_BITS, degrees)
+                assert self._run(gens, self.NARROW, degrees) == wide, (data, m, degrees)
+                assert self._kernel(gens, degrees) == (self.NARROW, wide), (data, m, degrees)
+
+    def test_an_lcm_past_the_narrow_limit_reruns_at_full_width(self):
+        # both generators fit the narrow fields; the lcm of their leads
+        # does not, so the narrow run stops and the kernel reruns
+        limit = Packing(AFFINE_ORDER, self.NARROW).max_degree
+        gens = [
+            bino(m4(limit - 1, 1), m4(0, 0, 1)),
+            bino(m4(0, 2), m4(0, 0, 0, 1)),
+        ]
+        with pytest.raises(OverflowError, match=f"packed limit {limit}$"):
+            self._run(gens, self.NARROW)
+        wide = self._run(gens, groebner.FIELD_BITS)
+        assert self._kernel(gens) == (groebner.FIELD_BITS, wide)
+        assert buchberger(gens, AFFINE_ORDER).elements == tuple(
+            Binomial(lead, trail) for lead, trail in wide
+        )
+
+    def test_a_generator_past_the_narrow_limit_runs_at_full_width(self, basic_data):
+        gens = generators(basic_data, 10**6)  # degrees in the tens of millions
+        deg = member_degrees(basic_data, 10**6)
+        assert max(b.lead.degree() for b in gens) > Packing(AFFINE_ORDER, self.NARROW).max_degree
+        for degrees in (None, deg):
+            wide = self._run(gens, groebner.FIELD_BITS, degrees)
+            assert self._kernel(gens, degrees) == (groebner.FIELD_BITS, wide)
+
+    def test_only_the_full_width_limit_reaches_the_caller(self):
+        for gens in (
+            [bino(m4(MAX_DEGREE + 1), m4(0, 1))],
+            [bino(m4(MAX_DEGREE - 1, 1), m4(0, 0, 1)), bino(m4(0, 2), m4(0, 0, 0, 1))],
+        ):
+            with pytest.raises(OverflowError, match=f"packed limit {MAX_DEGREE}$"):
+                self._kernel(gens)
+
+    def test_step_bound_stops_both_widths_at_the_same_step(self, monkeypatch):
+        # each width forms the same normal forms up to the one that runs
+        # past the bound, and raises the same error there; a step bound is
+        # no degree overflow, so the kernel does not rerun
+        data, m = self.LONG_7
+        gens, deg = generators(data, m), member_degrees(data, m)
+        calls = []
+        real = groebner._normal_form
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(groebner, "_normal_form", counting)
+
+        def outcome(run):
+            calls.clear()
+            try:
+                run()
+            except StepBoundExceeded as exc:
+                return str(exc), len(calls)
+            return None, len(calls)
+
+        # the least bound under which the full run to the end finishes
+        need = next(
+            b for b in range(10_000) if outcome(lambda: self._kernel(gens, deg, b))[0] is None
+        )
+        tripped = 0
+        for bound in (0, 1, 2, need // 2, need - 1, need):
+            narrow = outcome(lambda: self._run(gens, self.NARROW, deg, bound))
+            wide = outcome(lambda: self._run(gens, groebner.FIELD_BITS, deg, bound))
+            assert narrow == wide, bound
+            assert outcome(lambda: self._kernel(gens, deg, bound)) == narrow, bound
+            tripped += narrow[0] is not None
+        assert tripped == 5
 
 
 class TestBuchberger:
