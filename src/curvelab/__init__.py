@@ -10,14 +10,11 @@ bases and their homogenizations entirely in exact integer arithmetic.
 from .acm import (
     AcmReport,
     GroebnerVerdict,
-    HomogeneousBasis,
     acm_by_criterion,
     acm_by_groebner,
     analyze_member,
-    check_h_membership,
     cross_validate,
     homogeneous_basis,
-    homogenize,
 )
 from .bresinsky import (
     BresinskyData,
@@ -30,7 +27,6 @@ from .bresinsky import (
     compute_w,
     d_from_a,
     d_from_a_any_order,
-    extra_binomials,
     generators,
     member_degrees,
     shift_vector,

@@ -13,7 +13,7 @@ failure and aborts with a diagnostic dump.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .bresinsky import (
@@ -24,10 +24,10 @@ from .bresinsky import (
     ConditionValue,
     Vec4,
     _any_order_hits,
+    _closed_form,
     _generator_exponents,
     _validated_vector,
     case_conditions,
-    closed_form_basis,
     degree_refusal,
     member_degrees,
 )
@@ -40,7 +40,6 @@ from .groebner import (
     _binomials,
     _buchberger,
     _canonical_pairs,
-    _exponent_pairs,
     _key,
     buchberger,
 )
@@ -193,109 +192,55 @@ def _x4_leads(vec: Vec4, gens: _Generators, step_bound: int) -> tuple[Monomial, 
     return tuple(map(pk.unpack, x4_leads))
 
 
-def homogenize(b: Binomial) -> Binomial:
-    """Homogenize a 4-variable binomial: pad the lower-degree side with
-    the needed power of x0.  The result is oriented under the extended
-    order, which keeps the original lead in the lead position."""
-    pair = _padded(b.lead.exponents, b.trail.exponents)
-    return _binomials(_canonical_pairs((pair,), PROJECTIVE_ORDER))[0]
-
-
 def _padded(lead: Sequence[int], trail: Sequence[int]) -> ExponentPair:
     """The x1..x4 exponent pair over x0..x4, its lower-degree side padded
     with the power of x0 that equals the degrees."""
     if len(lead) != 4:
-        raise AmbientMismatchError(f"homogenize expects a 4-variable binomial, got {len(lead)}")
+        raise AmbientMismatchError(f"homogenization expects a 4-variable binomial, got {len(lead)}")
     dl, dt = sum(lead), sum(trail)
     return (max(0, dt - dl), *lead), (max(0, dl - dt), *trail)
-
-
-def _h_weights(degrees: Iterable[int]) -> tuple[int, ...]:
-    """(0, a1..a4): the weights of x0..x4 for a checked degree vector."""
-    vec = tuple(operator.index(x) for x in degrees)
-    if len(vec) != 4:
-        raise ValueError(f"degree vector must have 4 entries, got {len(vec)}")
-    return (0,) + vec
-
-
-def _h_member(lead: Sequence[int], trail: Sequence[int], weights: Sequence[int]) -> bool:
-    """`check_h_membership` of an x0..x4 exponent pair under `_h_weights`."""
-    if len(lead) != 5:
-        raise AmbientMismatchError(f"expected a 5-variable binomial, got {len(lead)}")
-    if sum(lead) != sum(trail):
-        return False
-    return sum(map(operator.mul, lead, weights)) == sum(map(operator.mul, trail, weights))
-
-
-def check_h_membership(b: Binomial, degrees: Iterable[int]) -> bool:
-    """Membership test for the homogenized toric ideal.
-
-    True iff the two sides have equal total degree and equal weight under
-    (a1..a4) on x1..x4 with weight 0 on x0.  Equality of the
-    complementary weights then follows, since that weight is
-    a4 * totaldegree minus this one.
-    """
-    return _h_member(b.lead.exponents, b.trail.exponents, _h_weights(degrees))
 
 
 def _check_homogeneous(pairs: Iterable[ExponentPair], degrees: Iterable[int]) -> None:
     """ValueError unless every (lead, trail) pair over x0..x4 is
     degree-homogeneous and lies in the homogenized toric ideal of
-    `degrees`: the check of `HomogeneousBasis`."""
-    weights = _h_weights(degrees)
+    `degrees`: its sides have equal total degree and equal weight under
+    (a1..a4) on x1..x4 with weight 0 on x0.  Equality of the
+    complementary weights then follows, since that weight is
+    a4 * totaldegree minus this one."""
+    weights = (0, *map(operator.index, degrees))
+    if len(weights) != 5:
+        raise ValueError(f"degree vector must have 4 entries, got {len(weights) - 1}")
     for lead, trail in pairs:
+        if len(lead) != 5:
+            raise AmbientMismatchError(f"expected a 5-variable binomial, got {len(lead)}")
         if sum(lead) != sum(trail):
             problem = "inhomogeneous element"
-        elif not _h_member(lead, trail, weights):
+        elif sum(map(operator.mul, lead, weights)) != sum(map(operator.mul, trail, weights)):
             problem = f"element fails homogeneous membership for {degrees}"
         else:
             continue
         raise ValueError(f"{problem}: {_binomials(((lead, trail),))[0]}")
 
 
-@dataclass(frozen=True)
-class HomogeneousBasis(BinomialBasis):
-    """A basis over the homogenized ring, validated on construction:
-    every element must be degree-homogeneous and lie in the homogenized
-    toric ideal of `degrees`."""
-
-    degrees: Vec4 = field(kw_only=True)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _check_homogeneous(_exponent_pairs(self.elements), self.degrees)
-
-
-def homogenized(basis: BinomialBasis, degrees: Vec4) -> HomogeneousBasis:
-    """Element-wise homogenization of a Groebner basis of the toric ideal
-    of `degrees`, sorted canonically under the extended order.  That order
-    is degree-compatible, so no lead gains x0: the result is a Groebner
-    basis, and reduced exactly when `basis` is."""
-    return HomogeneousBasis(
-        _binomials(_homogenized(_exponent_pairs(basis.elements), degrees)),
-        PROJECTIVE_ORDER,
-        is_groebner_verified=basis.is_groebner_verified,
-        is_reduced=basis.is_reduced,
-        degrees=degrees,
-    )
-
-
 def _homogenized(
     pairs: Iterable[ExponentPair], degrees: Iterable[int]
 ) -> tuple[ExponentPair, ...]:
-    """`homogenized` on x1..x4 exponent pairs, as (lead, trail) pairs over
-    x0..x4 in canonical order under the extended order: the one place a
-    basis is homogenized, which the CLI's replies read without building a
-    `Binomial`.  Each pair is padded with x0 (`_padded`), led by its
-    larger side under `PROJECTIVE_ORDER` and checked as
-    `HomogeneousBasis` checks its elements."""
+    """Element-wise homogenization of a Groebner basis of the toric ideal
+    of `degrees`, given as x1..x4 exponent pairs: (lead, trail) pairs over
+    x0..x4 in canonical order under the extended order.  That order is
+    degree-compatible, so no lead gains x0: the result is a Groebner basis,
+    and reduced exactly when the input is.  Each pair is padded with x0
+    (`_padded`), led by its larger side under `PROJECTIVE_ORDER` and
+    checked by `_check_homogeneous`: the one place a basis is homogenized."""
     elements = _canonical_pairs((_padded(lead, trail) for lead, trail in pairs), PROJECTIVE_ORDER)
     _check_homogeneous(elements, degrees)
     return elements
 
 
-def homogeneous_basis(data: BresinskyData, m: int) -> HomogeneousBasis:
-    """Element-wise homogenization of the closed-form basis at shift m.
+def homogeneous_basis(data: BresinskyData, m: int) -> BinomialBasis:
+    """Element-wise homogenization of the closed-form basis at shift m,
+    under `PROJECTIVE_ORDER`.
 
     Only defined when the projective closure is Cohen-Macaulay (which is
     exactly when the closed form exists); refuses otherwise.  The output
@@ -308,8 +253,13 @@ def homogeneous_basis(data: BresinskyData, m: int) -> HomogeneousBasis:
             "not arithmetically Cohen-Macaulay",
             {"m": m, "condition": failing.name, "value": failing.value},
         )
-    closed = closed_form_basis(data, m)
-    return homogenized(closed.basis, member_degrees(data, m))
+    _, elements, reduced = _closed_form(data, m)
+    return BinomialBasis(
+        _binomials(_homogenized(elements, member_degrees(data, m))),
+        PROJECTIVE_ORDER,
+        is_groebner_verified=True,
+        is_reduced=reduced,
+    )
 
 
 def _skip(m: int, degrees: Vec4, reason: str) -> AcmReport:

@@ -27,7 +27,7 @@ from .groebner import (
     ExponentPair,
     _binomials,
     _canonical_pairs,
-    _interreduced,
+    is_interreduced,
 )
 from .monomials import AFFINE_ORDER
 
@@ -229,33 +229,20 @@ def compute_w(data: BresinskyData, m: int) -> int:
     return min(-(-(data.d1 + m) // data.d21), -(-data.d3 // data.d23))
 
 
-def _w_and_branch(data: BresinskyData, m: int) -> tuple[int, bool]:
-    """w at shift m and the branch sign of case 2: whether
-    d1 + m - w*d21 > 0."""
-    w = compute_w(data, m)
-    return w, data.d1 + m - w * data.d21 > 0
-
-
-def extra_binomials(data: BresinskyData, m: int) -> tuple[Binomial, ...]:
-    """The case-2 companions of the five generators, in the order
-    p_1..p_{w-2}, q_1..q_{w-2}, r.
+def _extra_exponents(
+    data: BresinskyData, m: int, w: int, branch_positive: bool
+) -> tuple[ExponentPair, ...]:
+    """The case-2 companions of the five generators as unoriented (lhs,
+    rhs) pairs of x1..x4 exponent tuples, for the w and branch that
+    `case_conditions` finds at shift m, in the order p_1..p_{w-2},
+    q_1..q_{w-2}, r: the one place their formulas are written.
 
     The i = 0 instances of p and q coincide with two of the generators
     and are never re-emitted, so for w = 2 the result is (r,).  The
     branch of r follows the sign of d1 + m - w*d21.  A negative exponent
-    here would mean the case assumptions are violated; it surfaces as a
-    ValueError.
+    here would mean the case assumptions are violated; `_canonical_pairs`
+    refuses it with a ValueError.
     """
-    pairs = _extra_exponents(data, m, *_w_and_branch(data, m))
-    return tuple(_oriented(lhs, rhs) for lhs, rhs in pairs)
-
-
-def _extra_exponents(
-    data: BresinskyData, m: int, w: int, branch_positive: bool
-) -> tuple[ExponentPair, ...]:
-    """The binomials of `extra_binomials` as unoriented (lhs, rhs) pairs
-    of x1..x4 exponent tuples, for the w and branch that `case_conditions`
-    finds at shift m: the one place their formulas are written."""
     d = data
     p = tuple(
         ((0, (i + 1) * d.d2 - d.d32, d.d3 - (i + 1) * d.d23, 0), ((i + 1) * d.d21, 0, 0, d.d34))
@@ -292,7 +279,8 @@ def case_conditions(data: BresinskyData, m: int) -> CaseConditions:
     if d.d2 >= d.d21 + d.d23:
         return CaseConditions(case=1, w=None, branch_positive=None, conditions=(c1, c2, c3))
 
-    w, branch_positive = _w_and_branch(data, m)
+    w = compute_w(data, m)
+    branch_positive = d.d1 + m - w * d.d21 > 0  # the branch sign of case 2
     s = d.d2 - d.d21 - d.d23  # negative in case 2
     c4 = ConditionValue("(w-1)(d2-d21-d23)+d3-d32-d34", (w - 1) * s + d.d3 - d.d32 - d.d34)
     c5 = ConditionValue(
@@ -348,7 +336,7 @@ def _closed_form(data: BresinskyData, m: int) -> tuple[int, tuple[ExponentPair, 
         # w and the branch as the conditions found them, not worked out again
         pairs += _extra_exponents(data, m, cc.w, cc.branch_positive)
     elements = _canonical_pairs(pairs, AFFINE_ORDER)
-    return cc.case, elements, _interreduced(elements)
+    return cc.case, elements, is_interreduced(elements)
 
 
 def _validated_vector(a: Iterable[int]) -> Vec4:

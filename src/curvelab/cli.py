@@ -38,7 +38,9 @@ from .groebner import (
     ExponentPair,
     _basis_json,
     _binomials,
+    _canonical_pairs,
     _exponent_pairs,
+    _pair_json,
     buchberger,
     reduce_basis,
 )
@@ -347,7 +349,7 @@ def cmd_gb(args: argparse.Namespace, out) -> int:
             buchberger(generators(data, args.m), AFFINE_ORDER, args.step_bound),
             step_bound=args.step_bound,
         )
-        elements = tuple(_exponent_pairs(basis.sorted_elements()))
+        elements = _canonical_pairs(_exponent_pairs(basis), AFFINE_ORDER)
         tag: dict = {"source": "oracle", "case": None, "reduced": True}
     else:
         case, elements, reduced = _closed_form(data, args.m)
@@ -373,7 +375,7 @@ def cmd_gb(args: argparse.Namespace, out) -> int:
 
 
 def cmd_recover(args: argparse.Namespace, out) -> int:
-    if not args.a:
+    if args.a is None:
         raise UsageError("recover requires --a")
     vec = _parse_a(args.a)
     hits = d_from_a_any_order(vec)
@@ -391,7 +393,7 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
                     "d": data.to_json(),
                     "a": list(a_from_d(data)),
                     "v": list(shift_vector(data)),
-                    "generators": [b.to_json() for b in generators(data, 0)],
+                    "generators": [_pair_json(*p) for p in _exponent_pairs(generators(data, 0))],
                 }
                 for perm, data in hits
             ]

@@ -38,15 +38,19 @@ packing and the packed leads and trails; `buchberger`, `is_groebner` and
 `reduce_basis` work on packed exponent vectors too (Monagan-Pearce 2007,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
 vectors"; Bachmann-Schoenemann 1998, "Monomial representations for
-Groebner bases computations").  `Monomial` and `Binomial` objects are
-built only where a basis or a monomial is returned to be printed (the
-basis of `buchberger` or `reduce_basis`, the failures of `is_groebner`,
-the verdict's x4 leads) or a generator is named in an error.
-`acm.acm_by_groebner` gets the five generators as exponent tuples
-straight from the parameter formulas (`bresinsky._generator_exponents`),
-calls the kernel itself, weighted by the degree vector, and unpacks only
-the one lead that proves its verdict; it keeps no basis, and the
-disagreement dump rebuilds one with `buchberger` on the same pairs.
+Groebner bases computations").  A basis is sorted, flagged reduced and
+serialized as (lead, trail) exponent pairs (`_canonical_pairs`,
+`is_interreduced`, `_basis_json`), so the closed-form and homogenized
+bases the CLI prints never become objects.  `Monomial` and `Binomial`
+objects are built only where the library returns them (the basis of
+`buchberger` or `reduce_basis`, the failures of `is_groebner`, the
+verdict's x4 leads), where a binomial is printed as text, and where a
+generator is named in an error.  `acm.acm_by_groebner` gets the five
+generators as exponent tuples straight from the parameter formulas
+(`bresinsky._generator_exponents`), calls the kernel itself, weighted by
+the degree vector, and unpacks only the one lead that proves its verdict;
+it keeps no basis, and the disagreement dump rebuilds one with
+`buchberger` on the same pairs.
 
 Under an order on n variables a monomial is one int P: each exponent
 sits in its own field of W bits, the fields follow `MonomialOrder.scan`
@@ -177,31 +181,21 @@ class Binomial:
     def __str__(self) -> str:
         return f"{self.lead} - {self.trail}"
 
-    def to_json(self) -> dict:
-        return _pair_json(self.lead.exponents, self.trail.exponents)
-
 
 #: A binomial as an (lhs, rhs) pair of exponent tuples, in either orientation.
 ExponentPair = tuple[Sequence[int], Sequence[int]]
-
-
-def canonical(elements: Iterable[Binomial], order: MonomialOrder) -> tuple[Binomial, ...]:
-    """The canonical element order: ascending by lead, then by trail,
-    under `order`.  Every basis that is printed, serialized or flagged
-    reduced is in this order."""
-    key = order.key
-    return tuple(sorted(elements, key=lambda b: (key(b.lead), key(b.trail))))
 
 
 def _canonical_pairs(
     pairs: Iterable[ExponentPair], order: MonomialOrder
 ) -> tuple[ExponentPair, ...]:
     """The binomials of exponent pairs, each led by its larger side under
-    `order`, as (lead, trail) pairs in the canonical order of `canonical`.
-
-    The printed bases are built this way, from tuples, with the checks
-    that building `Binomial`s under `order` would make: the ambient size,
-    no negative exponent and no equal sides (the zero binomial)."""
+    `order`, as (lead, trail) pairs in the canonical element order:
+    ascending by lead, then by trail, under `order`.  Every basis that is
+    printed, serialized or flagged reduced is in this order, and sorted
+    here, with the checks that building `Binomial`s under `order` would
+    make: the ambient size, no negative exponent and no equal sides (the
+    zero binomial)."""
     key = order._exponent_key
     n = order.nvars
     rows = []
@@ -226,6 +220,7 @@ def _binomials(pairs: Iterable[ExponentPair]) -> tuple[Binomial, ...]:
 
 
 def _pair_json(lead: Sequence[int], trail: Sequence[int]) -> dict:
+    """The JSON layout of the binomial with an oriented exponent pair."""
     return {"lead": {"exponents": list(lead)}, "trail": {"exponents": list(trail)}}
 
 
@@ -267,11 +262,8 @@ class BinomialBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def sorted_elements(self) -> tuple[Binomial, ...]:
-        return canonical(self.elements, self.order)
-
     def to_json(self) -> dict:
-        return _basis_json(self.order, _exponent_pairs(self.sorted_elements()))
+        return _basis_json(self.order, _canonical_pairs(_exponent_pairs(self), self.order))
 
 
 @dataclass(frozen=True)
@@ -729,24 +721,17 @@ def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> G
     return GroebnerCertificate(not failures, tuple(failures))
 
 
-def is_interreduced(elements: Sequence[Binomial]) -> bool:
+def is_interreduced(pairs: Sequence[ExponentPair]) -> bool:
     """True when no lead divides the lead of another element or any
-    trail: a Groebner basis with this property, sorted canonically, is
-    the reduced one.  Elements from rings of different sizes raise
-    AmbientMismatchError.
+    trail, for oriented (lead, trail) exponent pairs: a Groebner basis
+    with this property, sorted canonically, is the reduced one.  Pairs
+    from rings of different sizes raise AmbientMismatchError.
 
     The test runs on plain exponent tuples, not packed ints, so it holds
     for any exponent size."""
-    pairs = _exponent_pairs(elements)
     sizes = {len(lead) for lead, _ in pairs}
     if len(sizes) > 1:
         raise AmbientMismatchError(f"ambient rings differ: {min(sizes)} vs {max(sizes)} variables")
-    return _interreduced(pairs)
-
-
-def _interreduced(pairs: Sequence[ExponentPair]) -> bool:
-    """`is_interreduced` of oriented (lead, trail) exponent pairs of one
-    ring size."""
     le = operator.le
     for k, (lead, _) in enumerate(pairs):
         # lead divides e exactly when each exponent of lead is <= e's

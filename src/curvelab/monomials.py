@@ -10,7 +10,7 @@ immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Sequence
 
 from .errors import AmbientMismatchError
 
@@ -37,19 +37,6 @@ class Monomial:
             raise ValueError(f"ambient ring must have 4 or 5 variables, got {n}")
         if any(e < 0 for e in self.exponents):
             raise ValueError(f"negative exponent in {self.exponents}")
-
-    @classmethod
-    def from_powers(cls, powers: Mapping[int, int], nvars: int = 4) -> "Monomial":
-        """Build from a {variable id: exponent} mapping; ids not listed get 0."""
-        if nvars not in _VAR_IDS:
-            raise ValueError(f"ambient ring must have 4 or 5 variables, got {nvars}")
-        ids = _VAR_IDS[nvars]
-        unknown = set(powers) - set(ids)
-        if unknown:
-            raise ValueError(
-                f"variable ids {sorted(unknown)} not in ambient ring of size {nvars}"
-            )
-        return cls(tuple(powers.get(i, 0) for i in ids))
 
     @property
     def nvars(self) -> int:
@@ -91,9 +78,6 @@ class Monomial:
                 parts.append(f"x{vid}^{e}")
         return "*".join(parts) if parts else "1"
 
-    def to_json(self) -> dict:
-        return {"exponents": list(self.exponents)}
-
 
 @dataclass(frozen=True)
 class MonomialOrder:
@@ -114,12 +98,13 @@ class MonomialOrder:
     implement the order twice on purpose.  The packed kernel of
     `curvelab.groebner` orders its own monomials, and the bases the CLI
     prints are oriented and sorted by `key`'s tuple form on exponent
-    tuples.  So `compare` runs only in the object API (`Binomial.from_pair`
-    and the orientation check of `BinomialBasis`), which the CLI reaches
-    only where a kernel basis comes back as objects: `gb --oracle` and
-    the disagreement dump.  Derived from `key` it takes 2.5-2.9 us a call
-    against 0.7-0.9 us (timeit, CPython 3.11, x86-64).  The tests check
-    that the two agree.
+    tuples.  So `compare` runs only where a `Binomial` is oriented or
+    checked: `Binomial.from_pair` (which `s_binomial` calls) and the
+    orientation check of `BinomialBasis`.  The CLI reaches the latter
+    only where a kernel basis comes back as a `BinomialBasis`:
+    `gb --oracle` and the disagreement dump.  Derived from `key` it takes
+    2.5-2.9 us a call against 0.7-0.9 us (timeit, CPython 3.11, x86-64).
+    The tests check that the two agree.
     """
 
     priority: tuple[int, ...]

@@ -1,8 +1,9 @@
 """Shared test utilities: monomial builders, an independent comparison
-oracle, toric membership and dehomogenization oracles, a brute-force
-recovery oracle, a linear-walk oracle for one row of recovery, the packed
-normal form on binomials with its tuple-based oracle, an all-pairs
-Buchberger oracle, and a seeded generator of valid parameter sets."""
+oracle, toric membership, homogenization and dehomogenization oracles, a
+brute-force recovery oracle, a linear-walk oracle for one row of
+recovery, the packed normal form on binomials with its tuple-based
+oracle, an all-pairs Buchberger oracle, and a seeded generator of valid
+parameter sets."""
 
 import heapq
 import math
@@ -12,6 +13,7 @@ from curvelab import (
     AFFINE_ORDER,
     EQUAL,
     LESS,
+    PROJECTIVE_ORDER,
     Binomial,
     BinomialBasis,
     BresinskyData,
@@ -21,6 +23,7 @@ from curvelab import (
     case_conditions,
     member_degrees,
 )
+from curvelab.acm import _padded
 from curvelab.bresinsky import degree_refusal
 from curvelab import groebner
 
@@ -62,6 +65,14 @@ def toric_membership(b: Binomial, degrees) -> bool:
     i.e. the binomial lies in the toric ideal of that vector."""
     w = tuple(degrees)
     return b.lead.weight(w) == b.trail.weight(w)
+
+
+def homogenize(b: Binomial) -> Binomial:
+    """A 4-variable binomial padded with x0 by `acm._padded`, the padding
+    step of `acm._homogenized`, and oriented under PROJECTIVE_ORDER by
+    `MonomialOrder.compare`, not by the canonical sort."""
+    lead, trail = _padded(b.lead.exponents, b.trail.exponents)
+    return oriented(Binomial(Monomial(lead), Monomial(trail)), PROJECTIVE_ORDER)
 
 
 def dehomogenize(b: Binomial) -> Binomial:

@@ -18,7 +18,6 @@ from curvelab import (
     BinomialBasis,
     BresinskyData,
     DisagreementError,
-    HomogeneousBasis,
     RefusalError,
     StepBoundExceeded,
     a_from_d,
@@ -26,19 +25,17 @@ from curvelab import (
     acm_by_groebner,
     analyze_member,
     buchberger,
-    check_h_membership,
     closed_form_basis,
     cross_validate,
     d_from_a,
     d_from_a_any_order,
     generators,
     homogeneous_basis,
-    homogenize,
     is_groebner,
     member_degrees,
     reduce_basis,
 )
-from curvelab.acm import homogenized, x4_initial_generators
+from curvelab.acm import _check_homogeneous, _homogenized, x4_initial_generators
 from curvelab.bresinsky import _any_order_hits, _generator_exponents, degree_refusal
 from curvelab.cli import main
 from curvelab.groebner import Packing
@@ -47,6 +44,7 @@ from conftest import family_data
 from helpers import (
     bino,
     dehomogenize,
+    homogenize,
     m4,
     m5,
     pair_set,
@@ -609,19 +607,32 @@ class TestHomogenize:
 
 
 class TestHMembership:
+    """`acm._check_homogeneous`, the membership check of every
+    homogenized basis."""
+
     def test_case1_basis_members(self):
         hb = homogeneous_basis(family_data(2), 0)
-        for b in hb:
-            assert check_h_membership(b, (8, 5, 7, 9))
+        _check_homogeneous(groebner_mod._exponent_pairs(hb), (8, 5, 7, 9))
 
     def test_unbalanced_pair_fails(self):
         b = Binomial(m5(0, 1), m5(1))  # x1 - x0
-        assert not check_h_membership(b, (19, 29, 26, 43))
+        with pytest.raises(ValueError, match="fails homogeneous membership"):
+            _check_homogeneous(groebner_mod._exponent_pairs((b,)), (19, 29, 26, 43))
 
     def test_rejects_non_integer_degrees(self):
         b = Binomial(m5(0, 1), m5(1))  # x1 - x0
         with pytest.raises(TypeError):
-            check_h_membership(b, (19, 29, 26, 43.0))
+            _check_homogeneous(groebner_mod._exponent_pairs((b,)), (19, 29, 26, 43.0))
+
+    def test_rejects_a_short_degree_vector(self):
+        b = Binomial(m5(0, 1), m5(1))  # x1 - x0
+        with pytest.raises(ValueError, match="must have 4 entries, got 3"):
+            _check_homogeneous(groebner_mod._exponent_pairs((b,)), (19, 29, 26))
+
+    def test_rejects_a_4_variable_pair(self):
+        b = bino(m4(2), m4(0, 0, 1, 1))  # x1^2 - x3*x4
+        with pytest.raises(AmbientMismatchError):
+            _check_homogeneous(groebner_mod._exponent_pairs((b,)), (8, 5, 7, 9))
 
     def test_degenerate_pair_unrepresentable(self):
         with pytest.raises(ValueError):
@@ -664,13 +675,13 @@ class TestHomogeneousBasis:
     def test_rejects_an_inhomogeneous_element(self):
         b = Binomial.from_pair(m5(0, 2, 0, 0, 0), m5(0, 0, 0, 1, 0), PROJECTIVE_ORDER)  # x1^2 - x3
         with pytest.raises(ValueError, match="inhomogeneous element"):
-            HomogeneousBasis((b,), PROJECTIVE_ORDER, degrees=(8, 5, 7, 9))
+            _check_homogeneous(groebner_mod._exponent_pairs((b,)), (8, 5, 7, 9))
 
     def test_rejects_an_element_outside_the_homogenized_ideal(self):
         # x1 - x2 is homogeneous, but its sides weigh 8 and 5
         b = Binomial.from_pair(m5(0, 1, 0, 0, 0), m5(0, 0, 1, 0, 0), PROJECTIVE_ORDER)
         with pytest.raises(ValueError, match="fails homogeneous membership"):
-            HomogeneousBasis((b,), PROJECTIVE_ORDER, degrees=(8, 5, 7, 9))
+            _check_homogeneous(groebner_mod._exponent_pairs((b,)), (8, 5, 7, 9))
 
     def test_groebner_under_extended_order(self):
         hb = homogeneous_basis(family_data(2), 4)
@@ -680,8 +691,9 @@ class TestHomogeneousBasis:
     @pytest.mark.parametrize("a", [(19, 29, 26, 43), (1191, 1239, 582, 2303)])
     def test_homogenized_oracle_basis_stays_reduced(self, a):
         oracle = reduce_basis(buchberger(generators(d_from_a(a), 0), AFFINE_ORDER))
-        hb = homogenized(oracle, a)
-        assert hb.is_reduced and hb.order == PROJECTIVE_ORDER
+        pairs = _homogenized(groebner_mod._exponent_pairs(oracle), a)
+        assert groebner_mod.is_interreduced(pairs)
+        hb = BinomialBasis(groebner_mod._binomials(pairs), PROJECTIVE_ORDER)
         assert is_groebner(hb).ok
         assert reduce_basis(hb).elements == hb.elements
 

@@ -7,6 +7,7 @@ import pytest
 
 import curvelab.bresinsky as bresinsky_mod
 from curvelab import (
+    AFFINE_ORDER,
     AnomalyError,
     Binomial,
     BresinskyData,
@@ -20,7 +21,6 @@ from curvelab import (
     cross_validate,
     d_from_a,
     d_from_a_any_order,
-    extra_binomials,
     generators,
     is_groebner,
     member_degrees,
@@ -31,11 +31,13 @@ from curvelab.bresinsky import (
     _ROWS,
     SKIP_GCD,
     SKIP_MAX,
+    _extra_exponents,
     _generator_exponents,
     _least_hit,
     _least_representations,
     degree_refusal,
 )
+from curvelab.groebner import _canonical_pairs
 from conftest import even_family_data, family_data
 from helpers import (
     bino,
@@ -197,15 +199,24 @@ class TestW:
 
 
 class TestExtraBinomials:
+    @staticmethod
+    def extra_binomials(data, m) -> tuple[Binomial, ...]:
+        """`_extra_exponents` at w and the branch sign of case 2 (worked out
+        as `case_conditions` does, also for a case-1 member), each pair led
+        by its larger side."""
+        w = compute_w(data, m)
+        pairs = _extra_exponents(data, m, w, data.d1 + m - w * data.d21 > 0)
+        return tuple(bino(Monomial(tuple(lhs)), Monomial(tuple(rhs))) for lhs, rhs in pairs)
+
     def test_big_m0_single_r(self, big_data):
-        (r,) = extra_binomials(big_data, 0)
+        (r,) = self.extra_binomials(big_data, 0)
         assert compute_w(big_data, 0) == 2
         assert not case_conditions(big_data, 0).branch_positive
         assert r.lead == m4(0, 21)
         assert r.trail == m4(2, 0, 5, 9)
 
     def test_big_m12_full_set(self, big_data):
-        extras = extra_binomials(big_data, 12)
+        extras = self.extra_binomials(big_data, 12)
         assert compute_w(big_data, 12) == 3
         assert case_conditions(big_data, 12).branch_positive
         p1, q1, r = extras
@@ -225,13 +236,15 @@ class TestExtraBinomials:
             if compute_w(data, m) != 2:
                 continue
             found += 1
-            assert len(extra_binomials(data, m)) == 1
+            assert len(self.extra_binomials(data, m)) == 1
 
-    def test_negative_exponent_comes_from_the_monomial_constructor(self, monkeypatch, big_data):
+    def test_negative_exponent_is_refused_by_the_canonical_sort(self, monkeypatch, big_data):
         # a w past the case assumptions drives d3 - (i+1)*d23 below zero
         monkeypatch.setattr(bresinsky_mod, "compute_w", lambda data, m: 50)
+        cc = case_conditions(big_data, 0)
+        pairs = _extra_exponents(big_data, 0, cc.w, cc.branch_positive)
         with pytest.raises(ValueError, match="negative exponent"):
-            extra_binomials(big_data, 0)
+            _canonical_pairs(pairs, AFFINE_ORDER)
 
     def test_membership_randomized(self):
         rng = Random(31)
@@ -239,7 +252,7 @@ class TestExtraBinomials:
             data = random_valid_data(rng)
             m = rng.randint(0, 8)
             degrees = tuple(a + m * s for a, s in zip(a_from_d(data), shift_vector(data)))
-            for b in extra_binomials(data, m):
+            for b in self.extra_binomials(data, m):
                 assert toric_membership(b, degrees)
 
 

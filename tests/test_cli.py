@@ -5,15 +5,17 @@ import signal
 import subprocess
 import sys
 from itertools import permutations
+from operator import mul
 
 import pytest
 
 import curvelab.cli as cli_mod
+from curvelab import Binomial, Monomial
 from curvelab.bresinsky import d_from_a, d_from_a_any_order, member_degrees
 from curvelab.cli import main, to_canonical_json
 
 from conftest import SRC
-from helpers import sample_applicable
+from helpers import dehomogenize, pair_set, sample_applicable
 
 
 def run_cli(*argv):
@@ -331,6 +333,14 @@ class TestRecover:
         rc, _ = run_cli("recover")
         assert rc == 1
 
+    def test_empty_degree_vector_is_malformed_not_missing(self, capsys):
+        # an empty --a was given, so recover words it as every command does
+        for argv in (("recover",), ("analyze", "--m", "0"), ("gb", "--m", "0")):
+            rc, out = run_cli(*argv, "--a", "")
+            assert rc == 1 and out == ""
+            err = capsys.readouterr().err
+            assert err == "usage error: --a expects 4 comma-separated integers, got ''\n", argv
+
     def test_takes_no_step_bound(self, capsys):
         # recover reduces nothing, so it offers no reduction budget
         rc, out = run_cli("recover", "--a", "19,29,26,43", "--step-bound", "3")
@@ -473,7 +483,10 @@ class TestExitCodeContract:
 
 class TestPrintedBases:
     """The replies of `gb --homogenize` and `analyze --homogenize`, which
-    are built from exponent tuples, against the object API."""
+    are built from exponent tuples, checked element by element: each is
+    homogeneous for the total degree and for the member's degree vector,
+    oriented and sorted under the extended order, and setting x0 = 1
+    gives back the closed form."""
 
     MEMBERS = sample_applicable(61, 80) + [
         (d_from_a((19, 29, 26, 43)), 0),  # case 2, refused
@@ -482,14 +495,15 @@ class TestPrintedBases:
         (d_from_a((1191, 1239, 582, 2303)), 12),  # case 2, w = 3, positive branch
     ]
 
-    def test_replies_equal_the_object_api(self):
-        from curvelab import RefusalError, case_conditions, closed_form_basis
-        from curvelab.acm import homogenized
+    def test_replies_are_the_homogenized_closed_form(self):
+        from curvelab import GREATER, PROJECTIVE_ORDER, RefusalError, case_conditions
+        from curvelab import closed_form_basis
 
+        key = PROJECTIVE_ORDER.key
         seen = set()
         for data, m in self.MEMBERS:
             d = ",".join(map(str, data.as_dict().values()))
-            deg = member_degrees(data, m)
+            weights = (0, *member_degrees(data, m))  # x0 weighs 0
             rc_gb, out_gb = run_cli("gb", "--d", d, "--m", str(m), "--homogenize",
                                     "--format", "json")
             rc_an, out_an = run_cli("analyze", "--d", d, "--m", str(m), "--homogenize",
@@ -501,13 +515,25 @@ class TestPrintedBases:
                 assert rc_gb == 2 and out_gb == ""
                 assert json.loads(out_an)["homogeneous_basis"] is None
                 continue
-            hom = homogenized(closed.basis, deg)
             reply = json.loads(out_gb)
             assert rc_gb == 0
-            assert reply["basis"] == hom.to_json()
-            assert reply["tag"]["reduced"] == hom.is_reduced == closed.basis.is_reduced
+            assert json.loads(out_an)["homogeneous_basis"] == reply["basis"]
+            assert reply["basis"]["order"] == PROJECTIVE_ORDER.to_json()
+            hom = []
+            for e in reply["basis"]["elements"]:
+                lead, trail = e["lead"]["exponents"], e["trail"]["exponents"]
+                assert len(lead) == len(trail) == 5
+                assert sum(lead) == sum(trail)
+                assert sum(map(mul, lead, weights)) == sum(map(mul, trail, weights))
+                hom.append(Binomial(Monomial(tuple(lead)), Monomial(tuple(trail))))
+            assert all(PROJECTIVE_ORDER.compare(b.lead, b.trail) == GREATER for b in hom)
+            keys = [(key(b.lead), key(b.trail)) for b in hom]
+            assert keys == sorted(keys)
+            dehom = [dehomogenize(b) for b in hom]
+            assert len(dehom) == len(closed.basis)
+            assert pair_set(dehom) == pair_set(closed.basis)
+            assert reply["tag"]["reduced"] == closed.basis.is_reduced
             assert reply["tag"]["case"] == closed.case
-            assert json.loads(out_an)["homogeneous_basis"] == hom.to_json()
             cc = case_conditions(data, m)
             seen.add((cc.case, cc.branch_positive))
         assert seen == {(1, None), (2, True), (2, False)}

@@ -28,12 +28,6 @@ class TestMonomialBasics:
         with pytest.raises(ValueError):
             Monomial((1, 2, 3))
 
-    def test_from_powers(self):
-        assert Monomial.from_powers({1: 3, 2: 1}) == m4(3, 1)
-        assert Monomial.from_powers({0: 2, 4: 1}, nvars=5) == m5(2, 0, 0, 0, 1)
-        with pytest.raises(ValueError):
-            Monomial.from_powers({0: 1}, nvars=4)
-
     def test_render(self):
         assert str(m4(3, 1)) == "x1^3*x2"
         assert str(m4()) == "1"
