@@ -441,20 +441,35 @@ def _least_representations(a: Vec4, i: int, j: int, k: int) -> Optional[tuple[in
     return c, reps
 
 
-def _solve_parameters(a: Vec4) -> list[BresinskyData]:
+def _solve_parameters(a: Vec4, solved: dict) -> list[BresinskyData]:
     """All parameter sets inducing `a` in role order.
 
     Each critical binomial gives its row sum and its two off-diagonal
     parameters; every combination whose row sums match
     (d1 = d21+d41, d2 = d32+d42, d3 = d13+d23, d4 = d14+d34) is kept if
     it induces `a` again.
+
+    `_least_representations(a, i, j, k)` reads only a_i, a_j and a_k, so
+    `solved` keeps its answers keyed by those three values in row order;
+    one dict serves every coordinate order that one search tries, and
+    its caller owns it.  Once the x1, x2 and x3 rows are known, a d3 that
+    no d13 of row 1 plus d23 of row 2 reaches fails the row-sum check for
+    every combination, so the x4 row is not solved: the result is the
+    same empty list.
     """
     rows = []
-    for row in _ROWS:
-        found = _least_representations(a, *row)
+    for i, j, k in _ROWS:
+        key = (a[i], a[j], a[k])
+        if key not in solved:
+            solved[key] = _least_representations(a, i, j, k)
+        found = solved[key]
         if found is None:
             return []
         rows.append(found)
+        if len(rows) == 3:
+            (_, r1), (_, r2), (d3, _) = rows
+            if all(d13 + d23 != d3 for (d13, _), (_, d23) in product(r1, r2)):
+                return []
     (d1, r1), (d2, r2), (d3, r3), (d4, r4) = rows
     sols = []
     for (d13, d14), (d21, d23), (d32, d34), (d41, d42) in product(r1, r2, r3, r4):
@@ -466,6 +481,18 @@ def _solve_parameters(a: Vec4) -> list[BresinskyData]:
     return sols
 
 
+def _recovered(vec: Vec4, solved: dict) -> Optional[BresinskyData]:
+    """The one parameter set inducing the checked vector `vec` in role
+    order, or None; the one place a second solution raises AnomalyError.
+    `solved` is `_solve_parameters`' row dict."""
+    sols = _solve_parameters(vec, solved)
+    if len(sols) > 1:
+        raise AnomalyError(
+            f"{len(sols)} parameter solutions for {vec}; the parameter system must be unique"
+        )
+    return sols[0] if sols else None
+
+
 def d_from_a(a: Iterable[int]) -> Optional[BresinskyData]:
     """Recover the parameters from a degree vector in role order.
 
@@ -474,13 +501,7 @@ def d_from_a(a: Iterable[int]) -> Optional[BresinskyData]:
     solution would contradict uniqueness of the parameter system and
     raises AnomalyError.
     """
-    vec = _validated_vector(a)
-    sols = _solve_parameters(vec)
-    if len(sols) > 1:
-        raise AnomalyError(
-            f"{len(sols)} parameter solutions for {vec}; the parameter system must be unique"
-        )
-    return sols[0] if sols else None
+    return _recovered(_validated_vector(a), {})
 
 
 def d_from_a_any_order(
@@ -488,24 +509,47 @@ def d_from_a_any_order(
 ) -> list[tuple[tuple[int, int, int, int], BresinskyData]]:
     """Try every coordinate permutation that puts a strict maximum last.
 
-    Returns all (permutation, parameters) hits; `permutation` maps target
-    positions to source indices, i.e. permuted[i] = a[permutation[i]].
-    A vector whose maximum is tied admits no valid permutation and yields
-    the empty list.
+    Returns all (permutation, parameters) hits, in the lexicographic
+    order of the permutations; `permutation` maps target positions to
+    source indices, i.e. permuted[i] = a[permutation[i]].  A permutation
+    whose vector an earlier one already gave is not tried again.  A
+    vector whose maximum is tied admits no valid permutation and yields
+    the empty list.  The hits, their order and the exceptions are those
+    of `d_from_a` on each of the 24 permutations in turn, skipping the
+    ones `degree_refusal` refuses; `_any_order_hits` says why it need not
+    try all 24.
     """
     return list(_any_order_hits(a))
 
 
 def _any_order_hits(a: Iterable[int]) -> Iterator[tuple[Vec4, BresinskyData]]:
     """The hits of `d_from_a_any_order`, in its order, solved one at a time
-    so that a caller wanting only the first stops there."""
+    so that a caller wanting only the first stops there.
+
+    The vector is checked once.  `degree_refusal` accepts a permuted
+    vector only when its last entry is the strict maximum, since the gcd
+    does not depend on the order and the check has passed; so a tied
+    maximum leaves no order to try, and otherwise the orders it accepts
+    are the permutations of the other three indices, in ascending
+    lexicographic order, with the index of the maximum appended: the
+    lexicographic walk over all 24 restricted to those it accepts.  The
+    orders share one row dict (see `_solve_parameters`), so each distinct
+    critical row is solved once per search; it is dropped with the
+    search.
+    """
     vec = _validated_vector(a)
+    top = max(vec)
+    if vec.count(top) > 1:
+        return
+    last = vec.index(top)
+    solved: dict = {}
     seen: set[Vec4] = set()
-    for perm in permutations(range(4)):
+    for head in permutations([i for i in range(4) if i != last]):
+        perm = (*head, last)
         b = tuple(vec[i] for i in perm)
-        if b in seen or degree_refusal(b) is not None:
+        if b in seen:
             continue
         seen.add(b)
-        data = d_from_a(b)
+        data = _recovered(b, solved)
         if data is not None:
             yield perm, data

@@ -1,12 +1,14 @@
 """Shared test utilities: monomial builders, an independent comparison
 oracle, toric membership, homogenization and dehomogenization oracles, a
 brute-force recovery oracle, a linear-walk oracle for one row of
+recovery, a walk over all 24 coordinate orders for the any-order
 recovery, the packed normal form on binomials with its tuple-based
 oracle, an all-pairs Buchberger oracle, and a seeded generator of valid
 parameter sets."""
 
 import heapq
 import math
+from itertools import permutations
 from random import Random
 
 from curvelab import (
@@ -24,7 +26,7 @@ from curvelab import (
     member_degrees,
 )
 from curvelab.acm import _padded
-from curvelab.bresinsky import degree_refusal
+from curvelab.bresinsky import _validated_vector, d_from_a, degree_refusal
 from curvelab import groebner
 
 
@@ -283,6 +285,26 @@ def least_representations_by_walk(a, i, j, k):
         if reps:
             return c, reps
     return None
+
+
+def any_order_hits_by_walk(a):
+    """Reference oracle for `bresinsky.d_from_a_any_order`: check the
+    vector, then walk all 24 coordinate orders in lexicographic order,
+    skip an order `degree_refusal` refuses or whose vector an earlier
+    order gave, and run `d_from_a` on each of the rest, keeping every
+    (permutation, parameters) hit."""
+    vec = _validated_vector(a)
+    seen = set()
+    hits = []
+    for perm in permutations(range(4)):
+        b = tuple(vec[i] for i in perm)
+        if b in seen or degree_refusal(b) is not None:
+            continue
+        seen.add(b)
+        data = d_from_a(b)
+        if data is not None:
+            hits.append((perm, data))
+    return hits
 
 
 def _first_reducer(m: Monomial, elements):

@@ -554,15 +554,21 @@ class TestReorderedRecovery:
                 self._assert_first_hit(monkeypatch, data, m, deg)
                 checked += 1
 
-    def test_stops_at_the_first_hit(self, monkeypatch, basic_data):
+    @staticmethod
+    def _row_solves(monkeypatch):
+        """The vectors `_least_representations` is called on, in order."""
         calls = []
-        real = bresinsky_mod.d_from_a
+        real = bresinsky_mod._least_representations
 
-        def counting(vec):
+        def counting(vec, *row):
             calls.append(vec)
-            return real(vec)
+            return real(vec, *row)
 
-        monkeypatch.setattr(bresinsky_mod, "d_from_a", counting)
+        monkeypatch.setattr(bresinsky_mod, "_least_representations", counting)
+        return calls
+
+    def test_stops_at_the_first_hit(self, monkeypatch, basic_data):
+        calls = self._row_solves(monkeypatch)
         deg = member_degrees(basic_data, 8)
         d_from_a_any_order(deg)
         solved_by_listing = len(calls)
@@ -570,6 +576,14 @@ class TestReorderedRecovery:
         report = analyze_member(basic_data, 8)
         assert report.permuted_degrees == calls[-1] == (106, 107, 131, 133)
         assert len(calls) < solved_by_listing
+        # four rows per order tried would be 24 and 12; a row is solved
+        # once per search, and an order is dropped after three rows
+        assert (solved_by_listing, len(calls)) == (13, 9)
+
+    def test_row_solves_over_the_anchor_scan(self, monkeypatch, basic_data):
+        calls = self._row_solves(monkeypatch)
+        cross_validate(basic_data, range(0, 201))
+        assert len(calls) == 585
 
 
 class TestHomogenize:

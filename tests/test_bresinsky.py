@@ -1,3 +1,4 @@
+import io
 import math
 import time
 from itertools import permutations
@@ -31,15 +32,18 @@ from curvelab.bresinsky import (
     _ROWS,
     SKIP_GCD,
     SKIP_MAX,
+    _any_order_hits,
     _extra_exponents,
     _generator_exponents,
     _least_hit,
     _least_representations,
     degree_refusal,
 )
+from curvelab.cli import main
 from curvelab.groebner import _canonical_pairs
 from conftest import even_family_data, family_data
 from helpers import (
+    any_order_hits_by_walk,
     bino,
     brute_force_parameters,
     least_representations_by_walk,
@@ -416,6 +420,81 @@ class TestRecovery:
         [(perm, data)] = d_from_a_any_order(report.degrees)
         assert tuple(report.degrees[i] for i in perm) == report.permuted_degrees
         assert (data.d32, data.d23) == (m + 3, m + 1)
+
+
+def _outcome(f, vec):
+    """What f(vec) returns, or the type of what it raises."""
+    try:
+        return f(vec)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestAnyOrderSearch:
+    """The search over the six orders with the maximum last returns what
+    the walk over all 24 orders returns, in its order, and raises what it
+    raises."""
+
+    def _assert_as_the_walk(self, vec):
+        expected = _outcome(any_order_hits_by_walk, vec)
+        first = _outcome(lambda v: next(iter(any_order_hits_by_walk(v)), None), vec)
+        assert _outcome(d_from_a_any_order, vec) == expected, vec
+        assert _outcome(lambda v: next(_any_order_hits(v), None), vec) == first, vec
+        return expected
+
+    def test_seeded_vectors_in_shuffled_orders(self):
+        rng = Random(2601)
+        coprime = []
+        while len(coprime) < 200:
+            data = random_valid_data(rng)
+            m = rng.randint(0, 12)
+            vec = [a + m * v for a, v in zip(a_from_d(data), shift_vector(data))]
+            rng.shuffle(vec)
+            outcome = self._assert_as_the_walk(tuple(vec))
+            if math.gcd(*vec) == 1:
+                coprime.append(outcome)
+        # every coprime member here keeps the parameter form in some
+        # order, and most shuffles hide it from the given one
+        assert all(coprime)
+        assert sum(hits[0][0] != (0, 1, 2, 3) for hits in coprime) >= 150
+
+    def test_anchor_members(self, basic_data):
+        for m in [*range(0, 201), 10**12 + 2]:
+            self._assert_as_the_walk(member_degrees(basic_data, m))
+
+    def test_vectors_outside_the_form(self):
+        n = 10**12
+        for vec in ((1, 2, 3, 4), (6, 10, 15, 31), (2, n + 3, n + 5, n + 7)):
+            assert self._assert_as_the_walk(vec) == []
+
+    def test_tied_maximum(self):
+        assert self._assert_as_the_walk((2, 3, 7, 7)) == []
+
+    def test_repeated_entry_below_the_maximum(self):
+        # two orders give each permuted vector; only the first is tried
+        for vec in ((5, 5, 7, 9), (7, 3, 11, 7)):
+            self._assert_as_the_walk(vec)
+
+    def test_common_factor_is_refused(self):
+        assert self._assert_as_the_walk((4, 6, 10, 14)) is RefusalError
+
+    def test_a_second_solution_is_an_anomaly_everywhere(self, monkeypatch, basic_data, capsys):
+        real = bresinsky_mod._solve_parameters
+
+        def doubled(vec, solved):
+            return real(vec, solved) * 2
+
+        monkeypatch.setattr(bresinsky_mod, "_solve_parameters", doubled)
+        with pytest.raises(AnomalyError):
+            d_from_a((19, 29, 26, 43))
+        with pytest.raises(AnomalyError):
+            d_from_a_any_order((107, 133, 106, 131))
+        with pytest.raises(AnomalyError):
+            analyze_member(basic_data, 8)
+        out = io.StringIO()
+        assert main(["recover", "--a", "107,133,106,131"], out=out) == 3
+        assert out.getvalue() == ""
+        assert "internal inconsistency" in capsys.readouterr().err
 
 
 class TestLeastRepresentations:
