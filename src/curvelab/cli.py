@@ -38,7 +38,6 @@ from .groebner import (
     ExponentPair,
     _basis_json,
     _binomials,
-    _canonical_pairs,
     _exponent_pairs,
     _pair_json,
     buchberger,
@@ -349,7 +348,8 @@ def cmd_gb(args: argparse.Namespace, out) -> int:
             buchberger(generators(data, args.m), AFFINE_ORDER, args.step_bound),
             step_bound=args.step_bound,
         )
-        elements = _canonical_pairs(_exponent_pairs(basis), AFFINE_ORDER)
+        # reduce_basis returns its pairs in canonical order already
+        elements = _exponent_pairs(basis)
         tag: dict = {"source": "oracle", "case": None, "reduced": True}
     else:
         case, elements, reduced = _closed_form(data, args.m)
@@ -413,16 +413,91 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
+def _read_command(
+    command: argparse.ArgumentParser, tokens: Sequence[str]
+) -> Optional[argparse.Namespace]:
+    """`command.parse_args(tokens)` read straight off the command's own
+    actions, or None for any argv that argparse is left to parse.
+
+    An argv is read only when every token is an exact option string of
+    `command`, each a store action (nargs None) followed by one non-empty
+    value that does not start with a prefix character, or a store_true
+    flag; each value passes the action's registered `type` and its
+    `choices`; and every required action is present.  Action classes are
+    compared by exact type, so any other kind of action declines.
+
+    On such an argv argparse takes the same steps, on CPython 3.10 to
+    3.13: it sets every action's default but SUPPRESS, then the parser's
+    `set_defaults` values, for each dest not yet set; it classifies each
+    token, so an exact option string is that option and a value whose
+    first character is no prefix character is its argument; it converts
+    the value with the registered type and checks the choices; a repeated
+    option sets its dest again, so the last value wins; and it raises
+    nothing, since no required action is missing.  argparse would also
+    pass a `str` default through `type` and check mutually exclusive
+    groups and deprecated options: no action of this CLI has any of
+    these, which `tests/test_cli.py` checks on the action table.
+
+    Everything else -- help, `--`, `--opt=value`, an abbreviation, a value
+    starting with `-`, a missing value, a failing type or choice, an
+    unknown token, a missing required option -- is declined, so every
+    help text and usage error is argparse's own."""
+    options = command._option_string_actions
+    store, store_true = argparse._StoreAction, argparse._StoreTrueAction
+    read: dict = {}
+    seen = set()
+    i, n = 0, len(tokens)
+    while i < n:
+        action = options.get(tokens[i])
+        kind = type(action)
+        if kind is store_true:
+            value = action.const
+            i += 1
+        elif kind is store and action.nargs is None and i + 1 < n:
+            value = tokens[i + 1]
+            # ''[:1] is in any string, so an empty value is left to argparse too
+            if value[:1] in command.prefix_chars:
+                return None
+            if action.type is not None:
+                try:
+                    value = command._registry_get("type", action.type, action.type)(value)
+                except Exception:
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            i += 2
+        else:
+            return None
+        read[action.dest] = value
+        seen.add(action)
+    args: dict = {}
+    for action in command._actions:
+        if action.required and action not in seen:
+            return None
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            args.setdefault(action.dest, action.default)
+    for dest, value in command._defaults.items():
+        args.setdefault(dest, value)
+    args.update(read)
+    namespace = argparse.Namespace()
+    vars(namespace).update(args)
+    return namespace
+
+
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """The root parser's `parse_args`.  On a command word the root parser
-    only hands the rest to that command's parser, so that parser is called
-    directly; anything else (no arguments, -h, an unknown command, --
+    only hands the rest to that command's parser, so the rest is read off
+    that parser's actions (`_read_command`) or, failing that, parsed by
+    that parser; anything else (no arguments, -h, an unknown command, --
     first) goes through the root parser."""
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args = command.parse_args(argv[1:])
+    tokens = argv[1:]
+    args = _read_command(command, tokens)
+    if args is None:
+        args = command.parse_args(tokens)
     args.command = argv[0]
     return args
 

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import io
 import json
 import os
@@ -8,6 +10,7 @@ from itertools import permutations
 from operator import mul
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import curvelab.cli as cli_mod
 from curvelab import Binomial, Monomial
@@ -652,6 +655,134 @@ class TestParserCache:
         assert rc == 0 and out.endswith("verified: both routes agree on every applicable member\n")
         rc, out = run_cli("family", "--a", "8,5,7,9", "--m-range", "0..2")
         assert rc == 0 and "verified" not in out
+
+
+#: the commands' parsers, for the reader tests
+COMMANDS = cli_mod.build_parser().commands
+
+#: values that argparse reads in ways the reader must decline or match
+ODD_VALUES = ("", "x", "-3", "-x", "-", "--", "--m", "-h", "json", "xml", "0", "٣", " 7", "1_0")
+
+
+def _good_value(option: str):
+    if option in ("--m", "--step-bound"):
+        return st.integers(0, 99).map(str)
+    if option == "--format":
+        return st.sampled_from(("json", "table"))
+    if option == "--m-range":
+        return st.sampled_from(("0..10", "5..4", "0..x"))
+    return st.sampled_from(("8,5,7,9", "1,1,1,2,1,1,1,1", "19,29,26,43", "2,3"))
+
+
+@st.composite
+def command_argvs(draw):
+    """A command and its tokens: `--option value` pairs and flags, the
+    required options mostly present, then up to three mutations."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    actions = COMMANDS[name]._option_string_actions
+    options = sorted(o for o, a in actions.items() if o.startswith("--") and o != "--help")
+    chosen = [o for o in options if actions[o].required and draw(st.integers(0, 9)) > 0]
+    chosen += draw(st.lists(st.sampled_from(options), max_size=4))
+    chosen = draw(st.permutations(chosen))
+    tokens = []
+    for option in chosen:
+        tokens.append(option)
+        if type(actions[option]) is argparse._StoreAction:
+            tokens.append(draw(_good_value(option)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("abbreviate", "join", "insert", "replace", "drop", "repeat")))
+        i = draw(st.integers(0, len(tokens)))
+        if kind == "insert":
+            tokens.insert(i, draw(st.sampled_from(ODD_VALUES + ("--help", "--zz"))))
+        elif i == len(tokens):
+            continue
+        elif kind == "abbreviate" and len(tokens[i]) > 3:
+            tokens[i] = tokens[i][:draw(st.integers(3, len(tokens[i]) - 1))]
+        elif kind == "join" and i + 1 < len(tokens):
+            tokens[i:i + 2] = [f"{tokens[i]}={tokens[i + 1]}"]
+        elif kind == "replace":
+            tokens[i] = draw(st.sampled_from(ODD_VALUES))
+        elif kind == "drop":
+            del tokens[i]
+        elif kind == "repeat":
+            tokens[i:i] = tokens[i:i + 2]
+    return name, tokens
+
+
+class TestDirectReader:
+    """`cli._read_command` returns None or what argparse returns."""
+
+    def test_every_action_is_one_the_reader_knows(self):
+        # a new kind of option fails here before it can diverge from argparse
+        kinds = {argparse._StoreAction, argparse._StoreTrueAction, argparse._HelpAction}
+        for name, command in COMMANDS.items():
+            assert not command._mutually_exclusive_groups, name
+            for action in command._actions:
+                assert type(action) in kinds, (name, action)
+                # argparse would pass a str default through `type`
+                if action.default is not argparse.SUPPRESS:
+                    assert not isinstance(action.default, str), (name, action.dest)
+                assert not getattr(action, "deprecated", False), (name, action.dest)
+
+    @settings(max_examples=400, deadline=None)
+    @given(command_argvs())
+    def test_reads_nothing_or_what_argparse_reads(self, case):
+        name, tokens = case
+        command = COMMANDS[name]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                expected = vars(command.parse_args(list(tokens)))
+        except (cli_mod.UsageError, SystemExit):
+            expected = None
+        got = cli_mod._read_command(command, tokens)
+        event("read" if got is not None else "declined")
+        if got is not None:
+            assert vars(got) == expected, tokens
+
+    @pytest.mark.parametrize("tokens", [
+        ["--a", "8,5,7,9", "--m", "5", "--m", "0"],
+        ["--a", "8,5,7,9", "--m", "0", "--homogenize", "--homogenize", "--format", "json"],
+        ["--m", "0", "--d", "1,1,1,2,1,1,1,1", "--step-bound", "7"],
+    ])
+    def test_well_formed_argvs_are_read(self, tokens):
+        command = COMMANDS["analyze"]
+        got = cli_mod._read_command(command, tokens)
+        assert got is not None and vars(got) == vars(command.parse_args(tokens))
+
+    @pytest.mark.parametrize("tokens", [
+        ["--a", "8,5,7,9", "--m", "0", "--form", "json"],
+        ["--a=8,5,7,9", "--m", "0"],
+        ["--a", "8,5,7,9", "--m"],
+        ["--a", "8,5,7,9", "--m", "x"],
+        ["--a", "8,5,7,9", "--m", "-3"],
+        ["--", "--a", "8,5,7,9", "--m", "0"],
+        ["--a", "8,5,7,9", "--m", "0", "-h"],
+        ["--a", "8,5,7,9", "--m", "0", "--format", "xml"],
+        ["--a", "8,5,7,9", "--m", "0", "extra"],
+        ["--a", "8,5,7,9"],
+        ["--a", "", "--m", "0"],
+    ])
+    def test_other_argvs_are_left_to_argparse(self, tokens):
+        assert cli_mod._read_command(COMMANDS["analyze"], tokens) is None
+
+    def test_workload_argvs_never_reach_argparse(self, monkeypatch):
+        cli_mod._parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a workload argv")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        for argv in (
+            ("analyze", "--a", "19,29,26,43", "--m", "60", "--format", "json"),
+            ("analyze", "--d", "1,1,1,2,1,1,1,1", "--m", "3", "--format", "json"),
+            ("gb", "--d", "1,1,1,2,1,1,1,1", "--m", "0", "--homogenize", "--format", "json"),
+            ("gb", "--d", "2,4,1,1,36,1,1,2", "--m", "38", "--oracle", "--format", "json"),
+            ("recover", "--a", "19,29,26,43", "--format", "json"),
+            ("family", "--a", "8,5,7,9", "--m-range", "0..4", "--format", "json"),
+            ("verify", "--a", "8,5,7,9", "--m-range", "0..4", "--format", "json"),
+        ):
+            rc, out = run_cli(*argv)
+            assert rc == 0 and json.loads(out), argv
 
 
 class TestImports:

@@ -88,6 +88,14 @@ CASES = {
     "usage-no-command": [],
     "usage-unrecognized-arguments": ["analyze", "--a", "8,5,7,9", "--m", "0", "extra"],
     "usage-double-dash-first": ["--", "analyze", "--a", "8,5,7,9", "--m", "0"],
+    # argv shapes that the direct reader declines and argparse parses
+    "analyze-abbreviated-option": ["analyze", "--a", "8,5,7,9", "--m", "0", "--form", "json"],
+    "analyze-equals-joined-option": ["analyze", "--a=8,5,7,9", "--m", "0"],
+    "analyze-repeated-option": ["analyze", "--a", "8,5,7,9", "--m", "5", "--m", "0"],
+    "usage-missing-value": ["analyze", "--a", "8,5,7,9", "--m"],
+    "usage-invalid-int": ["analyze", "--a", "8,5,7,9", "--m", "x"],
+    "usage-double-dash-after-command": ["analyze", "--", "--a", "8,5,7,9", "--m", "0"],
+    "gb-repeated-flag": ["gb", "--a", "8,5,7,9", "--m", "0", "--homogenize", "--homogenize"],
     "help": ["--help"],
     "help-analyze": ["analyze", "--help"],
     "help-recover": ["recover", "--help"],

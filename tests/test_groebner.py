@@ -629,6 +629,15 @@ class TestReduceBasis:
         closed = closed_form_basis(noncm_a2, 0).basis
         assert reduce_basis(closed).elements == closed.elements
 
+    def test_output_is_in_canonical_order(self):
+        # `gb --oracle` prints the pairs of reduce_basis as they come
+        members = sample_applicable(27, 30) + sample_long_basis(27, 5)
+        for order in (AFFINE_ORDER, MonomialOrder((4, 3, 1, 2))):
+            for data, m in members:
+                red = reduce_basis(buchberger(generators(data, m), order))
+                pairs = tuple(groebner._exponent_pairs(red))
+                assert pairs == groebner._canonical_pairs(pairs, order), (order, data, m)
+
     def test_rejects_non_groebner_input(self, big_data):
         f = generators(big_data, 0)
         partial = BinomialBasis((f[1], f[2]), AFFINE_ORDER)
