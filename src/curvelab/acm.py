@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .bresinsky import (
     SKIP_FORM,
@@ -34,7 +34,6 @@ from .bresinsky import (
 from .errors import AmbientMismatchError, DisagreementError, RefusalError, StepBoundExceeded
 from .groebner import (
     DEFAULT_STEP_BOUND,
-    Binomial,
     BinomialBasis,
     ExponentPair,
     _binomials,
@@ -50,9 +49,6 @@ SKIP_STEP_BOUND = "step bound exceeded"
 
 #: The exponent index of x4, the variable the verdict tests leads for.
 _X4 = 3
-
-#: The generator forms the verdict accepts (see `groebner._buchberger`).
-_Generators = Iterable[Union[Binomial, ExponentPair]]
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ def acm_by_criterion(data: BresinskyData, m: int) -> CaseConditions:
 
 def acm_by_groebner(
     degrees: Iterable[int],
-    gens: _Generators,
+    gens: Iterable[ExponentPair],
     step_bound: int = DEFAULT_STEP_BOUND,
 ) -> GroebnerVerdict:
     """Decide Cohen-Macaulayness by the initial-ideal test.
@@ -136,10 +132,10 @@ def acm_by_groebner(
     reports) and returns ACM iff no minimal generator of the initial
     ideal is divisible by x4.
 
-    Each generator is a `Binomial` or an (lhs, rhs) pair of x1..x4
-    exponent tuples in either orientation, as `analyze_member` passes
-    them (`bresinsky._generator_exponents`); the kernel packs and orients
-    either form itself.  The generators must be homogeneous for the
+    Each generator is an (lhs, rhs) pair of x1..x4 exponent tuples in
+    either orientation, as `generators` returns them or `analyze_member`
+    passes them (`bresinsky._generator_exponents`); the kernel packs and
+    orients them itself.  The generators must be homogeneous for the
     grading deg(x_i) = a_i by `degrees`, as those of I(a) are; ValueError
     otherwise, after the refusal checks.  The kernel then pops generators and pairs by
     ascending a-degree, and every lead is a minimal generator of the
@@ -151,14 +147,14 @@ def acm_by_groebner(
 
 
 def x4_initial_generators(
-    degrees: Iterable[int], gens: _Generators, step_bound: int = DEFAULT_STEP_BOUND
+    degrees: Iterable[int], gens: Iterable[ExponentPair], step_bound: int = DEFAULT_STEP_BOUND
 ) -> tuple[Monomial, ...]:
     """Every minimal generator of the initial ideal of `gens` under the
     order of `acm_by_groebner` that x4 divides, in canonical order.  The
     verdict keeps one witness; this runs the same graded Buchberger to the
     end for the whole list, which `analyze`'s table and the disagreement
-    dump print.  It takes the generator forms that `acm_by_groebner`
-    takes, and refuses and rejects what it does."""
+    dump print.  It takes the generators that `acm_by_groebner` takes,
+    and refuses and rejects what it does."""
     return _x4_leads(_checked_degrees(degrees), gens, step_bound)
 
 
@@ -172,24 +168,24 @@ def _checked_degrees(degrees: Iterable[int]) -> Vec4:
     return vec
 
 
-def _verdict(vec: Vec4, gens: _Generators, step_bound: int) -> GroebnerVerdict:
+def _verdict(vec: Vec4, gens: Iterable[ExponentPair], step_bound: int) -> GroebnerVerdict:
     """`acm_by_groebner` for a checked degree vector.  The kernel, weighed
     by `vec` under `AFFINE_ORDER`, raises ValueError unless every
     generator is homogeneous for it."""
     pk, leads, _ = _buchberger(gens, AFFINE_ORDER, step_bound, vec, _X4)
     last = leads[-1]
-    witness = pk.unpack(last) if last & pk.variable_field(_X4) else None
+    witness = Monomial(pk.unpack(last)) if last & pk.variable_field(_X4) else None
     return GroebnerVerdict(witness is None, witness)
 
 
-def _x4_leads(vec: Vec4, gens: _Generators, step_bound: int) -> tuple[Monomial, ...]:
+def _x4_leads(vec: Vec4, gens: Iterable[ExponentPair], step_bound: int) -> tuple[Monomial, ...]:
     """`x4_initial_generators` for a checked degree vector, run as
     `_verdict` runs the kernel but to the end."""
     pk, leads, _ = _buchberger(gens, AFFINE_ORDER, step_bound, vec)
     x4 = pk.variable_field(_X4)
     # every lead of a graded run is minimal; only the x4 leads are unpacked
     x4_leads = sorted((p for p in leads if p & x4), key=lambda p: _key(p, pk))
-    return tuple(map(pk.unpack, x4_leads))
+    return tuple(Monomial(pk.unpack(p)) for p in x4_leads)
 
 
 def _padded(lead: Sequence[int], trail: Sequence[int]) -> ExponentPair:
@@ -254,12 +250,8 @@ def homogeneous_basis(data: BresinskyData, m: int) -> BinomialBasis:
             {"m": m, "condition": failing.name, "value": failing.value},
         )
     _, elements, reduced = _closed_form(data, m)
-    return BinomialBasis(
-        _binomials(_homogenized(elements, member_degrees(data, m))),
-        PROJECTIVE_ORDER,
-        is_groebner_verified=True,
-        is_reduced=reduced,
-    )
+    elements = _homogenized(elements, member_degrees(data, m))
+    return BinomialBasis(elements, PROJECTIVE_ORDER, is_groebner_verified=True, is_reduced=reduced)
 
 
 def _skip(m: int, degrees: Vec4, reason: str) -> AcmReport:
@@ -347,7 +339,7 @@ def _analyze(
     # tdeg is checked (no refusal), so the private cores of
     # `acm_by_criterion` and `acm_by_groebner` take it as it is
     crit = case_conditions(target, tm)
-    # exponent pairs straight from the formulas: no Binomial is built
+    # exponent pairs straight from the formulas, oriented by the kernel
     gens = _generator_exponents(target, tm)
     if full:
         x4 = _x4_leads(tdeg, gens, step_bound)

@@ -21,14 +21,7 @@ from itertools import permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import AnomalyError, RefusalError
-from .groebner import (
-    Binomial,
-    BinomialBasis,
-    ExponentPair,
-    _binomials,
-    _canonical_pairs,
-    is_interreduced,
-)
+from .groebner import BinomialBasis, ExponentPair, _canonical_pairs, is_interreduced
 from .monomials import AFFINE_ORDER
 
 SKIP_GCD = "gcd>1"
@@ -193,13 +186,15 @@ def member_degrees(data: BresinskyData, m: int) -> Vec4:
     return tuple(a + m * v for a, v in zip(base, shift_vector(data)))
 
 
-def generators(data: BresinskyData, m: int) -> tuple[Binomial, ...]:
-    """The five defining binomials of the toric ideal at shift m.
+def generators(data: BresinskyData, m: int) -> tuple[ExponentPair, ...]:
+    """The five defining binomials of the toric ideal at shift m, as
+    (lead, trail) pairs of x1..x4 exponent tuples led by the larger side
+    under `AFFINE_ORDER`.
 
     Only the first and fourth pick up the shift: their x1 and x4
     exponents each grow by m.
     """
-    return tuple(_oriented(lhs, rhs) for lhs, rhs in _generator_exponents(data, m))
+    return tuple(_canonical_pairs((g,), AFFINE_ORDER)[0] for g in _generator_exponents(data, m))
 
 
 def _generator_exponents(data: BresinskyData, m: int) -> tuple[ExponentPair, ...]:
@@ -259,11 +254,6 @@ def _extra_exponents(
     return p + q + (((0, w * d.d2 - d.d32, 0, 0), tail),)
 
 
-def _oriented(lhs: tuple[int, ...], rhs: tuple[int, ...]) -> Binomial:
-    """The binomial of two x1..x4 exponent tuples, led by the larger side."""
-    return _binomials(_canonical_pairs(((lhs, rhs),), AFFINE_ORDER))[0]
-
-
 def case_conditions(data: BresinskyData, m: int) -> CaseConditions:
     """Evaluate the per-case condition set at shift m.
 
@@ -308,9 +298,7 @@ def closed_form_basis(data: BresinskyData, m: int) -> ClosedFormBasis:
     member degrees are not coprime.
     """
     case, elements, reduced = _closed_form(data, m)
-    basis = BinomialBasis(
-        _binomials(elements), AFFINE_ORDER, is_groebner_verified=True, is_reduced=reduced
-    )
+    basis = BinomialBasis(elements, AFFINE_ORDER, is_groebner_verified=True, is_reduced=reduced)
     return ClosedFormBasis(basis=basis, case=case)
 
 
@@ -318,7 +306,7 @@ def _closed_form(data: BresinskyData, m: int) -> tuple[int, tuple[ExponentPair, 
     """`closed_form_basis` as its case, its (lead, trail) exponent pairs
     in canonical order and its reduced flag, refused as it refuses: the
     one place the closed form is built, from exponent tuples, which the
-    CLI's replies read without building a `Binomial`."""
+    CLI's replies read as they are."""
     deg = member_degrees(data, m)
     if degree_refusal(deg) == SKIP_GCD:
         raise RefusalError(SKIP_GCD, {"m": m, "degrees": deg})

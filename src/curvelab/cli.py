@@ -18,6 +18,7 @@ from .bresinsky import (
     SKIP_FORM,
     BresinskyData,
     _closed_form,
+    _generator_exponents,
     a_from_d,
     d_from_a,
     d_from_a_any_order,
@@ -38,7 +39,6 @@ from .groebner import (
     ExponentPair,
     _basis_json,
     _binomials,
-    _exponent_pairs,
     _pair_json,
     buchberger,
     reduce_basis,
@@ -273,7 +273,7 @@ def _summary(reports: list[AcmReport]) -> dict:
 
 
 def _print_basis(elements: tuple[ExponentPair, ...], out) -> None:
-    """One line per (lead, trail) pair, given in canonical order."""
+    """One line per (lead, trail) pair, in the order given."""
     for b in _binomials(elements):
         print(f"  {b}", file=out)
 
@@ -344,12 +344,10 @@ def cmd_scan(args: argparse.Namespace, out) -> int:
 def cmd_gb(args: argparse.Namespace, out) -> int:
     data = _member_input(args)
     if args.oracle:
-        basis = reduce_basis(
-            buchberger(generators(data, args.m), AFFINE_ORDER, args.step_bound),
-            step_bound=args.step_bound,
-        )
-        # reduce_basis returns its pairs in canonical order already
-        elements = _exponent_pairs(basis)
+        # the kernel orients the generators itself; reduce_basis returns
+        # its pairs in canonical order
+        basis = buchberger(_generator_exponents(data, args.m), AFFINE_ORDER, args.step_bound)
+        elements = reduce_basis(basis, step_bound=args.step_bound).elements
         tag: dict = {"source": "oracle", "case": None, "reduced": True}
     else:
         case, elements, reduced = _closed_form(data, args.m)
@@ -393,7 +391,7 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
                     "d": data.to_json(),
                     "a": list(a_from_d(data)),
                     "v": list(shift_vector(data)),
-                    "generators": [_pair_json(*p) for p in _exponent_pairs(generators(data, 0))],
+                    "generators": [_pair_json(*p) for p in generators(data, 0)],
                 }
                 for perm, data in hits
             ]
@@ -408,8 +406,7 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
             print(f"a={','.join(str(x) for x in a_from_d(data))}", file=out)
             print(f"v={','.join(str(x) for x in shift_vector(data))}", file=out)
             print("generators:", file=out)
-            for b in generators(data, 0):
-                print(f"  {b}", file=out)
+            _print_basis(generators(data, 0), out)
     return EXIT_OK
 
 

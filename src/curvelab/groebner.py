@@ -31,26 +31,25 @@ more (see `_buchberger`).  `acm.acm_by_groebner` uses this to stop at the
 first lead that x4 divides; `buchberger` passes no weights, so every
 entry weighs 0 and the generators join first, in input order.
 
-Packed monomials.  The Buchberger kernel `_buchberger` takes its
-generators as exponent-tuple pairs (or `Binomial`s, whose exponents it
-reads), packs and orients them itself, and returns its basis as a
-packing and the packed leads and trails; `buchberger`, `is_groebner` and
-`reduce_basis` work on packed exponent vectors too (Monagan-Pearce 2007,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors"; Bachmann-Schoenemann 1998, "Monomial representations for
-Groebner bases computations").  A basis is sorted, flagged reduced and
-serialized as (lead, trail) exponent pairs (`_canonical_pairs`,
-`is_interreduced`, `_basis_json`), so the closed-form and homogenized
-bases the CLI prints never become objects.  `Monomial` and `Binomial`
-objects are built only where the library returns them (the basis of
-`buchberger` or `reduce_basis`, the failures of `is_groebner`, the
-verdict's x4 leads), where a binomial is printed as text, and where a
-generator is named in an error.  `acm.acm_by_groebner` gets the five
-generators as exponent tuples straight from the parameter formulas
-(`bresinsky._generator_exponents`), calls the kernel itself, weighted by
-the degree vector, and unpacks only the one lead that proves its verdict;
-it keeps no basis, and the disagreement dump rebuilds one with
-`buchberger` on the same pairs.
+Packed monomials.  A basis has one form: a tuple of (lead, trail)
+exponent-tuple pairs, each led by its larger side.  `buchberger`,
+`reduce_basis` and `is_groebner` take and return such pairs, and pack
+them into ints for the arithmetic (Monagan-Pearce 2007, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors";
+Bachmann-Schoenemann 1998, "Monomial representations for Groebner bases
+computations").  The kernel `_buchberger` takes its generators as pairs
+in either orientation, packs and orients them itself, and returns its
+basis as a packing and the packed leads and trails.  A basis is checked,
+sorted, flagged reduced and serialized as pairs (`_side_keys`,
+`_canonical_pairs`, `is_interreduced`, `_basis_json`).  A `Binomial` is
+built only where a binomial is printed as text (`_binomials`) and by
+`s_binomial`, and a `Monomial` besides only where a lead is returned
+as a printable value (the verdict's witness and x4 leads).
+`acm.acm_by_groebner` gets the five generators straight from the
+parameter formulas (`bresinsky._generator_exponents`), calls the kernel
+itself, weighted by the degree vector, and unpacks only the one lead that
+proves its verdict; it keeps no basis, and the disagreement dump rebuilds
+one with `buchberger` on the same pairs.
 
 Under an order on n variables a monomial is one int P: each exponent
 sits in its own field of W bits, the fields follow `MonomialOrder.scan`
@@ -128,7 +127,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import AmbientMismatchError, DegreeLimitExceeded, NotGroebnerError, StepBoundExceeded
 from .monomials import EQUAL, GREATER, Monomial, MonomialOrder
@@ -168,10 +167,6 @@ class Binomial:
             return None
         return cls(m1, m2) if c == GREATER else cls(m2, m1)
 
-    @property
-    def nvars(self) -> int:
-        return self.lead.nvars
-
     def rewrite(self, m: Monomial) -> Monomial:
         """One reduction step: m / lead * trail.  Caller guarantees lead | m."""
         le = self.lead.exponents
@@ -182,32 +177,38 @@ class Binomial:
         return f"{self.lead} - {self.trail}"
 
 
-#: A binomial as an (lhs, rhs) pair of exponent tuples, in either orientation.
+#: A binomial as an (lhs, rhs) pair of exponent tuples, in either
+#: orientation; an element of a basis is led by its larger side.
 ExponentPair = tuple[Sequence[int], Sequence[int]]
+
+
+def _side_keys(lhs: Sequence[int], rhs: Sequence[int], order: MonomialOrder) -> tuple:
+    """`order`'s keys of the two sides of a binomial, after the checks
+    every binomial passes: the ambient size of `order`, no negative
+    exponent and no equal sides (the zero binomial)."""
+    n = order.nvars
+    if len(lhs) != n or len(rhs) != n:
+        size = len(rhs) if len(lhs) == n else len(lhs)
+        raise AmbientMismatchError(f"{size}-variable monomial under a {n}-variable order")
+    if min(lhs) < 0 or min(rhs) < 0:
+        raise ValueError(f"negative exponent in {tuple(lhs) if min(lhs) < 0 else tuple(rhs)}")
+    kl, kr = order._exponent_key(lhs), order._exponent_key(rhs)
+    if kl == kr:
+        raise ValueError("zero binomial; represent zero as None, not lead == trail")
+    return kl, kr
 
 
 def _canonical_pairs(
     pairs: Iterable[ExponentPair], order: MonomialOrder
 ) -> tuple[ExponentPair, ...]:
-    """The binomials of exponent pairs, each led by its larger side under
-    `order`, as (lead, trail) pairs in the canonical element order:
-    ascending by lead, then by trail, under `order`.  Every basis that is
-    printed, serialized or flagged reduced is in this order, and sorted
-    here, with the checks that building `Binomial`s under `order` would
-    make: the ambient size, no negative exponent and no equal sides (the
-    zero binomial)."""
-    key = order._exponent_key
-    n = order.nvars
+    """The binomials of exponent pairs, each checked by `_side_keys` and
+    led by its larger side under `order`, as (lead, trail) pairs in the
+    canonical element order: ascending by lead, then by trail, under
+    `order`.  Every basis that is printed, serialized or flagged reduced
+    is in this order, and sorted here."""
     rows = []
     for lhs, rhs in pairs:
-        if len(lhs) != n or len(rhs) != n:
-            size = len(rhs) if len(lhs) == n else len(lhs)
-            raise AmbientMismatchError(f"{size}-variable monomial under a {n}-variable order")
-        if min(lhs) < 0 or min(rhs) < 0:
-            raise ValueError(f"negative exponent in {tuple(lhs) if min(lhs) < 0 else tuple(rhs)}")
-        kl, kr = key(lhs), key(rhs)
-        if kl == kr:
-            raise ValueError("zero binomial; represent zero as None, not lead == trail")
+        kl, kr = _side_keys(lhs, rhs, order)
         rows.append((kl, kr, lhs, rhs) if kl > kr else (kr, kl, rhs, lhs))
     # equal keys mean equal monomials, so the keys alone decide the sort
     rows.sort()
@@ -233,7 +234,8 @@ def _basis_json(order: MonomialOrder, pairs: Iterable[ExponentPair]) -> dict:
 
 @dataclass(frozen=True)
 class BinomialBasis:
-    """A finite set of oriented binomials under a fixed order.
+    """A finite set of binomials under a fixed order, each a (lead, trail)
+    pair of exponent tuples led by its larger side under `order`.
 
     `is_groebner_verified` means the set is known to pass the Buchberger
     criterion (either the verifier ran, or the set came out of an
@@ -242,19 +244,18 @@ class BinomialBasis:
     and the elements are sorted canonically by lead.
     """
 
-    elements: tuple[Binomial, ...]
+    elements: tuple[ExponentPair, ...]
     order: MonomialOrder
     is_groebner_verified: bool = False
     is_reduced: bool = False
 
     def __post_init__(self) -> None:
-        for b in self.elements:
-            if b.nvars != self.order.nvars:
-                raise AmbientMismatchError(
-                    f"{b.nvars}-variable binomial in a {self.order.nvars}-variable basis"
+        for lead, trail in self.elements:
+            kl, kr = _side_keys(lead, trail, self.order)
+            if kl < kr:
+                raise ValueError(
+                    f"element not oriented under the basis order: {_binomials([(lead, trail)])[0]}"
                 )
-            if self.order.compare(b.lead, b.trail) != GREATER:
-                raise ValueError(f"element not oriented under the basis order: {b}")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -263,7 +264,7 @@ class BinomialBasis:
         return iter(self.elements)
 
     def to_json(self) -> dict:
-        return _basis_json(self.order, _canonical_pairs(_exponent_pairs(self), self.order))
+        return _basis_json(self.order, _canonical_pairs(self.elements, self.order))
 
 
 @dataclass(frozen=True)
@@ -271,11 +272,12 @@ class GroebnerCertificate:
     """Outcome of the Buchberger criterion check.
 
     `failures` holds (i, j, remainder) for every pair whose S-binomial did
-    not reduce to zero, with indices into the checked basis.
+    not reduce to zero, with indices into the checked basis and the
+    remainder as a (lead, trail) exponent pair.
     """
 
     ok: bool
-    failures: tuple[tuple[int, int, Binomial], ...] = ()
+    failures: tuple[tuple[int, int, ExponentPair], ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -288,8 +290,7 @@ def s_binomial(f: Binomial, g: Binomial, order: MonomialOrder) -> Optional[Binom
     (lcm/lead_g)*trail_g and (lcm/lead_f)*trail_f; it is None exactly when
     those two monomials coincide.
     """
-    lcm = f.lead.lcm(g.lead)
-    le = lcm.exponents
+    le = tuple(map(max, f.lead.exponents, g.lead.exponents))  # the lcm of the leads
     mf = Monomial(tuple(l - a + b for l, a, b in zip(le, f.lead.exponents, f.trail.exponents)))
     mg = Monomial(tuple(l - a + b for l, a, b in zip(le, g.lead.exponents, g.trail.exponents)))
     return Binomial.from_pair(mg, mf, order)
@@ -331,21 +332,19 @@ class Packing:
             p = (p << bits) | e[i]
         return p
 
-    def unpack(self, p: int) -> Monomial:
+    def unpack(self, p: int) -> tuple[int, ...]:
+        """The exponent tuple of packed p."""
         field, bits = self.field, self.bits
         e = [0] * len(self.scan)
         for i in reversed(self.scan):
             e[i] = p & field
             p >>= bits
-        return Monomial(tuple(e))
+        return tuple(e)
 
     def variable_field(self, i: int) -> int:
         """The mask of the field that holds exponent i: the variable x_i
         divides a packed monomial exactly when the two share a bit."""
         return self.field << (self.bits * (len(self.scan) - 1 - self.scan.index(i)))
-
-    def binomial(self, lead: int, trail: int) -> Binomial:
-        return Binomial(self.unpack(lead), self.unpack(trail))
 
 
 def _check_degree(d: int, pk: Packing) -> None:
@@ -445,20 +444,11 @@ def _normal_form(
     return lead, trail
 
 
-def _exponent_pairs(gens: Iterable[Union[Binomial, ExponentPair]]) -> list[ExponentPair]:
-    """Each generator, a `Binomial` or an exponent pair, as an exponent pair."""
-    return [
-        (g.lead.exponents, g.trail.exponents) if isinstance(g, Binomial) else g for g in gens
-    ]
-
-
 def buchberger(
-    gens: Iterable[Union[Binomial, ExponentPair]],
-    order: MonomialOrder,
-    step_bound: int = DEFAULT_STEP_BOUND,
+    gens: Iterable[ExponentPair], order: MonomialOrder, step_bound: int = DEFAULT_STEP_BOUND
 ) -> BinomialBasis:
-    """Groebner basis of the ideal generated by `gens` (`Binomial`s or
-    exponent-tuple pairs, see `_buchberger`) under `order`.
+    """Groebner basis of the ideal generated by `gens` (exponent-tuple
+    pairs in either orientation, see `_buchberger`) under `order`.
 
     Buchberger's algorithm with the normal selection strategy (the pending
     pair whose lead-lcm is smallest in the order is processed first, with
@@ -479,12 +469,12 @@ def buchberger(
     in the basis and serves as a reducer.
     """
     pk, leads, trails = _buchberger(gens, order, step_bound)
-    elements = tuple(pk.binomial(l, t) for l, t in zip(leads, trails))
+    elements = tuple(zip(map(pk.unpack, leads), map(pk.unpack, trails)))
     return BinomialBasis(elements, order, is_groebner_verified=True)
 
 
 def _buchberger(
-    gens: Iterable[Union[Binomial, ExponentPair]],
+    gens: Iterable[ExponentPair],
     order: MonomialOrder,
     step_bound: int,
     degrees: Optional[Sequence[int]] = None,
@@ -500,8 +490,7 @@ def _buchberger(
     the rerun is exact).
 
     Each generator is an (lhs, rhs) pair of exponent tuples, in either
-    orientation, or a `Binomial`, read as the pair of its exponents.
-    Both sides are packed (`Packing.pack` checks the ambient size, the
+    orientation.  Both sides are packed (`Packing.pack` checks the ambient size, the
     signs and the degree) and oriented by packed key; a pair with equal
     sides is a ValueError.
 
@@ -531,7 +520,7 @@ def _buchberger(
     `stop`, when given, is the index of a variable: the kernel returns as
     soon as a lead that this variable divides joins, with that lead last.
     """
-    pairs = _exponent_pairs(gens)
+    pairs = list(gens)  # a second run reads them again
     try:
         return _run(pairs, Packing(order, _NARROW_FIELD_BITS), step_bound, degrees, stop)
     except DegreeLimitExceeded:
@@ -569,8 +558,8 @@ def _run(
             w = _weight(lead, fields, pk)
             if _weight(trail, fields, pk) != w:
                 raise ValueError(
-                    f"generator {pk.binomial(lead, trail)} is not homogeneous "
-                    f"for the degrees {tuple(degrees)}"
+                    f"generator {_binomials([(pk.unpack(lead), pk.unpack(trail))])[0]} "
+                    f"is not homogeneous for the degrees {tuple(degrees)}"
                 )
         heap.append((w, 0, len(queued), -1))
         queued.append((lead, trail))
@@ -648,11 +637,7 @@ def _run(
 def _pack(basis: BinomialBasis) -> tuple[Packing, list[int], list[int]]:
     """The packing of the basis order and the packed leads and trails."""
     pk = Packing(basis.order)
-    return (
-        pk,
-        [pk.pack(b.lead.exponents) for b in basis],
-        [pk.pack(b.trail.exponents) for b in basis],
-    )
+    return pk, [pk.pack(lead) for lead, _ in basis], [pk.pack(trail) for _, trail in basis]
 
 
 def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> BinomialBasis:
@@ -687,7 +672,7 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
     # lead never divides its trail, which stays below it, so the first
     # reducer among all kept leads is the first among the others.  The
     # leads are distinct and ascending, so the output is canonical.
-    out: list[Binomial] = []
+    out: list[ExponentPair] = []
     for lead, t in zip(leads, trails):
         steps = 0
         while (k := _first_reducer(t, leads, guards)) >= 0:
@@ -695,7 +680,7 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
             steps += 1
             if steps > step_bound:
                 raise StepBoundExceeded(f"tail reduction exceeded {step_bound} steps")
-        out.append(pk.binomial(lead, t))
+        out.append((pk.unpack(lead), pk.unpack(t)))
 
     return BinomialBasis(tuple(out), basis.order, is_groebner_verified=True, is_reduced=True)
 
@@ -708,7 +693,7 @@ def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> G
     failing pair together with its irreducible remainder.
     """
     pk, leads, trails = _pack(basis)
-    failures: list[tuple[int, int, Binomial]] = []
+    failures: list[tuple[int, int, ExponentPair]] = []
     for i in range(len(leads)):
         for j, lcm in enumerate(_lcms(leads[i + 1:], leads[i], pk), i + 1):
             _degree(lcm, pk)
@@ -717,7 +702,7 @@ def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> G
                 continue
             h = _normal_form(s[0], s[1], leads, trails, pk, step_bound)
             if h is not None:
-                failures.append((i, j, pk.binomial(*h)))
+                failures.append((i, j, (pk.unpack(h[0]), pk.unpack(h[1]))))
     return GroebnerCertificate(not failures, tuple(failures))
 
 

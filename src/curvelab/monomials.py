@@ -42,33 +42,6 @@ class Monomial:
     def nvars(self) -> int:
         return len(self.exponents)
 
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def _same_ring(self, other: "Monomial") -> None:
-        if self.nvars != other.nvars:
-            raise AmbientMismatchError(
-                f"ambient rings differ: {self.nvars} vs {other.nvars} variables"
-            )
-
-    def divides(self, other: "Monomial") -> bool:
-        """True iff every exponent of self is <= the matching one of other."""
-        self._same_ring(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        """Componentwise maximum of exponents."""
-        self._same_ring(other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
-    def weight(self, weights: Sequence[int]) -> int:
-        """Dot product of exponents with a weight vector of ambient size."""
-        if len(weights) != self.nvars:
-            raise AmbientMismatchError(
-                f"weight vector of length {len(weights)} for a {self.nvars}-variable ring"
-            )
-        return sum(e * w for e, w in zip(self.exponents, weights))
-
     def __str__(self) -> str:
         parts = []
         for vid, e in zip(_VAR_IDS[self.nvars], self.exponents):
@@ -94,17 +67,13 @@ class MonomialOrder:
     least-priority variable up; it is derived from `priority`, and the
     packed monomials of `curvelab.groebner` lay out their fields by it.
 
-    `compare` (short-circuits on degree) and `key` (for sorting)
-    implement the order twice on purpose.  The packed kernel of
-    `curvelab.groebner` orders its own monomials, and the bases the CLI
-    prints are oriented and sorted by `key`'s tuple form on exponent
-    tuples.  So `compare` runs only where a `Binomial` is oriented or
-    checked: `Binomial.from_pair` (which `s_binomial` calls) and the
-    orientation check of `BinomialBasis`.  The CLI reaches the latter
-    only where a kernel basis comes back as a `BinomialBasis`:
-    `gb --oracle` and the disagreement dump.  Derived from `key` it takes
-    2.5-2.9 us a call against 0.7-0.9 us (timeit, CPython 3.11, x86-64).
-    The tests check that the two agree.
+    The order is written twice: on exponent tuples by `_exponent_key`
+    and on packed monomials by `curvelab.groebner._key`; the tests check
+    that the two sort alike.  `key` and `compare` are read off
+    `_exponent_key`.  A basis is a tuple of exponent pairs, which
+    `curvelab.groebner` checks, orients and sorts by `_exponent_key`, so
+    `compare` runs only where `Binomial.from_pair` orients a binomial of
+    `Monomial`s (in `s_binomial`), which no CLI path does.
     """
 
     priority: tuple[int, ...]
@@ -139,24 +108,14 @@ class MonomialOrder:
 
     def _exponent_key(self, e: Sequence[int]) -> tuple:
         """`key` of an exponent tuple, which the caller has sized to the
-        order's ring; the printed bases are oriented and sorted by it
-        without building a `Monomial`."""
+        order's ring: the order on tuples, by which every basis is
+        checked, oriented and sorted."""
         return (sum(e), tuple([-e[i] for i in self.scan]))
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         """LESS, EQUAL or GREATER for m1 against m2."""
-        self._check(m1)
-        self._check(m2)
-        d1 = sum(m1.exponents)
-        d2 = sum(m2.exponents)
-        if d1 != d2:
-            return GREATER if d1 > d2 else LESS
-        e1 = m1.exponents
-        e2 = m2.exponents
-        for i in self.scan:
-            if e1[i] != e2[i]:
-                return LESS if e1[i] > e2[i] else GREATER
-        return EQUAL
+        k1, k2 = self.key(m1), self.key(m2)
+        return GREATER if k1 > k2 else LESS if k1 < k2 else EQUAL
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "priority": list(self.priority)}

@@ -1,10 +1,14 @@
-"""Shared test utilities: monomial builders, an independent comparison
-oracle, toric membership, homogenization and dehomogenization oracles, a
+"""Shared test utilities: exponent-tuple builders, reference oracles on
+exponent tuples (divisibility, lcm, weight and an independent comparison),
+toric membership, homogenization and dehomogenization oracles, a
 brute-force recovery oracle, a linear-walk oracle for one row of
 recovery, a walk over all 24 coordinate orders for the any-order
-recovery, the packed normal form on binomials with its tuple-based
+recovery, the packed normal form on exponent pairs with its tuple-based
 oracle, an all-pairs Buchberger oracle, and a seeded generator of valid
-parameter sets."""
+parameter sets.
+
+A monomial here is its exponent tuple and a binomial its (lead, trail)
+pair of exponent tuples, the one form `curvelab` gives a basis."""
 
 import heapq
 import math
@@ -13,9 +17,8 @@ from random import Random
 
 from curvelab import (
     AFFINE_ORDER,
-    EQUAL,
-    LESS,
     PROJECTIVE_ORDER,
+    AmbientMismatchError,
     Binomial,
     BinomialBasis,
     BresinskyData,
@@ -30,77 +33,112 @@ from curvelab.bresinsky import _validated_vector, d_from_a, degree_refusal
 from curvelab import groebner
 
 
-def m4(e1=0, e2=0, e3=0, e4=0) -> Monomial:
-    return Monomial((e1, e2, e3, e4))
+def m4(e1=0, e2=0, e3=0, e4=0) -> tuple:
+    return (e1, e2, e3, e4)
 
 
-def m5(e0=0, e1=0, e2=0, e3=0, e4=0) -> Monomial:
-    return Monomial((e0, e1, e2, e3, e4))
+def m5(e0=0, e1=0, e2=0, e3=0, e4=0) -> tuple:
+    return (e0, e1, e2, e3, e4)
 
 
-def times(a: Monomial, b: Monomial) -> Monomial:
+def _same_ring(a, b) -> None:
+    if len(a) != len(b):
+        raise AmbientMismatchError(f"ambient rings differ: {len(a)} vs {len(b)} variables")
+
+
+def times(a, b) -> tuple:
     """The product a*b: exponents add."""
-    assert a.nvars == b.nvars
-    return Monomial(tuple(x + y for x, y in zip(a.exponents, b.exponents)))
+    _same_ring(a, b)
+    return tuple(x + y for x, y in zip(a, b))
 
 
-def bino(lead: Monomial, trail: Monomial) -> Binomial:
-    b = Binomial.from_pair(lead, trail, AFFINE_ORDER)
-    assert b is not None
-    return b
+def divides(a, b) -> bool:
+    """True iff every exponent of a is <= the matching one of b."""
+    _same_ring(a, b)
+    return all(x <= y for x, y in zip(a, b))
 
 
-def oriented(b: Binomial, order) -> Binomial:
-    """The same binomial re-oriented under a (possibly different) order."""
-    out = Binomial.from_pair(b.lead, b.trail, order)
-    assert out is not None
-    return out
+def lcm(a, b) -> tuple:
+    """Componentwise maximum of exponents."""
+    _same_ring(a, b)
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def pair_set(binomials) -> set:
-    """Orientation-insensitive view of a collection of binomials."""
-    return {frozenset((b.lead.exponents, b.trail.exponents)) for b in binomials}
+def weight(e, weights) -> int:
+    """Dot product of exponents with a weight vector of ambient size."""
+    _same_ring(e, weights)
+    return sum(x * w for x, w in zip(e, weights))
 
 
-def toric_membership(b: Binomial, degrees) -> bool:
-    """True iff both monomials have equal weight under the degree vector,
-    i.e. the binomial lies in the toric ideal of that vector."""
-    w = tuple(degrees)
-    return b.lead.weight(w) == b.trail.weight(w)
-
-
-def homogenize(b: Binomial) -> Binomial:
-    """A 4-variable binomial padded with x0 by `acm._padded`, the padding
-    step of `acm._homogenized`, and oriented under PROJECTIVE_ORDER by
-    `MonomialOrder.compare`, not by the canonical sort."""
-    lead, trail = _padded(b.lead.exponents, b.trail.exponents)
-    return oriented(Binomial(Monomial(lead), Monomial(trail)), PROJECTIVE_ORDER)
-
-
-def dehomogenize(b: Binomial) -> Binomial:
-    """Set x0 := 1 in a 5-variable binomial and orient it under AFFINE_ORDER."""
-    assert b.nvars == 5
-    return bino(Monomial(b.lead.exponents[1:]), Monomial(b.trail.exponents[1:]))
-
-
-def oracle_compare(ma: Monomial, mb: Monomial, priority) -> int:
-    """Textbook restatement of the graded reverse lexicographic rule:
-    degree first, then the sign at the last position where the exponent
-    vectors differ when listed from greatest to least priority (larger
-    exponent there loses)."""
-    da, db = sum(ma.exponents), sum(mb.exponents)
+def oracle_compare(a, b, priority) -> int:
+    """Textbook restatement of the graded reverse lexicographic rule on
+    exponent tuples: degree first, then the sign at the last position
+    where the exponent vectors differ when listed from greatest to least
+    priority (larger exponent there loses)."""
+    da, db = sum(a), sum(b)
     if da != db:
         return 1 if da > db else -1
-    ids = list(range(5 - ma.nvars, 5))  # x1..x4, or x0..x4
+    ids = list(range(5 - len(a), 5))  # x1..x4, or x0..x4
     last = 0
     for vid in priority:
         i = ids.index(vid)
-        diff = ma.exponents[i] - mb.exponents[i]
+        diff = a[i] - b[i]
         if diff != 0:
             last = diff
     if last == 0:
         return 0
     return 1 if last < 0 else -1
+
+
+def oriented(pair, order):
+    """The exponent pair of a binomial led by its larger side under
+    `order`, by `oracle_compare`; None when the sides are equal."""
+    a, b = (tuple(side) for side in pair)
+    c = oracle_compare(a, b, order.priority)
+    if c == 0:
+        return None
+    return (a, b) if c > 0 else (b, a)
+
+
+def bino(lead, trail, order=AFFINE_ORDER) -> tuple:
+    """The binomial lead - trail (up to sign) as an oriented pair."""
+    b = oriented((lead, trail), order)
+    assert b is not None
+    return b
+
+
+def binomial(pair) -> Binomial:
+    """The `Binomial` of an oriented exponent pair."""
+    return Binomial(Monomial(tuple(pair[0])), Monomial(tuple(pair[1])))
+
+
+def pair_of(b: Binomial) -> tuple:
+    """The (lead, trail) exponent pair of a `Binomial`."""
+    return b.lead.exponents, b.trail.exponents
+
+
+def pair_set(pairs) -> set:
+    """Orientation-insensitive view of a collection of exponent pairs."""
+    return {frozenset((tuple(lead), tuple(trail))) for lead, trail in pairs}
+
+
+def toric_membership(b, degrees) -> bool:
+    """True iff both sides have equal weight under the degree vector,
+    i.e. the binomial lies in the toric ideal of that vector."""
+    return weight(b[0], tuple(degrees)) == weight(b[1], tuple(degrees))
+
+
+def homogenize(b) -> tuple:
+    """A 4-variable pair padded with x0 by `acm._padded`, the padding
+    step of `acm._homogenized`, and oriented under PROJECTIVE_ORDER by
+    `oracle_compare`, not by the canonical sort."""
+    return bino(*_padded(*b), PROJECTIVE_ORDER)
+
+
+def dehomogenize(b) -> tuple:
+    """Set x0 := 1 in a 5-variable pair and orient it under AFFINE_ORDER."""
+    assert len(b[0]) == 5
+    return bino(b[0][1:], b[1][1:])
 
 
 def monomials_of_degree_at_most(nvars: int, d: int):
@@ -109,7 +147,7 @@ def monomials_of_degree_at_most(nvars: int, d: int):
 
     def rec(prefix, remaining, slots):
         if slots == 0:
-            out.append(Monomial(tuple(prefix)))
+            out.append(tuple(prefix))
             return
         for e in range(remaining + 1):
             rec(prefix + [e], remaining - e, slots - 1)
@@ -307,66 +345,65 @@ def any_order_hits_by_walk(a):
     return hits
 
 
-def _first_reducer(m: Monomial, elements):
-    me = m.exponents
+def _first_reducer(m, elements):
     for g in elements:
-        ge = g.lead.exponents
-        for a, b in zip(ge, me):
-            if a > b:
-                break
-        else:
+        if divides(g[0], m):
             return g
     return None
 
 
+def _rewrite(m, g) -> tuple:
+    """One reduction step on tuples: m / lead * trail, for lead | m."""
+    return tuple(e - a + b for e, a, b in zip(m, *g))
+
+
 def normal_form(
-    f: Binomial,
+    f,
     basis: BinomialBasis,
     step_bound: int = groebner.DEFAULT_STEP_BOUND,
     bits: int = groebner.FIELD_BITS,
 ):
-    """`groebner._normal_form` on binomials: f, oriented under the basis
-    order, and the basis are packed with fields of `bits` bits, and the
-    normal form is unpacked; None means zero."""
+    """`groebner._normal_form` on exponent pairs: f, oriented under the
+    basis order, and the basis are packed with fields of `bits` bits, and
+    the normal form is unpacked; None means zero."""
     f = oriented(f, basis.order)
     pk = groebner.Packing(basis.order, bits)
-    leads = [pk.pack(b.lead.exponents) for b in basis]
-    trails = [pk.pack(b.trail.exponents) for b in basis]
-    lead, trail = pk.pack(f.lead.exponents), pk.pack(f.trail.exponents)
-    h = groebner._normal_form(lead, trail, leads, trails, pk, step_bound)
-    return None if h is None else pk.binomial(*h)
+    leads = [pk.pack(lead) for lead, _ in basis]
+    trails = [pk.pack(trail) for _, trail in basis]
+    h = groebner._normal_form(pk.pack(f[0]), pk.pack(f[1]), leads, trails, pk, step_bound)
+    return None if h is None else (pk.unpack(h[0]), pk.unpack(h[1]))
 
 
-def tuple_normal_form(f: Binomial, elements, order, step_bound: int = groebner.DEFAULT_STEP_BOUND):
+def tuple_normal_form(f, elements, order, step_bound: int = groebner.DEFAULT_STEP_BOUND):
     """Reference oracle for `groebner._normal_form`: the same strategy
     (smallest-index reducer, lead before trail, the same step count and
-    StepBoundExceeded text) on exponent tuples, through `Binomial.rewrite`
-    and `MonomialOrder.compare`.  `f` must be oriented under `order`."""
-    lead, trail = f.lead, f.trail
+    StepBoundExceeded text) on exponent tuples, through `_rewrite` and
+    `oracle_compare`.  `f` must be oriented under `order`."""
+    lead, trail = f
     steps = 0
     while True:
         g = _first_reducer(lead, elements)
         if g is not None:
-            lead = g.rewrite(lead)
+            lead = _rewrite(lead, g)
             steps += 1
             if steps > step_bound:
                 raise StepBoundExceeded(f"normal form exceeded {step_bound} reduction steps")
-            c = order.compare(lead, trail)
-            if c == EQUAL:
+            c = oracle_compare(lead, trail, order.priority)
+            if c == 0:
                 return None
-            if c == LESS:
+            if c < 0:
                 lead, trail = trail, lead
             continue
         g = _first_reducer(trail, elements)
         if g is None:
-            return Binomial(lead, trail)
+            return lead, trail
         # a rewrite strictly decreases the monomial, so no re-orientation
         # is needed after a trail step
-        trail = g.rewrite(trail)
+        trail = _rewrite(trail, g)
         steps += 1
         if steps > step_bound:
             raise StepBoundExceeded(f"normal form exceeded {step_bound} reduction steps")
-        if trail.exponents == lead.exponents:
+        if trail == lead:
             return None
 
 
@@ -382,19 +419,19 @@ def plain_buchberger(gens, order, step_bound: int = groebner.DEFAULT_STEP_BOUND)
     def push_pairs(j):
         fj = basis[j]
         for i in range(j):
-            lcm = basis[i].lead.lcm(fj.lead)
-            if lcm.degree() == basis[i].lead.degree() + fj.lead.degree():
+            m = lcm(basis[i][0], fj[0])
+            if sum(m) == sum(basis[i][0]) + sum(fj[0]):
                 continue
-            heapq.heappush(heap, (order.key(lcm), i, j))
+            heapq.heappush(heap, (order.key(Monomial(m)), i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
     while heap:
         _, i, j = heapq.heappop(heap)
-        s = groebner.s_binomial(basis[i], basis[j], order)
+        s = groebner.s_binomial(binomial(basis[i]), binomial(basis[j]), order)
         if s is None:
             continue
-        h = tuple_normal_form(s, basis, order, step_bound)
+        h = tuple_normal_form((s.lead.exponents, s.trail.exponents), basis, order, step_bound)
         if h is not None:
             basis.append(h)
             push_pairs(len(basis) - 1)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import curvelab.cli as cli_mod
-from curvelab import Binomial, Monomial
+from curvelab import Monomial
 from curvelab.bresinsky import d_from_a, d_from_a_any_order, member_degrees
 from curvelab.cli import main, to_canonical_json
 
@@ -274,6 +274,33 @@ class TestGb:
         assert rc == 0
         assert out.splitlines()[0] == "oracle (reduced Groebner basis, 8 elements)"
 
+    def test_oracle_and_scan_replies_build_no_binomial(self, monkeypatch):
+        # a basis is exponent pairs from the generators to the reply: no
+        # Binomial is built and no pair of Monomials is compared
+        from curvelab.groebner import Binomial
+        from curvelab.monomials import MonomialOrder
+
+        calls = []
+        for cls, name in ((Binomial, "__post_init__"), (MonomialOrder, "compare")):
+            real = getattr(cls, name)
+
+            def spy(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(cls, name, spy)
+        for argv in (
+            ("gb", "--d", "2,4,1,1,36,1,1,2", "--m", "38", "--oracle", "--format", "json"),
+            ("family", "--a", "8,5,7,9", "--m-range", "0..10", "--format", "json"),
+        ):
+            rc, out = run_cli(*argv)
+            assert rc == 0 and json.loads(out), argv
+        assert calls == []
+        # the spies see a Binomial built and oriented
+        x1, x2 = Monomial((1, 0, 0, 0)), Monomial((0, 1, 0, 0))
+        Binomial.from_pair(x1, x2, MonomialOrder((2, 1, 3, 4)))
+        assert calls == ["compare", "__post_init__"]
+
 
 class TestRecover:
     def test_basic(self):
@@ -528,11 +555,11 @@ class TestPrintedBases:
                 assert len(lead) == len(trail) == 5
                 assert sum(lead) == sum(trail)
                 assert sum(map(mul, lead, weights)) == sum(map(mul, trail, weights))
-                hom.append(Binomial(Monomial(tuple(lead)), Monomial(tuple(trail))))
-            assert all(PROJECTIVE_ORDER.compare(b.lead, b.trail) == GREATER for b in hom)
-            keys = [(key(b.lead), key(b.trail)) for b in hom]
+                hom.append((Monomial(tuple(lead)), Monomial(tuple(trail))))
+            assert all(PROJECTIVE_ORDER.compare(lead, trail) == GREATER for lead, trail in hom)
+            keys = [(key(lead), key(trail)) for lead, trail in hom]
             assert keys == sorted(keys)
-            dehom = [dehomogenize(b) for b in hom]
+            dehom = [dehomogenize((lead.exponents, trail.exponents)) for lead, trail in hom]
             assert len(dehom) == len(closed.basis)
             assert pair_set(dehom) == pair_set(closed.basis)
             assert reply["tag"]["reduced"] == closed.basis.is_reduced
@@ -790,14 +817,15 @@ class TestImports:
         # a fresh interpreter without site packages imports the CLI and
         # builds its parser: every module it loads is curvelab's or the
         # standard library's, and none that only a bug or the console
-        # entry point needs
+        # entry point needs; -B keeps it from writing bytecode into src/,
+        # whatever the caller's environment says
         code = (
             "import sys; import curvelab.cli as cli; cli.build_parser(); "
             "print(' '.join(sorted(sys.modules)))"
         )
         env = {"PYTHONPATH": str(SRC)}
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", code],
+            [sys.executable, "-S", "-B", "-c", code],
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         loaded = set(proc.stdout.split())
