@@ -73,6 +73,16 @@ CASES = {
     "gb-conditions-refused": ["gb", "--a", "19,29,26,43", "--m", "0"],
     "gb-oracle-gcd-base": ["gb", "--oracle", "--d", "1,1,1,1,1,1,1,1", "--m", "0"],
     "gb-gcd-input-negative-m": ["gb", "--a", "2,4,6,8", "--m", "-1"],
+    # degrees past the packed limit: the closed form and its padding take
+    # exponent tuples of any size, the kernel refuses
+    "gb-case1-past-packed-limit": ["gb", "--a", "8,5,7,9", "--m", "10000000000000000000"],
+    "gb-case2-homogenize-past-packed-limit-json": [
+        "gb", "--a", "1191,1239,582,2303", "--m", "10000000000000000000", "--homogenize",
+        "--format", "json"
+    ],
+    "gb-oracle-past-packed-limit": ["gb", "--a", "8,5,7,9", "--m", "10000000000000000000",
+                                    "--oracle"],
+    "analyze-past-packed-limit": ["analyze", "--a", "8,5,7,9", "--m", "10000000000000000000"],
     "recover-basic": ["recover", "--a", "19,29,26,43"],
     "recover-big-json": ["recover", "--a", "1191,1239,582,2303", "--format", "json"],
     "recover-reordered": ["recover", "--a", "107,133,106,131"],
