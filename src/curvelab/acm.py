@@ -38,7 +38,6 @@ from .groebner import (
     ExponentPair,
     _binomials,
     _buchberger,
-    _canonical_pairs,
     _key,
     buchberger,
 )
@@ -143,7 +142,8 @@ def acm_by_groebner(
     So the run stops at the first lead that x4 divides, and that lead is
     the witness; a run that ends without one is ACM.
     """
-    return _verdict(_checked_degrees(degrees), gens, step_bound)
+    x4 = _x4_leads(_checked_degrees(degrees), gens, step_bound, first=True)
+    return GroebnerVerdict(not x4, x4[0] if x4 else None)
 
 
 def x4_initial_generators(
@@ -168,20 +168,15 @@ def _checked_degrees(degrees: Iterable[int]) -> Vec4:
     return vec
 
 
-def _verdict(vec: Vec4, gens: Iterable[ExponentPair], step_bound: int) -> GroebnerVerdict:
-    """`acm_by_groebner` for a checked degree vector.  The kernel, weighed
-    by `vec` under `AFFINE_ORDER`, raises ValueError unless every
-    generator is homogeneous for it."""
-    pk, leads, _ = _buchberger(gens, AFFINE_ORDER, step_bound, vec, _X4)
-    last = leads[-1]
-    witness = Monomial(pk.unpack(last)) if last & pk.variable_field(_X4) else None
-    return GroebnerVerdict(witness is None, witness)
-
-
-def _x4_leads(vec: Vec4, gens: Iterable[ExponentPair], step_bound: int) -> tuple[Monomial, ...]:
-    """`x4_initial_generators` for a checked degree vector, run as
-    `_verdict` runs the kernel but to the end."""
-    pk, leads, _ = _buchberger(gens, AFFINE_ORDER, step_bound, vec)
+def _x4_leads(
+    vec: Vec4, gens: Iterable[ExponentPair], step_bound: int, first: bool = False
+) -> tuple[Monomial, ...]:
+    """`x4_initial_generators` for a checked degree vector, the one reader
+    of the graded run.  The kernel, weighed by `vec` under `AFFINE_ORDER`,
+    raises ValueError unless every generator is homogeneous for it.  With
+    `first` it stops at the first lead that x4 divides, so the result is
+    that witness alone, or () when the run ends without one."""
+    pk, leads, _ = _buchberger(gens, AFFINE_ORDER, step_bound, vec, _X4 if first else None)
     x4 = pk.variable_field(_X4)
     # every lead of a graded run is minimal; only the x4 leads are unpacked
     x4_leads = sorted((p for p in leads if p & x4), key=lambda p: _key(p, pk))
@@ -223,13 +218,19 @@ def _homogenized(
     pairs: Iterable[ExponentPair], degrees: Iterable[int]
 ) -> tuple[ExponentPair, ...]:
     """Element-wise homogenization of a Groebner basis of the toric ideal
-    of `degrees`, given as x1..x4 exponent pairs: (lead, trail) pairs over
-    x0..x4 in canonical order under the extended order.  That order is
-    degree-compatible, so no lead gains x0: the result is a Groebner basis,
-    and reduced exactly when the input is.  Each pair is padded with x0
-    (`_padded`), led by its larger side under `PROJECTIVE_ORDER` and
-    checked by `_check_homogeneous`: the one place a basis is homogenized."""
-    elements = _canonical_pairs((_padded(lead, trail) for lead, trail in pairs), PROJECTIVE_ORDER)
+    of `degrees`, given as x1..x4 (lead, trail) pairs oriented and in
+    canonical order under `AFFINE_ORDER` (as `_closed_form` and
+    `reduce_basis` return them): each pair padded with x0 (`_padded`) and
+    checked by `_check_homogeneous`, the one place a basis is homogenized.
+
+    Padding keeps the orientation and the element order, so nothing is
+    sorted again.  Both orders are degree-compatible, so no lead is of
+    lower degree than its trail, and leads gain no x0.  Padded monomials
+    of one degree compare as their x1..x4 parts do under `AFFINE_ORDER`:
+    x0 is least and scanned first, so less x0, a higher affine degree, is
+    larger.  The result is a Groebner basis under `PROJECTIVE_ORDER`, in
+    its canonical order, and reduced exactly when the input is."""
+    elements = tuple(_padded(lead, trail) for lead, trail in pairs)
     _check_homogeneous(elements, degrees)
     return elements
 
@@ -259,32 +260,25 @@ def _skip(m: int, degrees: Vec4, reason: str) -> AcmReport:
 
 
 def _agreement_checked(
-    report: AcmReport,
-    degrees: Vec4,
-    gens: tuple[ExponentPair, ...],
-    step_bound: int,
-    x4: Optional[tuple[Monomial, ...]],
+    report: AcmReport, degrees: Vec4, gens: tuple[ExponentPair, ...], step_bound: int
 ) -> AcmReport:
     """`report` when its two verdicts agree; otherwise DisagreementError
     with a dump that carries every x4-bearing minimal initial generator
-    of `gens`, the generators both verdicts were computed from (`x4`,
-    when the caller already has them; `degrees` grades them), and their
-    Buchberger basis.
+    of `gens`, the generators both verdicts were computed from (`degrees`
+    grades them), and their Buchberger basis.
 
-    The verdict keeps one witness and no basis, so the dump runs
-    Buchberger to the end on the same generators, under the same order
-    and step bound.  A verdict that stopped early may fit a bound that
-    this run exceeds; the dump then records that the basis was not
+    Only a bug reaches the dump, so it lists the x4 leads itself: a rerun
+    of the verdict's deterministic graded run, to the end, under the same
+    step bound.  A verdict that stopped early may fit a bound that the
+    dump's runs exceed; the dump then records that the basis was not
     rebuilt, and the disagreement is raised all the same, so a budget
     never turns it into a skip row.
     """
     if report.agree:
         return report
     try:
-        if x4 is None:
-            x4 = _x4_leads(degrees, gens, step_bound)
         rebuilt = {
-            "x4_leads": [str(mono) for mono in x4],
+            "x4_leads": [str(mono) for mono in _x4_leads(degrees, gens, step_bound)],
             "groebner_basis": buchberger(gens, AFFINE_ORDER, step_bound).to_json(),
         }
     except StepBoundExceeded:
@@ -317,10 +311,10 @@ def analyze_member(
 def _analyze(
     data: BresinskyData, m: int, step_bound: int, full: bool
 ) -> tuple[AcmReport, tuple[Monomial, ...]]:
-    """`analyze_member`, with every x4-bearing minimal initial generator
-    when `full` (none otherwise, or for a skip row).  With `full` the
-    Groebner verdict is read off that list, so one run of Buchberger to
-    the end gives both; without it the verdict may stop at its witness.
+    """`analyze_member`, with the x4-bearing minimal initial generators
+    that its Groebner verdict is read off (`_x4_leads`, none for a skip
+    row): every one when `full`, from one run of Buchberger to the end,
+    and otherwise the witness alone, from a run that stops at it.
     """
     deg = member_degrees(data, m)
     reason = degree_refusal(deg)
@@ -336,17 +330,13 @@ def _analyze(
         tm, tdeg = 0, tuple(deg[i] for i in perm)
 
     reordered = reason is not None
-    # tdeg is checked (no refusal), so the private cores of
-    # `acm_by_criterion` and `acm_by_groebner` take it as it is
+    # tdeg is checked (no refusal), so `case_conditions` and the reader of
+    # the graded run take it as it is
     crit = case_conditions(target, tm)
     # exponent pairs straight from the formulas, oriented by the kernel
     gens = _generator_exponents(target, tm)
-    if full:
-        x4 = _x4_leads(tdeg, gens, step_bound)
-        acm = not x4
-    else:
-        x4 = ()
-        acm = _verdict(tdeg, gens, step_bound).acm
+    x4 = _x4_leads(tdeg, gens, step_bound, first=not full)
+    acm = not x4
     report = AcmReport(
         m=m,
         degrees=deg,
@@ -360,7 +350,7 @@ def _analyze(
         reordered=reordered,
         permuted_degrees=tdeg if reordered else None,
     )
-    return _agreement_checked(report, tdeg, gens, step_bound, x4 if full else None), x4
+    return _agreement_checked(report, tdeg, gens, step_bound), x4
 
 
 def cross_validate(

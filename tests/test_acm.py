@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -35,11 +34,12 @@ from curvelab import (
     is_groebner,
     member_degrees,
     reduce_basis,
+    shift_vector,
 )
-from curvelab.acm import _check_homogeneous, _homogenized, x4_initial_generators
-from curvelab.bresinsky import _any_order_hits, _generator_exponents, degree_refusal
+from curvelab.acm import _check_homogeneous, _homogenized, _padded, x4_initial_generators
+from curvelab.bresinsky import _any_order_hits, _closed_form, _generator_exponents, degree_refusal
 from curvelab.cli import main
-from curvelab.groebner import Packing
+from curvelab.groebner import Packing, _canonical_pairs
 import test_groebner
 from conftest import family_data
 from helpers import (
@@ -53,9 +53,29 @@ from helpers import (
     pair_set,
     random_valid_data,
     sample_applicable,
+    sample_condition_passing,
     sample_long_basis,
     toric_membership,
 )
+
+
+def _flipped(x4):
+    """The reader's x4 leads with the Groebner verdict read off them
+    flipped: none for a non-ACM run, and x4 itself as a witness for an
+    ACM one."""
+    return () if x4 else (Monomial((0, 0, 0, 1)),)
+
+
+def _flip_verdict(monkeypatch):
+    """Flip the verdict of `acm._x4_leads` runs that stop at the first
+    witness; the runs to the end, the dump's among them, stay real."""
+    real = acm_mod._x4_leads
+
+    def flipped(*args, first=False):
+        x4 = real(*args, first=first)
+        return _flipped(x4) if first else x4
+
+    monkeypatch.setattr(acm_mod, "_x4_leads", flipped)
 
 
 def _cond(result, name):
@@ -456,14 +476,8 @@ class TestCrossValidate:
                 assert r.skip_reason == "gcd>1"
 
     def test_disagreement_aborts_with_a_dump(self, monkeypatch, basic_data):
-        # the member analysis runs `acm_by_groebner`'s core on its checked vector
-        real = acm_mod._verdict
-
-        def flipped(*args):
-            gb = real(*args)
-            return dataclasses.replace(gb, acm=not gb.acm)
-
-        monkeypatch.setattr(acm_mod, "_verdict", flipped)
+        # the member analysis reads its verdict off the reader's early stop
+        _flip_verdict(monkeypatch)
         # m=8 is analysed in permuted coordinates: the dump rebuilds the
         # basis of the first recovery hit's generators, not of the base's
         target_8 = d_from_a_any_order(member_degrees(basic_data, 8))[0][1]
@@ -496,13 +510,7 @@ class TestCrossValidate:
             x4_initial_generators(member_degrees(basic_data, 0), gens, 1)
         [row] = cross_validate(basic_data, range(0, 1), step_bound=1)
         assert row.applicable and row.agree
-        real = acm_mod._verdict
-
-        def flipped(*args):
-            gb = real(*args)
-            return dataclasses.replace(gb, acm=not gb.acm)
-
-        monkeypatch.setattr(acm_mod, "_verdict", flipped)
+        _flip_verdict(monkeypatch)
         with pytest.raises(DisagreementError) as exc:
             cross_validate(basic_data, range(0, 1), step_bound=1)
         doc = json.loads(exc.value.dump)
@@ -512,6 +520,29 @@ class TestCrossValidate:
         argv = ["analyze", "--a", "19,29,26,43", "--m", "0", "--step-bound", "1", "--format", "json"]
         out = io.StringIO()
         assert main(argv, out=out) == 3 and out.getvalue() == ""
+
+    def test_table_disagreement_dumps_every_x4_lead(self, monkeypatch, capsys, basic_data):
+        # the table reads its verdict off a run to the end; flip that run
+        # alone, so the dump lists the x4 leads of its own rerun
+        real = acm_mod._x4_leads
+        runs = []
+
+        def flipped_once(*args, first=False):
+            runs.append(first)
+            x4 = real(*args, first=first)
+            return _flipped(x4) if len(runs) == 1 else x4
+
+        monkeypatch.setattr(acm_mod, "_x4_leads", flipped_once)
+        out = io.StringIO()
+        assert main(["analyze", "--a", "19,29,26,43", "--m", "0"], out=out) == 3
+        assert out.getvalue() == ""
+        assert runs == [False, False]
+        first_line, dump = capsys.readouterr().err.split("\n", 1)
+        assert first_line.startswith("internal inconsistency: verdicts disagree at m=0")
+        doc = json.loads(dump)
+        assert doc["report"]["agree"] is False and doc["report"]["verdict_groebner"] is True
+        x4_leads = x4_initial_generators(member_degrees(basic_data, 0), generators(basic_data, 0))
+        assert x4_leads and doc["x4_leads"] == [str(x) for x in x4_leads]
 
     def test_agreement_on_random_corpus(self):
         for data, m in sample_applicable(seed=101, count=40):
@@ -722,6 +753,30 @@ class TestHomogeneousBasis:
         hb = BinomialBasis(pairs, PROJECTIVE_ORDER)
         assert is_groebner(hb).ok
         assert reduce_basis(hb).elements == hb.elements
+
+    def test_padding_keeps_the_canonical_order(self):
+        # `_homogenized` pads and does not sort: on closed forms and oracle
+        # bases its pairs are what orienting and sorting them again under
+        # the extended order gives
+        def resorted(pairs):
+            return _canonical_pairs((_padded(*pair) for pair in pairs), PROJECTIVE_ORDER)
+
+        bases = [(_closed_form(data, m)[1], member_degrees(data, m))
+                 for data, m in sample_condition_passing(5, 200)]
+        rng = Random(5)
+        for _ in range(40):
+            data = random_valid_data(rng, 6)
+            for m in range(12):
+                deg = tuple(a + m * v for a, v in zip(a_from_d(data), shift_vector(data)))
+                if math.gcd(*deg) == 1:
+                    gb = buchberger(_generator_exponents(data, m), AFFINE_ORDER)
+                    bases.append((reduce_basis(gb).elements, deg))
+        padded_trails = 0
+        for pairs, deg in bases:
+            hom = _homogenized(pairs, deg)
+            assert hom == resorted(pairs)
+            padded_trails += sum(1 for _, trail in hom if trail[0])
+        assert len(bases) == 376 and padded_trails > 0
 
     def test_closed_form_homogenization_flags_reduced_in_case1(self, big_data):
         # the case 2 members are reduced too, and flagged so

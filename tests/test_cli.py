@@ -121,9 +121,9 @@ class TestAnalyze:
 
 
     def test_one_member_checks_its_degrees_once(self, monkeypatch):
-        # `_analyze` hands its checked vector to the private cores of both
-        # routes: besides the input's base check, only the member's own
-        # vector is worked out, and its hypotheses are checked once
+        # `_analyze` hands its checked vector to `case_conditions` and the
+        # reader of the graded run: besides the input's base check, only the
+        # member's own vector is worked out, and its hypotheses are checked once
         from curvelab import acm, bresinsky
 
         calls = {"member_degrees": 0, "degree_refusal": 0, "_validated_vector": 0}
@@ -567,6 +567,29 @@ class TestPrintedBases:
             cc = case_conditions(data, m)
             seen.add((cc.case, cc.branch_positive))
         assert seen == {(1, None), (2, True), (2, False)}
+
+    @pytest.mark.parametrize("argv, shown", [
+        (("gb", "--a", "1191,1239,582,2303", "--m", "12", "--homogenize", "--format", "json"),
+         '"homogenized": true'),
+        (("analyze", "--a", "8,5,7,9", "--m", "0", "--homogenize"), "homogeneous basis:\n"),
+    ], ids=["gb", "analyze"])
+    def test_a_homogenized_reply_sorts_once(self, monkeypatch, argv, shown):
+        # the closed form is sorted once, and padding it keeps that order
+        from curvelab import AFFINE_ORDER, groebner
+
+        real = groebner._canonical_pairs
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("curvelab") and vars(mod).get("_canonical_pairs") is real:
+                monkeypatch.setattr(mod, "_canonical_pairs", counting)
+        rc, out = run_cli(*argv)
+        assert rc == 0 and shown in out
+        assert calls == [AFFINE_ORDER]
 
 
 class TestOracleEquivalence:
