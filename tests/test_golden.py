@@ -33,6 +33,11 @@ CASES = {
     "analyze-gcd-member": ["analyze", "--a", "19,29,26,43", "--m", "1"],
     "analyze-gcd-member-homogenize": ["analyze", "--a", "19,29,26,43", "--m", "1",
                                       "--homogenize"],
+    "analyze-gcd-member-json": ["analyze", "--a", "19,29,26,43", "--m", "1", "--format", "json"],
+    "analyze-reordered-homogenize-json": ["analyze", "--a", "19,29,26,43", "--m", "60",
+                                          "--homogenize", "--format", "json"],
+    "analyze-non-acm-homogenize-json": ["analyze", "--a", "19,29,26,43", "--m", "0",
+                                        "--homogenize", "--format", "json"],
     "analyze-gcd-input": ["analyze", "--a", "2,4,6,8", "--m", "0"],
     "analyze-tied-max": ["analyze", "--a", "1,1,1,1", "--m", "0"],
     "analyze-not-form": ["analyze", "--a", "2,3,4,5", "--m", "0"],
