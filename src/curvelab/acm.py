@@ -38,11 +38,12 @@ from .groebner import (
     ExponentPair,
     _binomials,
     _buchberger,
+    _canonical_pairs,
     _key,
     buchberger,
 )
 from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial
-from .render import to_canonical_json
+from .render import basis_json, report_json, to_canonical_json
 
 SKIP_STEP_BOUND = "step bound exceeded"
 
@@ -277,13 +278,13 @@ def _agreement_checked(
     if report.agree:
         return report
     try:
-        rebuilt = {
-            "x4_leads": [str(mono) for mono in _x4_leads(degrees, gens, step_bound)],
-            "groebner_basis": buchberger(gens, AFFINE_ORDER, step_bound).to_json(),
-        }
+        x4 = [str(mono) for mono in _x4_leads(degrees, gens, step_bound)]
+        basis = buchberger(gens, AFFINE_ORDER, step_bound)
+        pairs = _canonical_pairs(basis.elements, basis.order)
+        rebuilt = {"x4_leads": x4, "groebner_basis": basis_json(basis.order, pairs)}
     except StepBoundExceeded:
         rebuilt = {"x4_leads": None, "groebner_basis": None, "not_rebuilt": SKIP_STEP_BOUND}
-    dump = to_canonical_json({"report": report.to_dict(), **rebuilt})
+    dump = to_canonical_json({"report": report_json(report), **rebuilt})
     raise DisagreementError(
         f"verdicts disagree at m={report.m}: criterion={report.verdict_criterion} "
         f"groebner={report.verdict_groebner}",

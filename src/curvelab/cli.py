@@ -37,14 +37,13 @@ from .errors import (
 from .groebner import (
     DEFAULT_STEP_BOUND,
     ExponentPair,
-    _basis_json,
     _binomials,
     _pair_json,
     buchberger,
     reduce_basis,
 )
 from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER
-from .render import to_canonical_json
+from .render import basis_json, report_json, to_canonical_json
 
 ENV_PREFIX = "CURVELAB_"
 
@@ -124,7 +123,10 @@ def _parse_m_range(raw: str) -> tuple[int, int]:
     lo, sep, hi = raw.partition("..")
     if not sep or not lo.isdecimal() or not hi.isdecimal():
         raise UsageError(f"--m-range expects lo..hi with non-negative integers, got {raw!r}")
-    lo_i, hi_i = int(lo), int(hi)
+    try:
+        lo_i, hi_i = int(lo), int(hi)
+    except ValueError:  # more digits than this Python converts
+        raise UsageError(f"--m-range bounds are too long: {len(lo)} and {len(hi)} digits")
     if lo_i > hi_i:
         raise UsageError(f"--m-range is empty: {raw}")
     return lo_i, hi_i
@@ -272,10 +274,9 @@ def _summary(reports: list[AcmReport]) -> dict:
     }
 
 
-def _print_basis(elements: tuple[ExponentPair, ...], out) -> None:
-    """One line per (lead, trail) pair, in the order given."""
-    for b in _binomials(elements):
-        print(f"  {b}", file=out)
+def _basis_lines(elements: tuple[ExponentPair, ...]) -> list[str]:
+    """One table line per (lead, trail) pair, in the order given."""
+    return [f"  {b}" for b in _binomials(elements)]
 
 
 def cmd_analyze(args: argparse.Namespace, out) -> int:
@@ -292,25 +293,27 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
         # the criterion has passed, so the closed form exists: homogenize it directly
         hom = _homogenized(_closed_form(data, args.m)[1], report.degrees)
     if args.format == "json":
-        doc = report.to_dict()
         if args.homogenize:
-            doc["homogeneous_basis"] = None if hom is None else _basis_json(PROJECTIVE_ORDER, hom)
+            doc = report_json(report, None if hom is None else basis_json(PROJECTIVE_ORDER, hom))
+        else:
+            doc = report_json(report)
         print(to_canonical_json(doc), file=out)
     else:
-        print(_ROW_HEADER, file=out)
-        print(report_row(report), file=out)
+        # every line is built before the first is printed
+        lines = [_ROW_HEADER, report_row(report)]
         for c in report.conditions:
-            print(f"cond {c.name} = {c.value} ({'pass' if c.passed else 'fail'})", file=out)
+            lines.append(f"cond {c.name} = {c.value} ({'pass' if c.passed else 'fail'})")
         if x4:
-            print(f"x4-bearing initial generators: {', '.join(map(str, x4))}", file=out)
+            lines.append(f"x4-bearing initial generators: {', '.join(map(str, x4))}")
         if hom is not None:
-            print("homogeneous basis:", file=out)
-            _print_basis(hom, out)
+            lines.append("homogeneous basis:")
+            lines += _basis_lines(hom)
         elif args.homogenize:
             why = report.skip_reason or (
                 "reordered coordinates" if report.verdict_criterion else "not ACM"
             )
-            print(f"homogeneous basis unavailable ({why})", file=out)
+            lines.append(f"homogeneous basis unavailable ({why})")
+        print("\n".join(lines), file=out)
     if not report.applicable:
         raise RefusalError(report.skip_reason or "not applicable",
                            {"m": report.m, "degrees": report.degrees})
@@ -324,20 +327,18 @@ def cmd_scan(args: argparse.Namespace, out) -> int:
     lo, hi = _parse_m_range(args.m_range)
     reports = cross_validate(data, range(lo, hi + 1), step_bound=args.step_bound)
     if args.format == "json":
-        doc = {"reports": [r.to_dict() for r in reports], "summary": _summary(reports)}
+        doc = {"reports": [report_json(r) for r in reports], "summary": _summary(reports)}
         print(to_canonical_json(doc), file=out)
     else:
-        print(_ROW_HEADER, file=out)
-        for r in reports:
-            print(report_row(r), file=out)
+        lines = [_ROW_HEADER, *map(report_row, reports)]
         s = _summary(reports)
-        print(
+        lines.append(
             f"summary: acm={s['acm']} non-acm={s['non_acm']} "
-            f"skipped={s['skipped']} reordered={s['reordered']}",
-            file=out,
+            f"skipped={s['skipped']} reordered={s['reordered']}"
         )
         if args.command == "verify":
-            print("verified: both routes agree on every applicable member", file=out)
+            lines.append("verified: both routes agree on every applicable member")
+        print("\n".join(lines), file=out)
     return EXIT_OK
 
 
@@ -361,14 +362,14 @@ def cmd_gb(args: argparse.Namespace, out) -> int:
         elements, order = _homogenized(elements, degrees), PROJECTIVE_ORDER
         tag["homogenized"] = True
     if args.format == "json":
-        doc = {"tag": tag, "basis": _basis_json(order, elements)}
+        doc = {"tag": tag, "basis": basis_json(order, elements)}
         print(to_canonical_json(doc), file=out)
     else:
         kind = "reduced Groebner basis" if tag["reduced"] else "Groebner basis"
         label = f"case {tag['case']}" if tag["case"] else "oracle"
         suffix = ", homogenized" if tag.get("homogenized") else ""
-        print(f"{label} ({kind}, {len(elements)} elements{suffix})", file=out)
-        _print_basis(elements, out)
+        lines = [f"{label} ({kind}, {len(elements)} elements{suffix})", *_basis_lines(elements)]
+        print("\n".join(lines), file=out)
     return EXIT_OK
 
 
@@ -398,15 +399,19 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
         }
         print(to_canonical_json(doc), file=out)
     else:
+        lines = []
         for perm, data in hits:
             if perm != (0, 1, 2, 3):
-                print(f"permutation: {tuple(i + 1 for i in perm)}", file=out)
-            print(" ".join(f"{k}={v}" for k, v in data.as_dict().items()), file=out)
-            print(f"d1={data.d1} d2={data.d2} d3={data.d3} d4={data.d4}", file=out)
-            print(f"a={','.join(str(x) for x in a_from_d(data))}", file=out)
-            print(f"v={','.join(str(x) for x in shift_vector(data))}", file=out)
-            print("generators:", file=out)
-            _print_basis(generators(data, 0), out)
+                lines.append(f"permutation: {tuple(i + 1 for i in perm)}")
+            lines += [
+                " ".join(f"{k}={v}" for k, v in data.as_dict().items()),
+                f"d1={data.d1} d2={data.d2} d3={data.d3} d4={data.d4}",
+                f"a={','.join(str(x) for x in a_from_d(data))}",
+                f"v={','.join(str(x) for x in shift_vector(data))}",
+                "generators:",
+                *_basis_lines(generators(data, 0)),
+            ]
+        print("\n".join(lines), file=out)
     return EXIT_OK
 
 
@@ -499,6 +504,15 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     return args
 
 
+def _past_digit_limit(exc: Exception) -> bool:
+    """Whether `exc` is CPython's refusal to write an int of more digits
+    than `sys.get_int_max_str_digits()` (3.10.7+ and 3.11+).  The argv
+    is parsed before a command runs, so within one only the reply's text
+    and a refusal's message turn ints into text.  Each command builds its
+    whole reply before it prints it, so it prints all of it or none."""
+    return type(exc) is ValueError and str(exc).startswith("Exceeds the limit (")
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
     try:
@@ -515,6 +529,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except Exception as exc:  # a bug; exit 1 would pass it off as a usage error
+        if _past_digit_limit(exc):
+            limit = sys.get_int_max_str_digits()
+            print(f"refused: a number to print has more than {limit} digits, this Python's "
+                  "limit for writing an int as text (PYTHONINTMAXSTRDIGITS)", file=sys.stderr)
+            return EXIT_REFUSED
         import traceback  # only a bug needs it, so no call pays for its import
 
         print(f"internal error: {exc}", file=sys.stderr)

@@ -40,11 +40,13 @@ Bachmann-Schoenemann 1998, "Monomial representations for Groebner bases
 computations").  The kernel `_buchberger` takes its generators as pairs
 in either orientation, packs and orients them itself, and returns its
 basis as a packing and the packed leads and trails.  A basis is checked,
-sorted, flagged reduced and serialized as pairs (`_side_keys`,
-`_canonical_pairs`, `is_interreduced`, `_basis_json`).  A `Binomial` is
-built only where a binomial is printed as text (`_binomials`) and by
-`s_binomial`, and a `Monomial` besides only where a lead is returned
-as a printable value (the verdict's witness and x4 leads).
+sorted and flagged reduced as pairs (`_side_keys`, `_canonical_pairs`,
+`is_interreduced`), and its JSON text is written from them
+(`render.basis_json`; `BinomialBasis.to_json` is the dict form).  A
+`Binomial` is built only where a binomial is printed as text
+(`_binomials`) and by `s_binomial`, and a `Monomial` besides only where
+a lead is returned as a printable value (the verdict's witness and x4
+leads).
 `acm.acm_by_groebner` gets the five generators straight from the
 parameter formulas (`bresinsky._generator_exponents`), calls the kernel
 itself, weighted by the degree vector, and unpacks only the one lead that
@@ -225,13 +227,6 @@ def _pair_json(lead: Sequence[int], trail: Sequence[int]) -> dict:
     return {"lead": {"exponents": list(lead)}, "trail": {"exponents": list(trail)}}
 
 
-def _basis_json(order: MonomialOrder, pairs: Iterable[ExponentPair]) -> dict:
-    """The JSON layout of a basis under `order` whose oriented (lead,
-    trail) exponent pairs are given in canonical order."""
-    elements = [_pair_json(lead, trail) for lead, trail in pairs]
-    return {"order": order.to_json(), "elements": elements}
-
-
 @dataclass(frozen=True)
 class BinomialBasis:
     """A finite set of binomials under a fixed order, each a (lead, trail)
@@ -264,7 +259,10 @@ class BinomialBasis:
         return iter(self.elements)
 
     def to_json(self) -> dict:
-        return _basis_json(self.order, _canonical_pairs(self.elements, self.order))
+        """The dict form of the basis, its elements in canonical order;
+        replies write its text with `render.basis_json`."""
+        pairs = _canonical_pairs(self.elements, self.order)
+        return {"order": self.order.to_json(), "elements": [_pair_json(*p) for p in pairs]}
 
 
 @dataclass(frozen=True)

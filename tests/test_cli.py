@@ -493,6 +493,34 @@ class TestExitCodeContract:
         assert run_cli("gb", "--a", "8,5,7,9", "--m", m)[0] == 0
         assert run_cli("gb", "--a", "8,5,7,9", "--m", m, "--homogenize", "--format", "json")[0] == 0
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python writes an int of any length")
+    def test_numbers_too_long_to_print_map_to_2(self, capsys):
+        # --m has one digit less than the limit, so it parses; every entry
+        # of v is at least 10, so each degree has one digit more than it
+        limit = sys.get_int_max_str_digits()
+        m = "9" * (limit - 1)
+        for argv in (
+            ("analyze", "--a", "19,29,26,43", "--m", m),
+            ("gb", "--a", "1191,1239,582,2303", "--m", m, "--homogenize"),
+            ("family", "--a", "19,29,26,43", "--m-range", f"{m}..{m}"),
+            ("verify", "--a", "19,29,26,43", "--m-range", f"{m}..{m}"),
+        ):
+            for fmt in ("json", "table"):
+                rc, out = run_cli(*argv, "--format", fmt)
+                assert (rc, out) == (2, ""), (argv[0], fmt)
+                assert capsys.readouterr().err == (
+                    f"refused: a number to print has more than {limit} digits, this Python's "
+                    "limit for writing an int as text (PYTHONINTMAXSTRDIGITS)\n"
+                ), (argv[0], fmt)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python reads an int of any length")
+    def test_range_bounds_too_long_to_read_are_a_usage_error(self, capsys):
+        m = "9" * (sys.get_int_max_str_digits() + 1)
+        assert run_cli("family", "--a", "19,29,26,43", "--m-range", f"0..{m}") == (1, "")
+        assert capsys.readouterr().err.startswith("usage error: --m-range bounds are too long")
+
     def test_step_bound_exhaustion_maps_to_2(self):
         rc, _ = run_cli("gb", "--a", "8,5,7,9", "--m", "0", "--oracle", "--step-bound", "1")
         assert rc == 2

@@ -1,15 +1,42 @@
 """The canonical JSON renderer writes exactly the text of
 json.dumps(obj, indent=2), on any tree json accepts and on every JSON
-golden."""
+golden; its two writers write exactly the text of their records' dict
+forms, alone and nested in a tree."""
 
+import io
 import json
+import math
 from collections import OrderedDict
+from dataclasses import replace
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvelab import acm, cli
-from curvelab.render import to_canonical_json
+from curvelab import (
+    AFFINE_ORDER,
+    PROJECTIVE_ORDER,
+    AcmReport,
+    BinomialBasis,
+    a_from_d,
+    acm,
+    buchberger,
+    cli,
+    cross_validate,
+    d_from_a,
+    member_degrees,
+    reduce_basis,
+)
+from curvelab.acm import _homogenized
+from curvelab.bresinsky import (
+    SKIP_FORM,
+    SKIP_GCD,
+    _closed_form,
+    _generator_exponents,
+    degree_refusal,
+)
+from curvelab.render import JsonText, basis_json, report_json, to_canonical_json
+from helpers import random_valid_data, sample_applicable, sample_condition_passing
 from test_golden import CASES, GOLDEN
 
 
@@ -82,3 +109,129 @@ def test_json_golden_re_renders_byte_identically(name):
     stdout = transcript.split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
     assert stdout.endswith("}\n")
     assert to_canonical_json(json.loads(stdout)) + "\n" == stdout
+
+
+# the writers: each text is json.dumps(<dict form>, indent=2)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2)
+
+
+def _report_corpus() -> list[AcmReport]:
+    """Rows of every kind `cross_validate` returns, and one it rarely does:
+    gcd and step-bound skip rows, reordered rows, case 1, case 2 with the
+    branch sign negative, zero and positive, seeded members at m up to
+    10^17, a not-form skip row built by hand and gcd skip rows past 10^19."""
+    anchor, big = d_from_a((19, 29, 26, 43)), d_from_a((1191, 1239, 582, 2303))
+    reports = cross_validate(anchor, range(0, 70)) + cross_validate(big, range(0, 16))
+    reports += cross_validate(anchor, range(0, 4), step_bound=0)
+    rng = Random(30)
+    while len(reports) < 150:
+        data = random_valid_data(rng, 8)
+        if math.gcd(*a_from_d(data)) == 1:
+            reports += cross_validate(data, [rng.randint(0, 60), rng.randint(0, 10**17)])
+    reports.append(AcmReport(m=0, degrees=(2, 3, 4, 5), applicable=False, skip_reason=SKIP_FORM))
+    far = (m for m in range(10**19, 10**19 + 100)
+           if degree_refusal(member_degrees(anchor, m)) == SKIP_GCD)
+    reports += cross_validate(anchor, [next(far), next(far)])
+    return reports
+
+
+REPORTS = _report_corpus()
+
+
+def test_the_report_corpus_has_every_kind_of_row():
+    assert {SKIP_GCD, SKIP_FORM, acm.SKIP_STEP_BOUND} <= {r.skip_reason for r in REPORTS}
+    assert {(1, False), (1, True), (2, False)} <= {(r.case, r.reordered) for r in REPORTS}
+    assert max(r.m for r in REPORTS if r.applicable) >= 10**12
+    assert max(r.m for r in REPORTS) >= 10**19
+    # case 2's last condition is named after its branch
+    assert {r.conditions[-1].name for r in REPORTS if r.case == 2} == {
+        "w(d2-d21-d23)+d3-d32-d34", "w(d2-d21-d23)+d1+d23-d4-d32"
+    }
+    assert {r.verdict_criterion for r in REPORTS if r.applicable} == {True, False}
+
+
+def _bases() -> list[tuple]:
+    """(order, canonical pairs) over 4 variables (closed forms and reduced
+    oracle bases) and over 5 (their homogenizations), at m up to 10^19."""
+    bases = []
+    for data, m in sample_condition_passing(31, 30) + [
+        (d_from_a((8, 5, 7, 9)), 10**19), (d_from_a((1191, 1239, 582, 2303)), 10**19),
+    ]:
+        pairs = _closed_form(data, m)[1]
+        bases += [(AFFINE_ORDER, pairs),
+                  (PROJECTIVE_ORDER, _homogenized(pairs, member_degrees(data, m)))]
+    for data, m in sample_applicable(32, 15):
+        basis = buchberger(_generator_exponents(data, m), AFFINE_ORDER)
+        bases.append((AFFINE_ORDER, reduce_basis(basis).elements))
+    bases.append((AFFINE_ORDER, ()))
+    return bases
+
+
+BASES = _bases()
+
+
+def test_report_writer_matches_json_dumps():
+    for report in REPORTS:
+        assert type(report_json(report)) is JsonText
+        assert report_json(report) == _dumps(report.to_dict())
+        assert report_json(report, None) == _dumps(dict(report.to_dict(), homogeneous_basis=None))
+
+
+def test_basis_writer_matches_json_dumps():
+    assert {len(order.priority) for order, _ in BASES} == {4, 5}
+    assert max(max(lead) for _, pairs in BASES for lead, _ in pairs) >= 10**19
+    for order, pairs in BASES:
+        dict_form = BinomialBasis(pairs, order).to_json()
+        assert basis_json(order, pairs) == _dumps(dict_form)
+        report = REPORTS[len(pairs)]
+        assert report_json(report, basis_json(order, pairs)) == _dumps(
+            dict(report.to_dict(), homogeneous_basis=dict_form)
+        )
+
+
+def test_writer_text_nested_at_any_depth():
+    rng = Random(33)
+    for _ in range(30):
+        reports = rng.sample(REPORTS, 3)
+        order, pairs = rng.choice(BASES)
+        texts, dicts = [report_json(r) for r in reports], [r.to_dict() for r in reports]
+        basis, dict_basis = basis_json(order, pairs), BinomialBasis(pairs, order).to_json()
+        tree = {"reports": texts, "deep": [[{"basis": basis, "report": texts[0]}], [basis]],
+                "dump": {"report": texts[1], "x4_leads": None, "groebner_basis": basis}}
+        plain = {"reports": dicts, "deep": [[{"basis": dict_basis, "report": dicts[0]}],
+                                           [dict_basis]],
+                 "dump": {"report": dicts[1], "x4_leads": None, "groebner_basis": dict_basis}}
+        assert to_canonical_json(tree) == _dumps(plain)
+        assert to_canonical_json(texts[2]) == _dumps(dicts[2])
+
+
+JSON_REPLIES = [
+    ("analyze", "--a", "19,29,26,43", "--m", "60"),
+    ("analyze", "--a", "8,5,7,9", "--m", "0", "--homogenize"),
+    ("analyze", "--a", "19,29,26,43", "--m", "1"),
+    ("gb", "--a", "1191,1239,582,2303", "--m", "12", "--homogenize"),
+    ("gb", "--a", "19,29,26,43", "--m", "0", "--oracle"),
+    ("family", "--a", "19,29,26,43", "--m-range", "0..10"),
+    ("verify", "--a", "1191,1239,582,2303", "--m-range", "0..15"),
+    ("recover", "--a", "1191,1239,582,2303"),
+    ("recover", "--a", "2,3,4,5"),
+]
+
+
+@pytest.mark.parametrize("argv", JSON_REPLIES, ids=" ".join)
+def test_each_json_reply_renders_once(argv, monkeypatch):
+    # the benchmark times rendering as the cli.to_canonical_json span
+    calls = []
+
+    def spy(obj):
+        calls.append(obj)
+        return to_canonical_json(obj)
+
+    monkeypatch.setattr(cli, "to_canonical_json", spy)
+    out = io.StringIO()
+    cli.main([*argv, "--format", "json"], out=out)
+    assert len(calls) == 1
+    assert out.getvalue() == _dumps(json.loads(out.getvalue())) + "\n"
