@@ -88,6 +88,8 @@ class AcmReport:
     permuted_degrees: Optional[Vec4] = None
 
     def to_dict(self) -> dict:
+        """The dict form of the report; replies write its text with
+        `render.report_json`."""
         return {
             "m": self.m,
             "degrees": list(self.degrees),
