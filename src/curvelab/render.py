@@ -95,8 +95,8 @@ def _render(obj, pad: str) -> str:
     return _JSON.encode(obj).replace("\n", pad)
 
 
-# the newline and indentation of depths 1 and 2, for f-string fields
-# (CPython 3.10 takes no backslash inside the braces)
+# the newline and indentation of depths 1 and 2, for the fields of
+# f-strings (CPython 3.10 takes no backslash inside the braces)
 _PAD1 = "\n  "
 _PAD2 = "\n    "
 #: `report_json`'s default: no homogeneous_basis field
@@ -106,14 +106,6 @@ _VEC4 = "[\n    %d,\n    %d,\n    %d,\n    %d\n  ]"
 #: a condition in a report's list, filled with its escaped name, its
 #: value and its pass flag
 _CONDITION = '{\n      "name": %s,\n      "value": %d,\n      "pass": %s\n    }'
-
-
-def _ints(values, pad: str) -> str:
-    """A list of ints, opened on a line that starts with `pad`."""
-    if not values:
-        return "[]"
-    inner = pad + "  "
-    return "[" + inner + ("," + inner).join(map(str, values)) + pad + "]"
 
 
 def _optional_int(value) -> str:
@@ -143,19 +135,18 @@ def report_json(report, homogeneous_basis=_ABSENT) -> JsonText:
         f'\n  "permuted_degrees": {permuted}'
     )
     if homogeneous_basis is not _ABSENT:
-        basis = homogeneous_basis
-        nested = "null" if basis is None else basis.replace("\n", _PAD1)
-        text += f',\n  "homogeneous_basis": {nested}'
+        basis = "null" if homogeneous_basis is None else homogeneous_basis.replace("\n", _PAD1)
+        text += f',\n  "homogeneous_basis": {basis}'
     return JsonText(text + "\n}")
 
 
 def basis_json(order, pairs) -> JsonText:
     """The text of `BinomialBasis.to_json()` for a basis under `order` (a
-    `MonomialOrder` on n >= 1 variables) whose (lead, trail) pairs of n
-    exponents each are given in canonical order."""
+    `MonomialOrder`) whose (lead, trail) exponent pairs, one exponent per
+    variable on each side, are given in canonical order."""
     # an element: the lead's exponents and then the trail's fill the %d
     # fields, written at depth 5 and braced at depths 2 to 4
-    ints = ",\n          ".join(["%d"] * len(order.priority))
+    ints = ",\n          ".join(["%d"] * order.nvars)
     element = (
         '{\n      "lead": {\n        "exponents": [\n          ' + ints
         + '\n        ]\n      },\n      "trail": {\n        "exponents": [\n          '
@@ -163,8 +154,9 @@ def basis_json(order, pairs) -> JsonText:
     )
     items = [element % (*lead, *trail) for lead, trail in pairs]
     elements = "[" + _PAD2 + ",\n    ".join(items) + _PAD1 + "]" if items else "[]"
+    priority = ",\n      ".join(map(str, order.priority))
     return JsonText(
         f'{{\n  "order": {{\n    "kind": {encode_basestring_ascii(order.kind)},'
-        f'\n    "priority": {_ints(order.priority, _PAD2)}\n  }},'
+        f'\n    "priority": [\n      {priority}\n    ]\n  }},'
         f'\n  "elements": {elements}\n}}'
     )

@@ -7,7 +7,6 @@ import io
 import json
 import math
 from collections import OrderedDict
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -119,10 +118,10 @@ def _dumps(obj) -> str:
 
 
 def _report_corpus() -> list[AcmReport]:
-    """Rows of every kind `cross_validate` returns, and one it rarely does:
-    gcd and step-bound skip rows, reordered rows, case 1, case 2 with the
-    branch sign negative, zero and positive, seeded members at m up to
-    10^17, a not-form skip row built by hand and gcd skip rows past 10^19."""
+    """Report rows of every kind: gcd and step-bound skip rows, reordered
+    rows, case 1, case 2 on both branches, seeded members at m up to
+    10^17, gcd skip rows past 10^19, and a not-form skip row, built by
+    hand since seeded scans rarely produce one."""
     anchor, big = d_from_a((19, 29, 26, 43)), d_from_a((1191, 1239, 582, 2303))
     reports = cross_validate(anchor, range(0, 70)) + cross_validate(big, range(0, 16))
     reports += cross_validate(anchor, range(0, 4), step_bound=0)
