@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import AnomalyError, RefusalError
@@ -415,9 +415,11 @@ def _least_representations(a: Vec4, i: int, j: int, k: int) -> Optional[tuple[in
         delta = gamma * d % big_m
         t += z // delta * d
         z %= delta
-        best = min(best, t * sx + (z + 1) * ak)
+        score = t * sx + (z + 1) * ak
+        if score < best:
+            best = score
     c = best // ai
-    if c > min(aj // math.gcd(ai, aj), ak // math.gcd(ai, ak)):
+    if c > ak // g or c > aj // math.gcd(ai, aj):
         return None
     h = math.gcd(aj, ak)
     step = ak // h
@@ -429,43 +431,71 @@ def _least_representations(a: Vec4, i: int, j: int, k: int) -> Optional[tuple[in
     return c, reps
 
 
-def _solve_parameters(a: Vec4, solved: dict) -> list[BresinskyData]:
-    """All parameter sets inducing `a` in role order.
+def _solved_row(a: Vec4, i: int, j: int, k: int, solved: dict) -> Optional[tuple[int, list]]:
+    """`_least_representations(a, i, j, k)`, kept in `solved` under the
+    three values it reads, a_i, a_j and a_k."""
+    key = (a[i], a[j], a[k])
+    if key not in solved:
+        solved[key] = _least_representations(a, i, j, k)
+    return solved[key]
 
-    Each critical binomial gives its row sum and its two off-diagonal
-    parameters; every combination whose row sums match
-    (d1 = d21+d41, d2 = d32+d42, d3 = d13+d23, d4 = d14+d34) is kept if
-    it induces `a` again.
+
+def _solve_parameters(a: Vec4, solved: dict) -> list[BresinskyData]:
+    """All parameter sets inducing `a` in role order, in the order of the
+    x1-row and x2-row representations they use.
+
+    The x1 and x2 rows already fix every parameter.  A representation
+    (d13, d14) of row 1 and (d21, d23) of row 2 give d3 = d13 + d23 and
+    d41 = d1 - d21; with d4 = d14 + d34, the a2 equation
+    a2 = d3*d4*d21 + d41*d34*d23 is linear in d34, and then the a1
+    equation a1 = d2*d4*d13 + d42*d14*d23 is linear in d42 = d2 - d32.  A
+    pair of representations is a candidate when these give positive
+    integers.  The candidate's vector a' = `a_from_d` then equals `a`:
+    a'1 = a1 and a'2 = a2 by construction, and a' satisfies the x1 and x2
+    rows as `a` does (their binomials lie in the toric ideal of a'), so
+    d23*a'3 = d2*a2 - d21*a1 = d23*a3 and then
+    d14*a'4 = d1*a1 - d13*a3 = d14*a4.  A candidate is kept when the x3
+    and x4 rows confirm it: their least c is d3 and d4.  The rows of a'
+    hold, so (d32, d34) and (d41, d42) are then among their
+    representations.  So the kept sets are exactly the combinations of
+    one representation per row whose row sums match and which induce `a`
+    again, in the same order, and an order without a candidate never
+    solves its x3 and x4 rows.
 
     `_least_representations(a, i, j, k)` reads only a_i, a_j and a_k, so
-    `solved` keeps its answers keyed by those three values in row order;
-    one dict serves every coordinate order that one search tries, and
-    its caller owns it.  Once the x1, x2 and x3 rows are known, a d3 that
-    no d13 of row 1 plus d23 of row 2 reaches fails the row-sum check for
-    every combination, so the x4 row is not solved: the result is the
-    same empty list.
+    `solved` keeps its answers keyed by those three values in row order
+    (`_solved_row`); one dict serves every coordinate order that one
+    search tries, and its caller owns it.
     """
-    rows = []
-    for i, j, k in _ROWS:
-        key = (a[i], a[j], a[k])
-        if key not in solved:
-            solved[key] = _least_representations(a, i, j, k)
-        found = solved[key]
-        if found is None:
-            return []
-        rows.append(found)
-        if len(rows) == 3:
-            (_, r1), (_, r2), (d3, _) = rows
-            if all(d13 + d23 != d3 for (d13, _), (_, d23) in product(r1, r2)):
-                return []
-    (d1, r1), (d2, r2), (d3, r3), (d4, r4) = rows
+    x1 = _solved_row(a, *_ROWS[0], solved)
+    if x1 is None:
+        return []
+    x2 = _solved_row(a, *_ROWS[1], solved)
+    if x2 is None:
+        return []
+    a1, a2 = a[0], a[1]
+    (d1, r1), (d2, r2) = x1, x2
     sols = []
-    for (d13, d14), (d21, d23), (d32, d34), (d41, d42) in product(r1, r2, r3, r4):
-        if (d21 + d41, d32 + d42, d13 + d23, d14 + d34) != (d1, d2, d3, d4):
-            continue
-        data = BresinskyData(d21, d41, d32, d42, d13, d23, d14, d34)
-        if a_from_d(data) == a:
-            sols.append(data)
+    for d13, d14 in r1:
+        for d21, d23 in r2:
+            d41 = d1 - d21
+            if d41 < 1:
+                continue
+            d3 = d13 + d23
+            d34, r = divmod(a2 - d3 * d14 * d21, d3 * d21 + d41 * d23)
+            if r or d34 < 1:
+                continue
+            d4 = d14 + d34
+            d42, r = divmod(a1 - d2 * d4 * d13, d14 * d23)
+            if r or not 0 < d42 < d2:
+                continue
+            x3 = _solved_row(a, *_ROWS[2], solved)
+            if x3 is None or x3[0] != d3:
+                continue
+            x4 = _solved_row(a, *_ROWS[3], solved)
+            if x4 is None or x4[0] != d4:
+                continue
+            sols.append(BresinskyData(d21, d41, d2 - d42, d42, d13, d23, d14, d34))
     return sols
 
 
@@ -523,7 +553,9 @@ def _any_order_hits(a: Iterable[int]) -> Iterator[tuple[Vec4, BresinskyData]]:
     lexicographic walk over all 24 restricted to those it accepts.  The
     orders share one row dict (see `_solve_parameters`), so each distinct
     critical row is solved once per search; it is dropped with the
-    search.
+    search.  An order solves its x3 and x4 rows only when its x1 and x2
+    rows give a candidate, so most orders cost at most two row solves,
+    and a `BresinskyData` is built only for a confirmed candidate.
     """
     vec = _validated_vector(a)
     top = max(vec)
@@ -532,12 +564,11 @@ def _any_order_hits(a: Iterable[int]) -> Iterator[tuple[Vec4, BresinskyData]]:
     last = vec.index(top)
     solved: dict = {}
     seen: set[Vec4] = set()
-    for head in permutations([i for i in range(4) if i != last]):
-        perm = (*head, last)
-        b = tuple(vec[i] for i in perm)
+    for p, q, r in permutations([i for i in range(4) if i != last]):
+        b = (vec[p], vec[q], vec[r], top)
         if b in seen:
             continue
         seen.add(b)
         data = _recovered(b, solved)
         if data is not None:
-            yield perm, data
+            yield (p, q, r, last), data

@@ -28,8 +28,9 @@ generator of the initial ideal from the moment it joins
 Gebauer-Moeller update stays sound under this order, because every pair
 it drops is justified by pairs whose lcms divide its own and so weigh no
 more (see `_buchberger`).  `acm.acm_by_groebner` uses this to stop at the
-first lead that x4 divides; `buchberger` passes no weights, so every
-entry weighs 0 and the generators join first, in input order.
+first lead that x4 divides; the run ends as that lead joins, so it forms
+no pairs.  `buchberger` passes no weights, so every entry weighs 0 and
+the generators join first, in input order.
 
 Packed monomials.  A basis has one form: a tuple of (lead, trail)
 exponent-tuple pairs, each led by its larger side.  `buchberger`,
@@ -110,6 +111,9 @@ option.  The rerun is exact:
   and each new lcm.  Under a graded order the sides of an S-binomial
   and every rewrite have at most the degree of their lcm, so no
   unchecked monomial can overflow first;
+- the lcms of a stopping lead's pairs are never formed, so they are
+  never degree-checked: no pair of that lead could pop before the run
+  ends, in either width;
 - so a narrow run that ends, stops at its witness or raises
   StepBoundExceeded does just what the 64-bit run would do, after the
   same steps;
@@ -308,7 +312,8 @@ class Packing:
         self.scan = order.scan
         self.bits = bits
         self.field = (1 << bits) - 1
-        self.guards = sum(1 << (k * bits + bits - 1) for k in range(order.nvars))
+        # the top bit of each of the n fields: 2**(W-1) times 1 + 2**W + ...
+        self.guards = ((1 << bits * order.nvars) - 1) // ((1 << bits) - 1) << (bits - 1)
         self.shift = bits * order.nvars
         self.max_degree = (1 << (bits - 1)) - 1
 
@@ -323,7 +328,8 @@ class Packing:
             )
         if min(e) < 0:
             raise ValueError(f"negative exponent in {tuple(e)}")
-        _check_degree(sum(e), self)
+        if (d := sum(e)) > self.max_degree:
+            _check_degree(d, self)
         bits = self.bits
         p = 0
         for i in self.scan:  # least-priority variable first, so it lands on top
@@ -517,6 +523,7 @@ def _buchberger(
 
     `stop`, when given, is the index of a variable: the kernel returns as
     soon as a lead that this variable divides joins, with that lead last.
+    That lead forms no pairs and drops none: none of them could pop.
     """
     pairs = list(gens)  # a second run reads them again
     try:
@@ -625,9 +632,12 @@ def _run(
             h = _normal_form(s[0], s[1], leads, trails, pk, step_bound)
         if h is None:
             continue
-        add(*h)
         if h[0] & stop_field:
+            # the run ends here, so the stopping lead forms no pairs
+            leads.append(h[0])
+            trails.append(h[1])
             break
+        add(*h)
 
     return pk, leads, trails
 

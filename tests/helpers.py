@@ -2,7 +2,8 @@
 exponent tuples (divisibility, lcm, weight and an independent comparison),
 toric membership, homogenization and dehomogenization oracles, a
 brute-force recovery oracle, a linear-walk oracle for one row of
-recovery, a walk over all 24 coordinate orders for the any-order
+recovery, a four-row reference for the parameters of one coordinate
+order, a walk over all 24 coordinate orders for the any-order
 recovery, the packed normal form on exponent pairs with its tuple-based
 oracle, an all-pairs Buchberger oracle, and a seeded generator of valid
 parameter sets.
@@ -12,7 +13,7 @@ pair of exponent tuples, the one form `curvelab` gives a basis."""
 
 import heapq
 import math
-from itertools import permutations
+from itertools import permutations, product
 from random import Random
 
 from curvelab import (
@@ -29,8 +30,8 @@ from curvelab import (
     member_degrees,
 )
 from curvelab.acm import _padded
-from curvelab.bresinsky import _validated_vector, d_from_a, degree_refusal
-from curvelab import groebner
+from curvelab.bresinsky import _ROWS, _validated_vector, d_from_a, degree_refusal
+from curvelab import bresinsky, groebner
 
 
 def m4(e1=0, e2=0, e3=0, e4=0) -> tuple:
@@ -323,6 +324,32 @@ def least_representations_by_walk(a, i, j, k):
         if reps:
             return c, reps
     return None
+
+
+def solve_parameters_by_rows(a, solved):
+    """Reference for `bresinsky._solve_parameters`: solve all four critical
+    rows (through `bresinsky._least_representations`, kept in `solved`
+    under the three values each reads) and keep every combination of one
+    representation per row whose row sums match
+    (d1 = d21+d41, d2 = d32+d42, d3 = d13+d23, d4 = d14+d34) and which
+    induces `a` again, in the order of the rows' representations."""
+    rows = []
+    for i, j, k in _ROWS:
+        key = (a[i], a[j], a[k])
+        if key not in solved:
+            solved[key] = bresinsky._least_representations(a, i, j, k)
+        if solved[key] is None:
+            return []
+        rows.append(solved[key])
+    (d1, r1), (d2, r2), (d3, r3), (d4, r4) = rows
+    sols = []
+    for (d13, d14), (d21, d23), (d32, d34), (d41, d42) in product(r1, r2, r3, r4):
+        if (d21 + d41, d32 + d42, d13 + d23, d14 + d34) != (d1, d2, d3, d4):
+            continue
+        data = BresinskyData(d21, d41, d32, d42, d13, d23, d14, d34)
+        if a_from_d(data) == tuple(a):
+            sols.append(data)
+    return sols
 
 
 def any_order_hits_by_walk(a):

@@ -380,7 +380,7 @@ class TestGroebnerOracle:
         for data, m in members:
             deg, gens = member_degrees(data, m), generators(data, m)
             run = (gens, AFFINE_ORDER, groebner_mod.DEFAULT_STEP_BOUND, deg)
-            pk, leads, _ = groebner_mod._buchberger(*run)
+            pk, leads, trails = groebner_mod._buchberger(*run)
             monos = [pk.unpack(p) for p in leads]
             assert not any(
                 k != idx and divides(a, b)
@@ -388,10 +388,11 @@ class TestGroebnerOracle:
                 for idx, b in enumerate(monos)
             ), (data, m)
             # stopped at x4 (index 3), the run is the full run's prefix up
-            # to and including its first lead that x4 divides
+            # to and including its first lead that x4 divides, trails too
             first = next((k for k, mono in enumerate(monos) if mono[3]), len(leads) - 1)
-            stopped_pk, stopped, _ = groebner_mod._buchberger(*run, 3)
+            stopped_pk, stopped, stopped_trails = groebner_mod._buchberger(*run, 3)
             assert stopped_pk.bits == pk.bits and stopped == leads[:first + 1], (data, m)
+            assert stopped_trails == trails[:first + 1], (data, m)
             verdict = acm_by_groebner(deg, gens)
             if verdict.acm:
                 assert verdict.witness is None and not any(mono[3] for mono in monos)
@@ -400,6 +401,18 @@ class TestGroebnerOracle:
                 assert verdict.witness in x4_initial_generators(deg, gens), (data, m)
             verdicts.add(verdict.acm)
         assert verdicts == {True, False}
+
+    def test_a_witness_whose_pairs_pass_the_packed_limit(self):
+        # both generators are homogeneous for (1, 1, 1, 2) and fit the
+        # packed limit; only the lcm of their coprime leads goes past it.
+        # The witness joins second and ends the run, so the verdict never
+        # forms that lcm, while the run to the end refuses it
+        half = 1 << (groebner_mod.FIELD_BITS - 2)
+        gens = [bino(m4(half), m4(0, half)), bino(m4(0, 0, 2, half - 1), m4(0, 0, 0, half))]
+        verdict = acm_by_groebner((1, 1, 1, 2), gens)
+        assert verdict == acm_mod.GroebnerVerdict(False, Monomial(m4(0, 0, 2, half - 1)))
+        with pytest.raises(OverflowError, match="packed limit"):
+            x4_initial_generators((1, 1, 1, 2), gens)
 
     def test_verdict_builds_no_reduced_basis(self, monkeypatch, basic_data, big_data):
         real = groebner_mod.reduce_basis
@@ -619,14 +632,20 @@ class TestReorderedRecovery:
         report = analyze_member(basic_data, 8)
         assert report.permuted_degrees == calls[-1] == (106, 107, 131, 133)
         assert len(calls) < solved_by_listing
-        # four rows per order tried would be 24 and 12; a row is solved
-        # once per search, and an order is dropped after three rows
-        assert (solved_by_listing, len(calls)) == (13, 9)
+        # an order without a candidate is dropped after its x1 and x2
+        # rows, and the hit, in the third order, solves its x3 and x4 rows
+        # to confirm it: 2 + 2 + 4 = 8.  Listing tries the other three
+        # orders too, 6 rows, one of which (x1 of (131, 106, 107, 133))
+        # the hit's x3 row already solved: 8 + 5 = 13
+        assert (solved_by_listing, len(calls)) == (13, 8)
 
     def test_row_solves_over_the_anchor_scan(self, monkeypatch, basic_data):
         calls = self._row_solves(monkeypatch)
         cross_validate(basic_data, range(0, 201))
-        assert len(calls) == 585
+        # the 65 reordered members try 195 orders: two rows each (390),
+        # and each hit solves its x3 and x4 rows (130).  A dropped order
+        # solves no x3 row, so none serves a later order's x1 row
+        assert len(calls) == 520
 
 
 class TestHomogenize:

@@ -35,6 +35,7 @@ from curvelab.bresinsky import (
     _generator_exponents,
     _least_hit,
     _least_representations,
+    _solve_parameters,
     degree_refusal,
 )
 from curvelab.cli import main
@@ -48,6 +49,7 @@ from helpers import (
     m4,
     pair_set,
     random_valid_data,
+    solve_parameters_by_rows,
     toric_membership,
 )
 
@@ -492,6 +494,99 @@ class TestAnyOrderSearch:
         assert main(["recover", "--a", "107,133,106,131"], out=out) == 3
         assert out.getvalue() == ""
         assert "internal inconsistency" in capsys.readouterr().err
+
+
+class TestSolveParameters:
+    """`_solve_parameters` solves the x1 and x2 rows of an order, and the
+    x3 and x4 rows only to confirm a candidate; it returns the four-row
+    reference's parameter sets in the reference's order, and the search
+    over it returns and raises what the search over the reference does."""
+
+    @staticmethod
+    def _searches(monkeypatch, vec):
+        """The outcomes of `d_from_a_any_order` and of the first hit of
+        `_any_order_hits` on `vec`, with `_solve_parameters` and then with
+        the reference solving each order."""
+        def outcomes():
+            return (
+                _outcome(d_from_a_any_order, vec),
+                _outcome(lambda v: next(_any_order_hits(v), None), vec),
+            )
+
+        real = outcomes()
+        with monkeypatch.context() as mp:
+            mp.setattr(bresinsky_mod, "_solve_parameters", solve_parameters_by_rows)
+            return real, outcomes()
+
+    def _assert_as_the_reference(self, monkeypatch, vec) -> int:
+        """Every one of the 24 orders of `vec` gives the reference's list,
+        each side sharing one row dict over the orders as a search does,
+        and the searches agree.  Returns the number of orders with a hit."""
+        solved, by_rows = {}, {}
+        hits = 0
+        for perm in permutations(range(4)):
+            b = tuple(vec[i] for i in perm)
+            sols = _solve_parameters(b, solved)
+            assert sols == solve_parameters_by_rows(b, by_rows), b
+            hits += len(sols)
+        real, reference = self._searches(monkeypatch, vec)
+        assert real == reference, vec
+        return hits
+
+    def test_shuffled_members_and_their_neighbours(self, monkeypatch):
+        rng = Random(3101)
+        members = hits = misses = 0
+        while members < 150:
+            data = random_valid_data(rng)
+            m = rng.randint(0, 12)
+            vec = [a + m * v for a, v in zip(a_from_d(data), shift_vector(data))]
+            rng.shuffle(vec)
+            found = self._assert_as_the_reference(monkeypatch, tuple(vec))
+            if math.gcd(*vec) != 1:
+                continue  # compared too, but no order of it has the form
+            members += 1
+            hits += found > 0
+            # a neighbour is rarely of the form in any order
+            k = rng.randrange(4)
+            vec[k] += rng.choice((-1, 1)) if vec[k] > 1 else 1
+            misses += self._assert_as_the_reference(monkeypatch, tuple(vec)) == 0
+        assert hits == 150 and misses > 100
+
+    def test_candidates_the_rows_alone_would_confirm(self, monkeypatch):
+        # in some order of each vector, a pair of representations gives a
+        # d34 or d42 that is not a positive integer (or a d42 >= d2) while
+        # the x3 and x4 rows still have least c = d3 and d4; in the first
+        # only the divisibility of d34 keeps it out.  None is of the form
+        for vec in ((161, 327, 320, 163), (296, 73, 116, 310), (639, 459, 705, 684)):
+            assert self._assert_as_the_reference(monkeypatch, vec) == 0
+
+    def test_anchor_members(self, monkeypatch, basic_data):
+        for m in [*range(0, 201), 10**12 + 2]:
+            vec = member_degrees(basic_data, m)
+            found = self._assert_as_the_reference(monkeypatch, vec)
+            assert (found > 0) == (math.gcd(*vec) == 1), m
+
+    def test_a_second_solution_is_the_same_anomaly(self, monkeypatch, basic_data):
+        # every row lists each representation twice: both sides then find
+        # several parameter sets for a vector of the form, and refuse it
+        real = bresinsky_mod._least_representations
+
+        def doubled(a, i, j, k):
+            found = real(a, i, j, k)
+            return found and (found[0], found[1] * 2)
+
+        monkeypatch.setattr(bresinsky_mod, "_least_representations", doubled)
+        rng = Random(3102)
+        vectors = [member_degrees(basic_data, m) for m in (0, 8, 9)]
+        vectors += [a_from_d(random_valid_data(rng)) for _ in range(30)]
+        anomalies = 0
+        for vec in vectors:
+            real_outcome, reference = self._searches(monkeypatch, vec)
+            assert real_outcome == reference, vec
+            if math.gcd(*vec) == 1:
+                assert real_outcome == (AnomalyError, AnomalyError), vec
+                anomalies += 1
+        assert anomalies > 10
 
 
 class TestLeastRepresentations:

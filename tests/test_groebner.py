@@ -618,6 +618,32 @@ class TestPairCriteria:
             gens, AFFINE_ORDER, groebner.DEFAULT_STEP_BOUND, member_degrees(data, m)))
         assert weighted > len(gens)
 
+    def test_the_stopping_lead_forms_no_pairs(self, monkeypatch):
+        # every joining lead goes through the pair update, which forms its
+        # lcms with one `_lcms` call, except the lead that stops the run
+        calls = []
+        real = groebner._lcms
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(groebner, "_lcms", counting)
+        ends = set()
+        for data, m in sample_applicable(53, 60) + sample_long_basis(11, 6):
+            deg = member_degrees(data, m)
+            for degrees, stop in ((None, None), (deg, None), (deg, 3)):
+                calls.clear()
+                pk, leads, _ = groebner._buchberger(
+                    generators(data, m), AFFINE_ORDER, groebner.DEFAULT_STEP_BOUND, degrees, stop
+                )
+                assert pk.bits == groebner._NARROW_FIELD_BITS  # one run, no rerun
+                stopped = stop is not None and bool(leads[-1] & pk.variable_field(stop))
+                assert len(calls) == len(leads) - stopped, (data, m, degrees, stop)
+                ends.add((stop, stopped))
+        # runs that stop at x4 and runs that end by exhausting their pairs
+        assert ends == {(None, False), (3, False), (3, True)}
+
     def test_criterion_skips_pairs(self, monkeypatch, basic_data):
         # `buchberger` forms its S-pairs packed, in `_s_pair`; the oracle
         # forms them on tuples, through `s_binomial`
