@@ -31,7 +31,13 @@ from .bresinsky import (
     degree_refusal,
     member_degrees,
 )
-from .errors import AmbientMismatchError, DisagreementError, RefusalError, StepBoundExceeded
+from .errors import (
+    AmbientMismatchError,
+    DegreeLimitExceeded,
+    DisagreementError,
+    RefusalError,
+    StepBoundExceeded,
+)
 from .groebner import (
     DEFAULT_STEP_BOUND,
     BinomialBasis,
@@ -46,6 +52,9 @@ from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER, Monomial
 from .render import basis_json, report_json, to_canonical_json
 
 SKIP_STEP_BOUND = "step bound exceeded"
+#: why a disagreement dump holds no rebuilt basis, when a run to the end
+#: meets a degree past `groebner.MAX_DEGREE` that the stopped verdict did not
+_NOT_REBUILT_DEGREE = "degree limit exceeded"
 
 #: The exponent index of x4, the variable the verdict tests leads for.
 _X4 = 3
@@ -86,24 +95,6 @@ class AcmReport:
     agree: Optional[bool] = None
     reordered: bool = False
     permuted_degrees: Optional[Vec4] = None
-
-    def to_dict(self) -> dict:
-        """The dict form of the report; replies write its text with
-        `render.report_json`."""
-        return {
-            "m": self.m,
-            "degrees": list(self.degrees),
-            "applicable": self.applicable,
-            "skip_reason": self.skip_reason,
-            "case": self.case,
-            "w": self.w,
-            "conditions": [c.to_json() for c in self.conditions],
-            "verdict_criterion": self.verdict_criterion,
-            "verdict_groebner": self.verdict_groebner,
-            "agree": self.agree,
-            "reordered": self.reordered,
-            "permuted_degrees": list(self.permuted_degrees) if self.permuted_degrees else None,
-        }
 
 
 def acm_by_criterion(data: BresinskyData, m: int) -> CaseConditions:
@@ -272,10 +263,11 @@ def _agreement_checked(
 
     Only a bug reaches the dump, so it lists the x4 leads itself: a rerun
     of the verdict's deterministic graded run, to the end, under the same
-    step bound.  A verdict that stopped early may fit a bound that the
-    dump's runs exceed; the dump then records that the basis was not
-    rebuilt, and the disagreement is raised all the same, so a budget
-    never turns it into a skip row.
+    step bound.  A verdict that stopped early may fit the step bound or
+    the packed degree limit while the dump's runs exceed it; the dump then
+    records which one (`not_rebuilt`) instead of the basis, and the
+    disagreement is raised all the same, so neither a budget nor a cap
+    turns it into a skip row or a refusal.
     """
     if report.agree:
         return report
@@ -286,6 +278,8 @@ def _agreement_checked(
         rebuilt = {"x4_leads": x4, "groebner_basis": basis_json(basis.order, pairs)}
     except StepBoundExceeded:
         rebuilt = {"x4_leads": None, "groebner_basis": None, "not_rebuilt": SKIP_STEP_BOUND}
+    except DegreeLimitExceeded:
+        rebuilt = {"x4_leads": None, "groebner_basis": None, "not_rebuilt": _NOT_REBUILT_DEGREE}
     dump = to_canonical_json({"report": report_json(report), **rebuilt})
     raise DisagreementError(
         f"verdicts disagree at m={report.m}: criterion={report.verdict_criterion} "

@@ -93,9 +93,6 @@ class BresinskyData:
             "d34": self.d34,
         }
 
-    def to_json(self) -> dict:
-        return self.as_dict()
-
 
 @dataclass(frozen=True)
 class ConditionValue:
@@ -107,9 +104,6 @@ class ConditionValue:
     @property
     def passed(self) -> bool:
         return self.value >= 0
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "value": self.value, "pass": self.passed}
 
 
 @dataclass(frozen=True)

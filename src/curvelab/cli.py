@@ -38,12 +38,11 @@ from .groebner import (
     DEFAULT_STEP_BOUND,
     ExponentPair,
     _binomials,
-    _pair_json,
     buchberger,
     reduce_basis,
 )
 from .monomials import AFFINE_ORDER, PROJECTIVE_ORDER
-from .render import basis_json, report_json, to_canonical_json
+from .render import basis_json, pair_json, report_json, to_canonical_json
 
 ENV_PREFIX = "CURVELAB_"
 
@@ -389,10 +388,10 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
             "solutions": [
                 {
                     "permutation": [i + 1 for i in perm],
-                    "d": data.to_json(),
+                    "d": data.as_dict(),
                     "a": list(a_from_d(data)),
                     "v": list(shift_vector(data)),
-                    "generators": [_pair_json(*p) for p in generators(data, 0)],
+                    "generators": [pair_json(*p) for p in generators(data, 0)],
                 }
                 for perm, data in hits
             ]

@@ -42,12 +42,11 @@ computations").  The kernel `_buchberger` takes its generators as pairs
 in either orientation, packs and orients them itself, and returns its
 basis as a packing and the packed leads and trails.  A basis is checked,
 sorted and flagged reduced as pairs (`_side_keys`, `_canonical_pairs`,
-`is_interreduced`), and its JSON text is written from them
-(`render.basis_json`; `BinomialBasis.to_json` is the dict form).  A
-`Binomial` is built only where a binomial is printed as text
-(`_binomials`) and by `s_binomial`, and a `Monomial` besides only where
-a lead is returned as a printable value (the verdict's witness and x4
-leads).
+`is_interreduced`), and its JSON text is written from them, in one
+place (`render.basis_json`).  A `Binomial` is built only where a
+binomial is printed as text (`_binomials`) and by `s_binomial`, and a
+`Monomial` besides only where a lead is returned as a printable value
+(the verdict's witness and x4 leads).
 `acm.acm_by_groebner` gets the five generators straight from the
 parameter formulas (`bresinsky._generator_exponents`), calls the kernel
 itself, weighted by the degree vector, and unpacks only the one lead that
@@ -226,11 +225,6 @@ def _binomials(pairs: Iterable[ExponentPair]) -> tuple[Binomial, ...]:
     return tuple(Binomial(Monomial(tuple(lead)), Monomial(tuple(trail))) for lead, trail in pairs)
 
 
-def _pair_json(lead: Sequence[int], trail: Sequence[int]) -> dict:
-    """The JSON layout of the binomial with an oriented exponent pair."""
-    return {"lead": {"exponents": list(lead)}, "trail": {"exponents": list(trail)}}
-
-
 @dataclass(frozen=True)
 class BinomialBasis:
     """A finite set of binomials under a fixed order, each a (lead, trail)
@@ -261,12 +255,6 @@ class BinomialBasis:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def to_json(self) -> dict:
-        """The dict form of the basis, its elements in canonical order;
-        replies write its text with `render.basis_json`."""
-        pairs = _canonical_pairs(self.elements, self.order)
-        return {"order": self.order.to_json(), "elements": [_pair_json(*p) for p in pairs]}
 
 
 @dataclass(frozen=True)

@@ -117,9 +117,6 @@ class MonomialOrder:
         k1, k2 = self.key(m1), self.key(m2)
         return GREATER if k1 > k2 else LESS if k1 < k2 else EQUAL
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "priority": list(self.priority)}
-
 
 #: The working order on the 4-variable ring: x2 > x1 > x3 > x4.
 AFFINE_ORDER = MonomialOrder((2, 1, 3, 4))

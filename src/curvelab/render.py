@@ -1,39 +1,39 @@
 """The canonical JSON text of every reply and dump.
 
 Every reply is the text of `json.dumps(obj, indent=2)`, and
-`to_canonical_json(obj)` is its one entry point.  The two fixed-shape
-layouts are written from their fields, each by one writer that builds
-no dict or list: `report_json` writes a member report (the twelve
-`AcmReport` fields, its conditions and, for `analyze --homogenize`, the
-homogeneous basis) and `basis_json` a basis (its order and its (lead,
-trail) exponent pairs).  Each returns `JsonText`, the text at depth 0,
-which `to_canonical_json` takes anywhere in a tree and indents to its
-depth.
+`to_canonical_json(obj)` is its one entry point.  Each fixed-shape
+layout is written from its fields by one writer that builds no dict or
+list: `report_json` writes a member report (the twelve `AcmReport`
+fields, its conditions and, for `analyze --homogenize`, the homogeneous
+basis), `basis_json` a basis (its order and its (lead, trail) exponent
+pairs) and `pair_json` one (lead, trail) element, as `recover` writes
+its generators; `basis_json` writes its elements from the same template.
+Each returns `JsonText`, the text at depth 0, which `to_canonical_json`
+takes anywhere in a tree and indents to its depth.
 
 Everything else (a gb tag, a scan summary, a `recover` solution, the
-dump around its report and basis) is rendered by a walk over dicts with
-`str` keys, lists and tuples, `str`, `int`, `True`, `False` and `None`,
-each recognised by its exact type.  Strings and keys go through json's
-own C escaper, which raises TypeError for a key that is not a `str`.
-Any other value (a float, a dict with a non-`str` key, a subclass of
-dict or list, an object json refuses) is handed to json's encoder
-itself, and its lines are indented to the current depth; JSON text never
-holds a raw newline inside a string, so every newline it contains is a
-line break.
+dump around its report and basis) is rendered by a walk over what
+replies hold: dicts with `str` keys, lists and tuples, `str`, `int`,
+`True`, `False`, `None` and `JsonText`, each recognised by its exact
+type.  Strings and keys go through json's own C escaper, which raises
+TypeError for a key that is not a `str`; any other value (a float, a
+subclass of dict, list or str) raises TypeError as json does for an
+object it cannot serialize.
 
 Given an indent, CPython (3.10 to 3.13 at least) leaves json's C encoder
 for a pure-Python one, which the walk outruns about twice and the
 writers three to nine times.  Measured with timeit on CPython 3.11.7
 (2-vCPU x86-64 VM), text at depth 0 from `to_canonical_json`: the
 report of `analyze --a 19,29,26,43 --m 60` takes 27 µs by `json.dumps`
-of `AcmReport.to_dict()`, 15 µs by the walk over that dict and 6 µs by
-`report_json`; the five-element homogenized basis of `gb --a 8,5,7,9
---m 0 --homogenize` takes 81 µs, 43 µs and 9 µs by `basis_json`.
+of its layout as a plain dict of lists and scalars (the dict that
+`report_dict` in the tests builds), 15 µs by the walk over that dict and
+6 µs by `report_json`; the five-element homogenized basis of `gb --a
+8,5,7,9 --m 0 --homogenize` takes 81 µs, 43 µs and 9 µs by `basis_json`
+(its dict: `basis_dict`).
 """
 
 from __future__ import annotations
 
-import json
 from json.encoder import encode_basestring_ascii
 
 
@@ -44,24 +44,23 @@ class JsonText(str):
     __slots__ = ()
 
 
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
-}
-# json.dumps(obj, indent=2) is this encoder's encode(obj)
-_JSON = json.JSONEncoder(indent=2)
 # the literal of a flag or of a verdict that may be undecided; no int is
 # looked up here, since 1 == True
 _FLAGS = {True: "true", False: "false", None: "null"}
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: _FLAGS.__getitem__,
+    type(None): _FLAGS.__getitem__,
+}
 
 
 def to_canonical_json(obj) -> str:
-    """The text of `json.dumps(obj, indent=2)`, with each `JsonText` in
-    `obj` standing for the value it is the text of: the one JSON
-    rendering of every reply and dump, so output parsed with json.loads
-    renders back byte-identically."""
+    """The text of `json.dumps(obj, indent=2)` for a tree of the types
+    the walk takes (see above), with each `JsonText` in `obj` standing
+    for the value it is the text of: the one JSON rendering of every
+    reply and dump, so output parsed with json.loads renders back
+    byte-identically."""
     return _render(obj, "\n")
 
 
@@ -83,16 +82,9 @@ def _render(obj, pad: str) -> str:
     if kind is dict:
         if not obj:
             return "{}"
-        # each key is escaped in the pass that renders its value: a
-        # TypeError means a key that is not a str, or a value json refuses,
-        # and json then renders the dict, or raises that error itself
-        try:
-            parts = [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in obj.items()]
-        except TypeError:
-            pass
-        else:
-            return "{" + inner + ("," + inner).join(parts) + pad + "}"
-    return _JSON.encode(obj).replace("\n", pad)
+        parts = [encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # the newline and indentation of depths 1 and 2, for the fields of
@@ -113,9 +105,12 @@ def _optional_int(value) -> str:
 
 
 def report_json(report, homogeneous_basis=_ABSENT) -> JsonText:
-    """The text of `report.to_dict()` for an `AcmReport`, read off its
-    fields, with a last field `homogeneous_basis` when one is given (as
-    `analyze --homogenize` gives it): None, or the `basis_json` text."""
+    """The JSON text of an `AcmReport`, read off its fields: an object
+    with the keys m, degrees, applicable, skip_reason, case, w,
+    conditions (each an object of name, value and pass), the two
+    verdicts, agree, reordered and permuted_degrees, in that order, and
+    a last key `homogeneous_basis` when one is given (as `analyze
+    --homogenize` gives it): None, or the `basis_json` text."""
     r = report
     conditions = "[]"
     if r.conditions:
@@ -140,18 +135,30 @@ def report_json(report, homogeneous_basis=_ABSENT) -> JsonText:
     return JsonText(text + "\n}")
 
 
-def basis_json(order, pairs) -> JsonText:
-    """The text of `BinomialBasis.to_json()` for a basis under `order` (a
-    `MonomialOrder`) whose (lead, trail) exponent pairs, one exponent per
-    variable on each side, are given in canonical order."""
-    # an element: the lead's exponents and then the trail's fill the %d
-    # fields, written at depth 5 and braced at depths 2 to 4
-    ints = ",\n          ".join(["%d"] * order.nvars)
-    element = (
-        '{\n      "lead": {\n        "exponents": [\n          ' + ints
-        + '\n        ]\n      },\n      "trail": {\n        "exponents": [\n          '
-        + ints + "\n        ]\n      }\n    }"
+def _element(nvars: int) -> str:
+    """The template of a (lead, trail) element over `nvars` variables at
+    depth 0: an object of "lead" and then "trail", each an object of its
+    "exponents" list, whose %d fields take the lead's exponents and then
+    the trail's."""
+    ints = ",\n      ".join(["%d"] * nvars)
+    return (
+        '{\n  "lead": {\n    "exponents": [\n      ' + ints
+        + '\n    ]\n  },\n  "trail": {\n    "exponents": [\n      ' + ints + "\n    ]\n  }\n}"
     )
+
+
+def pair_json(lead, trail) -> JsonText:
+    """The JSON text of the binomial with the oriented (lead, trail)
+    exponent pair: one basis element of `basis_json`."""
+    return JsonText(_element(len(lead)) % (*lead, *trail))
+
+
+def basis_json(order, pairs) -> JsonText:
+    """The JSON text of a basis under `order` (a `MonomialOrder`) whose
+    (lead, trail) exponent pairs, one exponent per variable on each side,
+    are given in canonical order: an object of "order" (its kind and its
+    priority list) and "elements", each a `pair_json` element."""
+    element = _element(order.nvars).replace("\n", _PAD2)
     items = [element % (*lead, *trail) for lead, trail in pairs]
     elements = "[" + _PAD2 + ",\n    ".join(items) + _PAD1 + "]" if items else "[]"
     priority = ",\n      ".join(map(str, order.priority))

@@ -5,8 +5,10 @@ brute-force recovery oracle, a linear-walk oracle for one row of
 recovery, a four-row reference for the parameters of one coordinate
 order, a walk over all 24 coordinate orders for the any-order
 recovery, the packed normal form on exponent pairs with its tuple-based
-oracle, an all-pairs Buchberger oracle, and a seeded generator of valid
-parameter sets.
+oracle, an all-pairs Buchberger oracle, a seeded generator of valid
+parameter sets, and the reply layouts as dicts (`pair_dict`,
+`basis_dict`, `report_dict`), the reference that `json.dumps` turns into
+the text `curvelab.render` writes.
 
 A monomial here is its exponent tuple and a binomial its (lead, trail)
 pair of exponent tuples, the one form `curvelab` gives a basis."""
@@ -463,3 +465,39 @@ def plain_buchberger(gens, order, step_bound: int = groebner.DEFAULT_STEP_BOUND)
             basis.append(h)
             push_pairs(len(basis) - 1)
     return BinomialBasis(tuple(basis), order, is_groebner_verified=True)
+
+
+# the reply layouts, built from their records' fields
+
+
+def pair_dict(lead, trail) -> dict:
+    """The layout of a binomial with the oriented exponent pair."""
+    return {"lead": {"exponents": list(lead)}, "trail": {"exponents": list(trail)}}
+
+
+def basis_dict(order, pairs) -> dict:
+    """The layout of a basis under `order` with the (lead, trail) pairs
+    in the order given."""
+    return {
+        "order": {"kind": order.kind, "priority": list(order.priority)},
+        "elements": [pair_dict(lead, trail) for lead, trail in pairs],
+    }
+
+
+def report_dict(report) -> dict:
+    """The layout of an `AcmReport`."""
+    return {
+        "m": report.m,
+        "degrees": list(report.degrees),
+        "applicable": report.applicable,
+        "skip_reason": report.skip_reason,
+        "case": report.case,
+        "w": report.w,
+        "conditions": [{"name": c.name, "value": c.value, "pass": c.value >= 0}
+                       for c in report.conditions],
+        "verdict_criterion": report.verdict_criterion,
+        "verdict_groebner": report.verdict_groebner,
+        "agree": report.agree,
+        "reordered": report.reordered,
+        "permuted_degrees": list(report.permuted_degrees) if report.permuted_degrees else None,
+    }

@@ -40,9 +40,11 @@ from curvelab.acm import _check_homogeneous, _homogenized, _padded, x4_initial_g
 from curvelab.bresinsky import _any_order_hits, _closed_form, _generator_exponents, degree_refusal
 from curvelab.cli import main
 from curvelab.groebner import Packing, _canonical_pairs
+from curvelab.render import report_json
 import test_groebner
 from conftest import family_data
 from helpers import (
+    basis_dict,
     bino,
     binomial,
     dehomogenize,
@@ -501,7 +503,9 @@ class TestCrossValidate:
             assert doc["report"]["agree"] is False and doc["report"]["verdict_groebner"] is True
             assert doc["report"]["reordered"] == (m == 8)
             gb = buchberger(generators(target, 0), AFFINE_ORDER)
-            assert doc["groebner_basis"] == gb.to_json()
+            assert doc["groebner_basis"] == basis_dict(
+                AFFINE_ORDER, _canonical_pairs(gb.elements, AFFINE_ORDER)
+            )
             basis = BinomialBasis(gb.elements, AFFINE_ORDER)  # unflagged, so the check runs
             assert is_groebner(basis).ok
             leads = {str(Monomial(lead)) for lead, _ in basis}
@@ -533,6 +537,24 @@ class TestCrossValidate:
         argv = ["analyze", "--a", "19,29,26,43", "--m", "0", "--step-bound", "1", "--format", "json"]
         out = io.StringIO()
         assert main(argv, out=out) == 3 and out.getvalue() == ""
+
+    def test_disagreement_past_the_packed_limit_is_not_a_refusal(self):
+        # the generators of the witness test: the verdict stops within the
+        # packed limit, but the dump's run to the end passes it, and the
+        # disagreement must still be raised, not refused
+        half = 1 << (groebner_mod.FIELD_BITS - 2)
+        gens = (bino(m4(half), m4(0, half)), bino(m4(0, 0, 2, half - 1), m4(0, 0, 0, half)))
+        assert acm_by_groebner((1, 1, 1, 2), gens).acm is False
+        report = acm_mod.AcmReport(
+            m=0, degrees=(1, 1, 1, 2), applicable=True, verdict_criterion=True,
+            verdict_groebner=False, agree=False,
+        )
+        with pytest.raises(DisagreementError) as exc:
+            acm_mod._agreement_checked(report, (1, 1, 1, 2), gens, groebner_mod.DEFAULT_STEP_BOUND)
+        doc = json.loads(exc.value.dump)
+        assert doc["report"]["agree"] is False
+        assert doc["x4_leads"] is None and doc["groebner_basis"] is None
+        assert doc["not_rebuilt"] == "degree limit exceeded"
 
     def test_table_disagreement_dumps_every_x4_lead(self, monkeypatch, capsys, basic_data):
         # the table reads its verdict off a run to the end; flip that run
@@ -808,7 +830,7 @@ class TestHomogeneousBasis:
 def test_reports_serialize_without_floats(basic_data):
     reports = cross_validate(basic_data, range(0, 9))
     for r in reports:
-        doc = r.to_dict()
+        doc = json.loads(report_json(r))
         assert set(doc) == {
             "m", "degrees", "applicable", "skip_reason", "case", "w", "conditions",
             "verdict_criterion", "verdict_groebner", "agree", "reordered",

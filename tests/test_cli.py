@@ -18,7 +18,7 @@ from curvelab.bresinsky import d_from_a, d_from_a_any_order, member_degrees
 from curvelab.cli import main, to_canonical_json
 
 from conftest import SRC
-from helpers import dehomogenize, pair_set, sample_applicable
+from helpers import basis_dict, dehomogenize, pair_set, sample_applicable
 
 
 def run_cli(*argv):
@@ -349,7 +349,7 @@ class TestRecover:
             for perm in permutations(range(3)):
                 vec = [deg[i] for i in perm] + [deg[3]]
                 expected = [
-                    {"permutation": [i + 1 for i in hit_perm], "d": hit.to_json()}
+                    {"permutation": [i + 1 for i in hit_perm], "d": hit.as_dict()}
                     for hit_perm, hit in d_from_a_any_order(vec)
                 ]
                 assert expected, vec
@@ -576,7 +576,7 @@ class TestPrintedBases:
             reply = json.loads(out_gb)
             assert rc_gb == 0
             assert json.loads(out_an)["homogeneous_basis"] == reply["basis"]
-            assert reply["basis"]["order"] == PROJECTIVE_ORDER.to_json()
+            assert reply["basis"]["order"] == basis_dict(PROJECTIVE_ORDER, ())["order"]
             hom = []
             for e in reply["basis"]["elements"]:
                 lead, trail = e["lead"]["exponents"], e["trail"]["exponents"]
@@ -631,7 +631,7 @@ class TestOracleEquivalence:
         oracle = json.loads(out)["basis"]
         data = d_from_a((1191, 1239, 582, 2303))
         closed = reduce_basis(closed_form_basis(data, 0).basis)
-        assert oracle == closed.to_json()
+        assert oracle == basis_dict(closed.order, closed.elements)
 
 
 class TestEnvOverrides:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -25,7 +26,9 @@ from curvelab import (
 from curvelab import groebner
 from curvelab.bresinsky import _generator_exponents, degree_refusal
 from curvelab.groebner import MAX_DEGREE, Packing, is_interreduced
+from curvelab.render import basis_json
 from helpers import (
+    basis_dict,
     bino,
     binomial,
     divides,
@@ -822,14 +825,11 @@ class TestSerialization:
             return AFFINE_ORDER.key(Monomial(e))
 
         expected = sorted(basis, key=lambda b: (key(b[0]), key(b[1])))
-        assert groebner._canonical_pairs(basis, AFFINE_ORDER) == tuple(expected)
-        assert basis.to_json() == {
-            "order": AFFINE_ORDER.to_json(),
-            "elements": [
-                {"lead": {"exponents": list(lead)}, "trail": {"exponents": list(trail)}}
-                for lead, trail in expected
-            ],
-        }
+        pairs = groebner._canonical_pairs(basis, AFFINE_ORDER)
+        assert pairs == tuple(expected)
+        assert basis_json(AFFINE_ORDER, pairs) == json.dumps(
+            basis_dict(AFFINE_ORDER, expected), indent=2
+        )
 
 
 def test_buchberger_agrees_on_random_member_sets(big_data, basic_data):

@@ -1,7 +1,8 @@
 """The canonical JSON renderer writes exactly the text of
-json.dumps(obj, indent=2), on any tree json accepts and on every JSON
-golden; its two writers write exactly the text of their records' dict
-forms, alone and nested in a tree."""
+json.dumps(obj, indent=2), on any tree of the types replies hold and on
+every JSON golden, and refuses any other value; its three writers write
+exactly the text of the reference layouts in `helpers`, alone and
+nested in a tree."""
 
 import io
 import json
@@ -16,13 +17,14 @@ from curvelab import (
     AFFINE_ORDER,
     PROJECTIVE_ORDER,
     AcmReport,
-    BinomialBasis,
     a_from_d,
     acm,
     buchberger,
     cli,
     cross_validate,
     d_from_a,
+    d_from_a_any_order,
+    generators,
     member_degrees,
     reduce_basis,
 )
@@ -34,8 +36,15 @@ from curvelab.bresinsky import (
     _generator_exponents,
     degree_refusal,
 )
-from curvelab.render import JsonText, basis_json, report_json, to_canonical_json
-from helpers import random_valid_data, sample_applicable, sample_condition_passing
+from curvelab.render import JsonText, basis_json, pair_json, report_json, to_canonical_json
+from helpers import (
+    basis_dict,
+    pair_dict,
+    random_valid_data,
+    report_dict,
+    sample_applicable,
+    sample_condition_passing,
+)
 from test_golden import CASES, GOLDEN
 
 
@@ -43,10 +52,16 @@ class _List(list):
     pass
 
 
+class _Str(str):
+    pass
+
+
 # quotes, backslashes, control characters, non-ASCII, astral and lone
 # surrogate code points, besides whatever st.text() draws
 _SPECIAL = '"\\\n\t\r\x00\x1f\x7f é☃😀\ud83d/'
 texts = st.one_of(st.text(), st.text(alphabet=_SPECIAL))
+# the types replies hold, besides JsonText: str, int, True, False, None,
+# lists, tuples and dicts with str keys
 scalars = st.one_of(
     texts,
     st.integers(),
@@ -54,19 +69,14 @@ scalars = st.one_of(
     st.integers(min_value=-(2**200), max_value=-(2**64)),
     st.booleans(),
     st.none(),
-    st.floats(allow_nan=True, allow_infinity=True),
 )
-keys = st.one_of(texts, st.integers(), st.booleans(), st.none())
 
 
 def _containers(children):
     return st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
-        st.lists(children, max_size=3).map(_List),
         st.dictionaries(texts, children, max_size=4),
-        st.dictionaries(keys, children, max_size=3),
-        st.dictionaries(texts, children, max_size=3).map(OrderedDict),
     )
 
 
@@ -79,14 +89,30 @@ def test_matches_json_dumps_with_indent(tree):
     assert to_canonical_json(tree) == json.dumps(tree, indent=2)
 
 
-@pytest.mark.parametrize("tree", [
-    {}, [], (), {"a": {}}, [[], {}], {"k": [(), _List()]},
-    {1: "int key", "1": "same text"}, {True: 1, None: 2, 2.5: 3},
-    [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
-    {"x\ny": "a\"b\\c\x01é\ud83d"}, [2**64, -(2**100), True, False, None],
-])
-def test_edge_cases(tree):
-    assert to_canonical_json(tree) == json.dumps(tree, indent=2)
+_EDGE_CASES = [
+    ({}, None), ([], None), ((), None), ({"a": {}}, None), ([[], {}], None),
+    # with a refusal: a tree json takes but no reply holds (a subclass of
+    # list, dict or str, a key that is not a str, a float)
+    ({"k": [(), _List()]}, "Object of type _List is not JSON serializable"),
+    ({1: "int key", "1": "same text"}, "must be a string, not int"),
+    ({True: 1, None: 2, 2.5: 3}, "must be a string, not bool"),
+    ([float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+     "Object of type float is not JSON serializable"),
+    ({"x\ny": "a\"b\\c\x01é\ud83d"}, None), ([2**64, -(2**100), True, False, None], None),
+    ([JsonText("[]"), OrderedDict(a=1)], "Object of type OrderedDict is not JSON serializable"),
+    ({"k": _Str("v")}, "Object of type _Str is not JSON serializable"),
+]
+
+
+@pytest.mark.parametrize("tree, refusal", _EDGE_CASES,
+                         ids=[f"tree{i}" for i in range(len(_EDGE_CASES))])
+def test_edge_cases(tree, refusal):
+    if refusal is None:
+        assert to_canonical_json(tree) == json.dumps(tree, indent=2)
+    else:
+        json.dumps(tree, indent=2)  # which json takes, but no reply holds
+        with pytest.raises(TypeError, match=refusal):
+            to_canonical_json(tree)
 
 
 def test_refused_values_raise_as_json_does():
@@ -110,7 +136,7 @@ def test_json_golden_re_renders_byte_identically(name):
     assert to_canonical_json(json.loads(stdout)) + "\n" == stdout
 
 
-# the writers: each text is json.dumps(<dict form>, indent=2)
+# the writers: each text is json.dumps(<reference layout>, indent=2)
 
 
 def _dumps(obj) -> str:
@@ -172,23 +198,51 @@ def _bases() -> list[tuple]:
 BASES = _bases()
 
 
+def _pairs() -> list[tuple]:
+    """Oriented (lead, trail) pairs, as `recover` writes its generators:
+    every generator of every any-order recovery hit over the
+    (19,29,26,43) members m = 0..200, and pairs over 4 and 5 variables
+    with entries from 2**64 to 2**200."""
+    anchor = d_from_a((19, 29, 26, 43))
+    pairs = [p for m in range(201)
+             if degree_refusal(member_degrees(anchor, m)) != SKIP_GCD
+             for _, hit in d_from_a_any_order(member_degrees(anchor, m))
+             for p in generators(hit, 0)]
+    rng = Random(34)
+    for n in (4, 5):
+        for _ in range(20):
+            lead, trail = ([rng.choice((0, 1, rng.randint(2**64, 2**200))) for _ in range(n)]
+                           for _ in "lt")
+            pairs.append((tuple(lead), tuple(trail)))
+    return pairs
+
+
+PAIRS = _pairs()
+
+
 def test_report_writer_matches_json_dumps():
     for report in REPORTS:
         assert type(report_json(report)) is JsonText
-        assert report_json(report) == _dumps(report.to_dict())
-        assert report_json(report, None) == _dumps(dict(report.to_dict(), homogeneous_basis=None))
+        assert report_json(report) == _dumps(report_dict(report))
+        assert report_json(report, None) == _dumps(dict(report_dict(report), homogeneous_basis=None))
 
 
 def test_basis_writer_matches_json_dumps():
     assert {len(order.priority) for order, _ in BASES} == {4, 5}
     assert max(max(lead) for _, pairs in BASES for lead, _ in pairs) >= 10**19
     for order, pairs in BASES:
-        dict_form = BinomialBasis(pairs, order).to_json()
+        dict_form = basis_dict(order, pairs)
         assert basis_json(order, pairs) == _dumps(dict_form)
         report = REPORTS[len(pairs)]
         assert report_json(report, basis_json(order, pairs)) == _dumps(
-            dict(report.to_dict(), homogeneous_basis=dict_form)
+            dict(report_dict(report), homogeneous_basis=dict_form)
         )
+    # one element alone, as `recover` writes its generators
+    assert len(PAIRS) > 5 * 65 and max(max(lead) for lead, _ in PAIRS) >= 2**64
+    assert {len(lead) for lead, _ in PAIRS} == {4, 5}
+    for lead, trail in PAIRS:
+        assert type(pair_json(lead, trail)) is JsonText
+        assert pair_json(lead, trail) == _dumps(pair_dict(lead, trail))
 
 
 def test_writer_text_nested_at_any_depth():
@@ -196,13 +250,16 @@ def test_writer_text_nested_at_any_depth():
     for _ in range(30):
         reports = rng.sample(REPORTS, 3)
         order, pairs = rng.choice(BASES)
-        texts, dicts = [report_json(r) for r in reports], [r.to_dict() for r in reports]
-        basis, dict_basis = basis_json(order, pairs), BinomialBasis(pairs, order).to_json()
+        texts, dicts = [report_json(r) for r in reports], [report_dict(r) for r in reports]
+        basis, dict_basis = basis_json(order, pairs), basis_dict(order, pairs)
+        gens = rng.sample(PAIRS, 5)
         tree = {"reports": texts, "deep": [[{"basis": basis, "report": texts[0]}], [basis]],
-                "dump": {"report": texts[1], "x4_leads": None, "groebner_basis": basis}}
+                "dump": {"report": texts[1], "x4_leads": None, "groebner_basis": basis},
+                "solutions": [{"generators": [pair_json(*p) for p in gens]}]}
         plain = {"reports": dicts, "deep": [[{"basis": dict_basis, "report": dicts[0]}],
                                            [dict_basis]],
-                 "dump": {"report": dicts[1], "x4_leads": None, "groebner_basis": dict_basis}}
+                 "dump": {"report": dicts[1], "x4_leads": None, "groebner_basis": dict_basis},
+                 "solutions": [{"generators": [pair_dict(*p) for p in gens]}]}
         assert to_canonical_json(tree) == _dumps(plain)
         assert to_canonical_json(texts[2]) == _dumps(dicts[2])
 
