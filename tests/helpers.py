@@ -6,9 +6,10 @@ recovery, a four-row reference for the parameters of one coordinate
 order, a walk over all 24 coordinate orders for the any-order
 recovery, the packed normal form on exponent pairs with its tuple-based
 oracle, an all-pairs Buchberger oracle, a seeded generator of valid
-parameter sets, and the reply layouts as dicts (`pair_dict`,
-`basis_dict`, `report_dict`), the reference that `json.dumps` turns into
-the text `curvelab.render` writes.
+parameter sets, the reordered members of (19, 29, 26, 43), and the
+reply layouts as dicts (`pair_dict`, `basis_dict`, `report_dict`), the
+reference that `json.dumps` turns into the text `curvelab.render`
+writes.
 
 A monomial here is its exponent tuple and a binomial its (lead, trail)
 pair of exponent tuples, the one form `curvelab` gives a basis."""
@@ -237,6 +238,19 @@ def sample_long_basis(seed: int, count: int):
         if degree_refusal(deg) is None:
             out.append((data, m))
     return out
+
+
+def reordered_basic_members(basic_data, count: int):
+    """The first `count` members of (19, 29, 26, 43) that `analyze`
+    reads in permuted coordinates, as (first recovery hit, 0)."""
+    members = []
+    for m in range(201):
+        deg = member_degrees(basic_data, m)
+        if degree_refusal(deg) == "max-coordinate fails" and deg.count(max(deg)) == 1:
+            hit = next(bresinsky._any_order_hits(deg), None)
+            if hit is not None:
+                members.append((hit[1], 0))
+    return members[:count]
 
 
 def brute_force_parameters(a, cap: int) -> list:

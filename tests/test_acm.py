@@ -37,7 +37,7 @@ from curvelab import (
     shift_vector,
 )
 from curvelab.acm import _check_homogeneous, _homogenized, _padded, x4_initial_generators
-from curvelab.bresinsky import _any_order_hits, _closed_form, _generator_exponents, degree_refusal
+from curvelab.bresinsky import _closed_form, _generator_exponents, degree_refusal
 from curvelab.cli import main
 from curvelab.groebner import Packing, _canonical_pairs
 from curvelab.render import report_json
@@ -54,6 +54,7 @@ from helpers import (
     m5,
     pair_set,
     random_valid_data,
+    reordered_basic_members,
     sample_applicable,
     sample_condition_passing,
     sample_long_basis,
@@ -257,19 +258,6 @@ class TestGroebnerOracle:
         assert verdict.witness in full
         assert calls == {"pack": 2 * len(gens), "unpack": 1, "binomial": 0, "_normal_form": 43}
 
-    @staticmethod
-    def _reordered_basic_members(basic_data, count):
-        """The first `count` members of (19, 29, 26, 43) that `analyze`
-        reads in permuted coordinates, as (first recovery hit, 0)."""
-        members = []
-        for m in range(201):
-            deg = member_degrees(basic_data, m)
-            if degree_refusal(deg) == "max-coordinate fails" and deg.count(max(deg)) == 1:
-                hit = next(_any_order_hits(deg), None)
-                if hit is not None:
-                    members.append((hit[1], 0))
-        return members[:count]
-
     def test_exponent_pairs_run_the_kernel_as_the_binomials_do(self, monkeypatch, basic_data):
         # the verdict hands the kernel the formulas' unoriented exponent
         # pairs; the oriented `generators` give the same packed basis with
@@ -282,7 +270,7 @@ class TestGroebnerOracle:
             return real_nf(*args)
 
         monkeypatch.setattr(groebner_mod, "_normal_form", counting_nf)
-        reordered = self._reordered_basic_members(basic_data, 6)
+        reordered = reordered_basic_members(basic_data, 6)
         assert len(reordered) == 6
         members = sample_applicable(seed=67, count=60) + [self.LONG_7] + reordered
         total = 0
