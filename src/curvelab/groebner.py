@@ -17,20 +17,11 @@ Groebner basis the normal form is independent of these choices; against
 an arbitrary set only the deterministic strategy result is contractual.
 
 Graded selection.  The kernel `_buchberger` queues the generators with
-the pairs, and each joins reduced when an earlier lead divides its lead.
-It may also be given weights for the variables under which every
-generator is homogeneous, as the degree vector a is for the toric ideal
-I(a) with deg(x_i) = a_i.  Every S-binomial and every rewrite then stays
-homogeneous of the same weight, so popping entries by ascending weight
-(with the unweighted order as tie-break) makes every lead a minimal
-generator of the initial ideal from the moment it joins
-(Kreuzer-Robbiano 2005, Computational Commutative Algebra 2).  The
-Gebauer-Moeller update stays sound under this order, because every pair
-it drops is justified by pairs whose lcms divide its own and so weigh no
-more (see `_buchberger`).  `acm.acm_by_groebner` uses this to stop at the
-first lead that x4 divides; the run ends as that lead joins, so it forms
-no pairs.  `buchberger` passes no weights, so every entry weighs 0 and
-the generators join first, in input order.
+the pairs.  Given weights under which every generator is homogeneous, as
+the degree vector a is for the toric ideal I(a), it pops entries by
+ascending weight, so every lead is a minimal generator of the initial
+ideal as it joins (see `_buchberger`), and `acm.acm_by_groebner` stops at
+the first lead that x4 divides.  Without weights the generators join first.
 
 Packed monomials.  A basis has one form: a tuple of (lead, trail)
 exponent-tuple pairs, each led by its larger side.  `buchberger`,
@@ -40,18 +31,11 @@ division using dynamic arrays, heaps, and packed exponent vectors";
 Bachmann-Schoenemann 1998, "Monomial representations for Groebner bases
 computations").  The kernel `_buchberger` takes its generators as pairs
 in either orientation, packs and orients them itself, and returns its
-basis as a packing and the packed leads and trails.  A basis is checked,
-sorted and flagged reduced as pairs (`_side_keys`, `_canonical_pairs`,
-`is_interreduced`), and its JSON text is written from them, in one
-place (`render.basis_json`).  A `Binomial` is built only where a
-binomial is printed as text (`_binomials`) and by `s_binomial`, and a
-`Monomial` besides only where a lead is returned as a printable value
-(the verdict's witness and x4 leads).
-`acm.acm_by_groebner` gets the five generators straight from the
-parameter formulas (`bresinsky._generator_exponents`), calls the kernel
-itself, weighted by the degree vector, and unpacks only the one lead that
-proves its verdict; it keeps no basis, and the disagreement dump rebuilds
-one with `buchberger` on the same pairs.
+basis as a packing and the packed leads and trails; `acm.acm_by_groebner`
+calls it on the parameter formulas' pairs and unpacks only its witness.
+A basis is checked, sorted and flagged reduced as pairs (`_side_keys`,
+`_canonical_pairs`, `is_interreduced`).  A `Binomial` is built only where
+a binomial is printed as text (`_binomials`) and by `s_binomial`.
 
 Under an order on n variables a monomial is one int P: each exponent
 sits in its own field of W bits, the fields follow `MonomialOrder.scan`
@@ -75,56 +59,54 @@ field above.  With G the mask of the guard bits:
   (`Packing.variable_field`);
 - the degree is P % (2**W - 1), since 2**W leaves remainder 1;
 - (deg << W*n) - P is the degrevlex key.  The degree term decides first,
-  because 0 <= P < 2**(W*n).  On equal degree the key falls as P grows,
-  and P compares its fields from the top: the least-priority exponent
-  first, then the next.  So of two monomials of equal degree the one
-  with the larger exponent at the first difference in the scan from the
-  least-priority variable has the smaller key, which is the
-  reverse-lexicographic tie-break.  The key is an int that sorts exactly
-  like `MonomialOrder.key`, and equal keys mean equal monomials.
+  because 0 <= P < 2**(W*n); on equal degree the key falls as P grows,
+  and P compares its fields from the least-priority exponent up, which is
+  the reverse-lexicographic tie-break.  So the key sorts exactly like
+  `MonomialOrder.key`, and equal keys mean equal monomials.
 
 A degree above 2**(W-1) - 1 would let a field reach its guard bit.  It
-is checked where new monomials arise, on the packed inputs and on each
-new lcm; under a graded order a rewrite never raises the degree.  Past
-the bound the packing raises DegreeLimitExceeded, an OverflowError,
-instead of wrapping.
+is checked on the packed inputs and on each new lcm; under a graded
+order a rewrite never raises the degree.  Past the bound the packing
+raises DegreeLimitExceeded, an OverflowError, instead of wrapping.
 
 Field width per run.  `Packing(order)` has fields of FIELD_BITS = 64
 bits, so MAX_DEGREE = 2**63 - 1; `is_groebner` and `reduce_basis` pack
-with it.  The kernel `_buchberger` first packs with fields of
-_NARROW_FIELD_BITS = 15 bits (degree limit 16383), where a monomial in
-four variables is a 60-bit int of two 30-bit CPython digits, not nine,
-and its key has three; the largest degree a kernel run meets on the
-benchmark workloads is 209.  Only when that run raises
-DegreeLimitExceeded does the kernel rerun the same generators with
-64-bit fields, so MAX_DEGREE stays the only limit a caller can hit.  The
-choice depends on nothing but the degrees the run meets; there is no
-option.  The rerun is exact:
+with it.  Each packing is built once per order and width (`_packing`).
+The kernel `_buchberger` first packs with fields of _NARROW_FIELD_BITS
+= 15 bits (degree limit 16383), where a monomial in four variables is a
+60-bit int of two 30-bit CPython digits, not nine; the largest degree a
+kernel run meets on the benchmark workloads is 209.  Only when that run
+raises DegreeLimitExceeded does the kernel rerun the same generators
+with 64-bit fields, so MAX_DEGREE stays the only limit a caller can hit;
+there is no option.  The rerun is exact:
 
 - until its first overflow, a narrow run makes exactly the decisions a
-  64-bit run makes: while no field reaches its guard bit, keys sort the
-  same way and divisibility tests, lcms, degrees and weights give the
-  same answers, so the same pairs are kept, popped and reduced in the
-  same order;
-- every new monomial is degree-checked: the inputs when they are packed
-  and each new lcm.  Under a graded order the sides of an S-binomial
-  and every rewrite have at most the degree of their lcm, so no
-  unchecked monomial can overflow first;
-- the lcms of a stopping lead's pairs are never formed, so they are
-  never degree-checked: no pair of that lead could pop before the run
-  ends, in either width;
+  64-bit run makes: while no field reaches its guard bit, keys,
+  divisibility tests, lcms, degrees and weights give the same answers;
+- every new monomial is degree-checked (the inputs and each new lcm),
+  and under a graded order the sides of an S-binomial and every rewrite
+  have at most the degree of their lcm, so none overflows unchecked;
+- the lcms of a stopping lead's pairs are never formed or checked, in
+  either width: none of its pairs could pop before the run ends;
 - so a narrow run that ends, stops at its witness or raises
-  StepBoundExceeded does just what the 64-bit run would do, after the
-  same steps;
-- only DegreeLimitExceeded from the narrow packing triggers the rerun,
-  nothing of the narrow run is kept, and that error never reaches a
-  caller.
+  StepBoundExceeded does just what the 64-bit run would do, and only
+  DegreeLimitExceeded from the narrow packing triggers the rerun, which
+  keeps nothing of the narrow run.
 
-Each formula is written once, in `_first_reducer` (divisibility),
-`_lcms`, `_degree` and `_key`.  The divisibility test is inlined twice
-more where a call per test would cost too much, both in the update of
-`_buchberger` (the chain criterion on the pending pairs and the minimal
-lcms of the new pairs).
+Each formula has one home: `_first_reducer` (divisibility), `_lcms`,
+`_degree` and `_key`.  The kernel inlines a copy only where a call was
+measured to cost (in-process timing on the kernel inputs of the three
+benchmark streams, CPython 3.11.7):
+
+- `_pair_rows` forms each new lcm and its degree in its one pass over
+  the live leads; calling `_lcms` and passing over its result again
+  costs 11-13% of kernel time;
+- the minimal lcms of the new pairs in `_run`: a `_first_reducer` call
+  per row costs 11% on long-basis;
+- the generator check in `_run`: a call, which needs a list of the
+  leads, costs 5-8% on the short runs of small-members and recover-scan;
+- the reducer scans of `_normal_form` (a call per scan costs 1-2%), and
+  its keys and those of the pushed pairs (calls cost about 2%).
 """
 
 from __future__ import annotations
@@ -339,6 +321,19 @@ class Packing:
         return self.field << (self.bits * (len(self.scan) - 1 - self.scan.index(i)))
 
 
+#: The packing of each (order priority, field width) met so far: a
+#: packing never changes, and there are at most 24 + 120 orders.
+_PACKINGS: dict[tuple[tuple[int, ...], int], Packing] = {}
+
+
+def _packing(order: MonomialOrder, bits: int = FIELD_BITS) -> Packing:
+    """The `Packing` of `order` with fields of `bits` bits, built once."""
+    key = (order.priority, bits)
+    if key not in _PACKINGS:
+        _PACKINGS[key] = Packing(order, bits)
+    return _PACKINGS[key]
+
+
 def _check_degree(d: int, pk: Packing) -> None:
     if d > pk.max_degree:
         raise DegreeLimitExceeded(f"monomial degree {d} exceeds the packed limit {pk.max_degree}")
@@ -377,6 +372,23 @@ def _lcms(monomials: Iterable[int], b: int, pk: Packing) -> list[int]:
     return [b ^ ((a ^ b) & ((ge := ((a | guards) - b) & guards) - (ge >> top))) for a in monomials]
 
 
+def _pair_rows(live: Iterable[tuple[int, int]], b: int, pk: Packing) -> list[tuple]:
+    """The pairs of packed lead b with each (i, a) of `live` as rows
+    (degree, lcm, plain, -i, a), sorted: lcm is lcm(a, b) as `_lcms` forms
+    it and plain whether a and b share a variable.  The last row has the
+    largest degree, which must fit the packing.  The rows of one lcm are
+    adjacent, any of coprime leads first, then by descending i."""
+    guards, top, field = pk.guards, pk.bits - 1, pk.field
+    rows = sorted([
+        ((lcm := b ^ ((a ^ b) & ((ge := ((a | guards) - b) & guards) - (ge >> top)))) % field,
+         lcm, lcm != a + b, -i, a)
+        for i, a in live
+    ])
+    if rows:
+        _check_degree(rows[-1][0], pk)  # the largest new lcm degree fits, so all do
+    return rows
+
+
 def _first_reducer(m: int, leads: Sequence[int], guards: int) -> int:
     """Index of the first packed lead that divides packed m, or -1."""
     x = m | guards
@@ -404,36 +416,46 @@ def _s_pair(
 def _normal_form(
     lead: int,
     trail: int,
-    leads: Sequence[int],
-    trails: Sequence[int],
+    elems: Sequence[tuple[int, int]],
     pk: Packing,
     step_bound: int,
 ) -> Optional[tuple[int, int]]:
-    """Packed normal form of lead - trail (lead > trail) against the
-    elements with packed `leads` and `trails`, or None for zero."""
-    guards = pk.guards
+    """Packed normal form of lead - trail (lead > trail) against the packed
+    (lead, trail) elements `elems`, the first reducer first; None for zero."""
+    guards, field, shift = pk.guards, pk.field, pk.shift
     steps = 0
-    key_t = _key(trail, pk)
-    while (k := _first_reducer(lead, leads, guards)) >= 0:
-        lead = lead - leads[k] + trails[k]
+    key_t = ((trail % field) << shift) - trail  # _key(trail, pk)
+    while True:
+        x = lead | guards
+        for g, h in elems:
+            if (x - g) & guards == guards:
+                break
+        else:
+            break
+        lead = lead - g + h
         steps += 1
         if steps > step_bound:
             raise StepBoundExceeded(f"normal form exceeded {step_bound} reduction steps")
-        key_l = _key(lead, pk)
+        key_l = ((lead % field) << shift) - lead
         if key_l == key_t:
             return None
         if key_l < key_t:
             lead, trail, key_t = trail, lead, key_l
     # the lead is now irreducible, and a rewrite strictly decreases the
     # trail, so no re-orientation is needed
-    while (k := _first_reducer(trail, leads, guards)) >= 0:
-        trail = trail - leads[k] + trails[k]
+    while True:
+        x = trail | guards
+        for g, h in elems:
+            if (x - g) & guards == guards:
+                break
+        else:
+            return lead, trail
+        trail = trail - g + h
         steps += 1
         if steps > step_bound:
             raise StepBoundExceeded(f"normal form exceeded {step_bound} reduction steps")
         if trail == lead:
             return None
-    return lead, trail
 
 
 def buchberger(
@@ -444,10 +466,9 @@ def buchberger(
 
     Buchberger's algorithm with the normal selection strategy (the pending
     pair whose lead-lcm is smallest in the order is processed first, with
-    no weights; see `_buchberger`) and
-    Buchberger's two criteria applied as the Gebauer-Moeller update
-    (Gebauer-Moeller 1988; Cox-Little-O'Shea, Ideals, Varieties, and
-    Algorithms, §2.10).  When an element t joins the basis:
+    no weights; see `_buchberger`) and Buchberger's two criteria applied
+    as the Gebauer-Moeller update (Gebauer-Moeller 1988; Cox-Little-O'Shea,
+    Ideals, Varieties, and Algorithms, §2.10).  When an element t joins:
 
     - a pending pair (i, j) is dropped when lead_t divides its lcm and
       both lcm(i, t) and lcm(j, t) differ from it (chain criterion);
@@ -474,40 +495,33 @@ def _buchberger(
 ) -> tuple[Packing, list[int], list[int]]:
     """The packed kernel of `buchberger`: a packing of `order` and the
     packed leads and trails of the basis under it, in the order the
-    elements joined it.
-
-    The kernel runs with fields of _NARROW_FIELD_BITS bits first and
-    reruns with FIELD_BITS only when a degree outgrows them, so MAX_DEGREE
-    is the only limit a caller meets (see the module docstring for why
-    the rerun is exact).
+    elements joined it.  It runs with fields of _NARROW_FIELD_BITS bits
+    first and reruns with FIELD_BITS only when a degree outgrows them, so
+    MAX_DEGREE is the only limit a caller meets (see the module docstring).
 
     Each generator is an (lhs, rhs) pair of exponent tuples, in either
-    orientation.  Both sides are packed (`Packing.pack` checks the ambient size, the
-    signs and the degree) and oriented by packed key; a pair with equal
-    sides is a ValueError.
-
-    Each generator waits on the pair heap, weighed by its lead, and joins
-    when it pops: unchanged when no current lead divides its lead,
-    otherwise as its normal form, or not at all when that is zero.
+    orientation.  Both sides are packed (`Packing.pack` checks the ambient
+    size, the signs and the degree) and oriented by packed key; equal
+    sides are a ValueError.  Each generator waits on the pair heap,
+    weighed by its lead, and joins when it pops: unchanged when no current
+    lead divides its lead, otherwise as its normal form, or not at all
+    when that is zero.
 
     Given the weights `degrees` of the variables, each at least 1, under
-    which every generator is homogeneous, an entry weighs what its lead or
-    lcm weighs and the lightest pops first, ties broken as without weights
-    (smallest lcm, then the pair's indices).  Every S-binomial and rewrite
-    of a homogeneous binomial is homogeneous of the same weight, so each
-    element weighs what its entry weighs, its pairs weigh at least as
-    much, and the popped weights never fall.  A generator whose sides
-    weigh differently is a ValueError.  A lead that joins later thus
-    weighs at least as much as every current lead, so it can neither
-    strictly divide one (a strict divisor weighs less) nor equal one (no
-    current lead divides it): every lead of a weighted run is a minimal
-    generator of the initial ideal from the moment it joins
+    which every generator is homogeneous (ValueError otherwise), an entry
+    weighs what its lead or lcm weighs and the lightest pops first, ties
+    broken as without weights (smallest lcm, then the pair's indices).
+    Every S-binomial and rewrite of a homogeneous binomial is homogeneous
+    of the same weight, so the popped weights never fall, and a lead that
+    joins weighs at least as much as every current lead.  So it can
+    neither strictly divide one (a strict divisor weighs less) nor equal
+    one (no current lead divides it): every lead of a weighted run is a
+    minimal generator of the initial ideal from the moment it joins
     (Kreuzer-Robbiano 2005, Computational Commutative Algebra 2).  The
-    Gebauer-Moeller update stays sound under this selection: every pair
-    it drops is justified by pairs whose lcms divide its own, which weigh
-    no more and pop no later.  For a pending pair (i, j) dropped by the
-    chain criterion these are (i, t) and (j, t), whose lcms strictly
-    divide lcm(i, j), so they weigh strictly less and pop first.
+    Gebauer-Moeller update stays sound: every pair it drops is justified
+    by pairs whose lcms divide its own, which weigh no more and pop no
+    later; for a pending pair (i, j) dropped by the chain criterion these
+    are (i, t) and (j, t), whose lcms strictly divide lcm(i, j).
 
     `stop`, when given, is the index of a variable: the kernel returns as
     soon as a lead that this variable divides joins, with that lead last.
@@ -515,10 +529,10 @@ def _buchberger(
     """
     pairs = list(gens)  # a second run reads them again
     try:
-        return _run(pairs, Packing(order, _NARROW_FIELD_BITS), step_bound, degrees, stop)
+        return _run(pairs, _packing(order, _NARROW_FIELD_BITS), step_bound, degrees, stop)
     except DegreeLimitExceeded:
         pass  # a degree outgrew the narrow fields; nothing of that run is kept
-    return _run(pairs, Packing(order), step_bound, degrees, stop)
+    return _run(pairs, _packing(order), step_bound, degrees, stop)
 
 
 def _run(
@@ -529,7 +543,7 @@ def _run(
     stop: Optional[int],
 ) -> tuple[Packing, list[int], list[int]]:
     """One run of the kernel `_buchberger` under the packing `pk`."""
-    guards, field = pk.guards, pk.field
+    guards, shift = pk.guards, pk.shift
     # the field of the stop variable: a lead it divides shares a bit with it
     stop_field = 0 if stop is None else pk.variable_field(stop)
     # the weight of each field, bottom field first; without weights every
@@ -559,81 +573,69 @@ def _run(
     if not queued:
         raise ValueError("need at least one generator")
     heap.sort()  # a sorted list is a heap
-    leads: list[int] = []
-    trails: list[int] = []
-    live: list[int] = []  # indices that still form new pairs
+    elems: list[tuple[int, int]] = []  # the packed (lead, trail) of each element
+    live: dict[int, int] = {}  # index -> lead of the elements that still form new pairs
     pending: dict[tuple[int, int], int] = {}  # pair -> lcm of its leads
 
-    def add(lt: int, tt: int) -> None:
-        # a divides b exactly when lcm(a, b) == b
-        t = len(leads)
-        lcms = _lcms(leads, lt, pk)  # lcm(lead_i, lt) for every i
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        if j < 0:
+            h = queued[i]
+            x = h[0] | guards
+            for g, _ in elems:
+                if (x - g) & guards == guards:  # an earlier lead divides its lead
+                    h = _normal_form(h[0], h[1], elems, pk, step_bound)
+                    break
+        else:
+            lcm = pending.pop((i, j), None)
+            if lcm is None:
+                continue  # dropped by a later element
+            (lead_i, trail_i), (lead_j, trail_j) = elems[i], elems[j]
+            s = _s_pair(lcm, lead_i, trail_i, lead_j, trail_j, pk)
+            if s is None:
+                continue
+            h = _normal_form(s[0], s[1], elems, pk, step_bound)
+        if h is None:
+            continue
+        lt = h[0]
+        if lt & stop_field:
+            # the run ends here, so the stopping lead forms no pairs
+            elems.append(h)
+            break
+        t = len(elems)
+        # the Gebauer-Moeller update as h joins: a pending pair goes when lt
+        # divides its lcm and both lcm(i, t) and lcm(j, t) differ from it
         for (i, j), lcm in list(pending.items()):
-            # lt divides lcm, inlined as in _first_reducer
-            if ((lcm | guards) - lt) & guards == guards and lcms[i] != lcm and lcms[j] != lcm:
-                del pending[(i, j)]
-        # one candidate pair per lcm (the last i), flagged when any pair
-        # with that lcm has coprime leads
-        candidates: dict[int, tuple[int, bool]] = {}
-        for i in live:
-            lcm = lcms[i]
-            coprime = lcm == leads[i] + lt
-            if lcm in candidates:
-                coprime = coprime or candidates[lcm][1]
-            candidates[lcm] = (i, coprime)
-        by_degree = sorted(candidates, key=field.__rmod__)  # lcm % (2**W - 1), the degree
-        if by_degree:
-            _degree(by_degree[-1], pk)  # the largest new lcm degree fits, so all do
+            if _first_reducer(lcm, (lt,), guards) == 0:
+                if lcm not in _lcms((elems[i][0], elems[j][0]), lt, pk):
+                    del pending[(i, j)]
+        # of the new pairs, one per lcm that no other new lcm divides: any
+        # divisor comes first, and the first row of an lcm decides for all
         minimal: list[int] = []
-        for lcm in by_degree:
-            # _first_reducer(lcm, minimal, guards) < 0, inlined: a call per
-            # candidate costs about 8% of the long-basis Buchberger time
+        for deg, lcm, plain, minus_i, lead in _pair_rows(live.items(), lt, pk):
+            if lcm == lead:
+                del live[-minus_i]  # lt divides this lead: it forms no further pairs
             x = lcm | guards
             for m in minimal:
                 if (x - m) & guards == guards:
                     break
             else:
                 minimal.append(lcm)
-                i, coprime = candidates[lcm]
-                if not coprime:  # coprime leads: S-binomial reduces to zero
-                    pending[(i, t)] = lcm
+                if plain:  # with coprime leads the S-binomial reduces to zero
+                    pending[(-minus_i, t)] = lcm
                     w = _weight(lcm, fields, pk) if fields else 0
-                    heapq.heappush(heap, (w, _key(lcm, pk), i, t))
-        live[:] = [i for i in live if lcms[i] != leads[i]]
-        live.append(t)
-        leads.append(lt)
-        trails.append(tt)
+                    # the key of lcm, as `_key` forms it from the degree
+                    heapq.heappush(heap, (w, (deg << shift) - lcm, -minus_i, t))
+        live[t] = lt
+        elems.append(h)
 
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if j < 0:
-            h = queued[i]
-            if _first_reducer(h[0], leads, guards) >= 0:
-                h = _normal_form(*h, leads, trails, pk, step_bound)
-        else:
-            lcm = pending.pop((i, j), None)
-            if lcm is None:
-                continue  # dropped by a later element
-            s = _s_pair(lcm, leads[i], trails[i], leads[j], trails[j], pk)
-            if s is None:
-                continue
-            h = _normal_form(s[0], s[1], leads, trails, pk, step_bound)
-        if h is None:
-            continue
-        if h[0] & stop_field:
-            # the run ends here, so the stopping lead forms no pairs
-            leads.append(h[0])
-            trails.append(h[1])
-            break
-        add(*h)
-
-    return pk, leads, trails
+    return pk, [lead for lead, _ in elems], [trail for _, trail in elems]
 
 
-def _pack(basis: BinomialBasis) -> tuple[Packing, list[int], list[int]]:
-    """The packing of the basis order and the packed leads and trails."""
-    pk = Packing(basis.order)
-    return pk, [pk.pack(lead) for lead, _ in basis], [pk.pack(trail) for _, trail in basis]
+def _pack(basis: BinomialBasis) -> tuple[Packing, list[tuple[int, int]]]:
+    """The packing of the basis order and the packed (lead, trail) elements."""
+    pk = _packing(basis.order)
+    return pk, [(pk.pack(lead), pk.pack(trail)) for lead, trail in basis]
 
 
 def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> BinomialBasis:
@@ -651,16 +653,13 @@ def reduce_basis(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> 
             raise NotGroebnerError(
                 f"input is not a Groebner basis; {len(cert.failures)} failing pair(s)"
             )
-    pk, packed_leads, packed_trails = _pack(basis)
+    pk, elems = _pack(basis)
     guards = pk.guards
     # Keep the elements whose lead no other lead divides, one per lead:
     # by ascending leads, any divisor of a lead is already kept.
     leads: list[int] = []
     trails: list[int] = []
-    by_key = sorted(
-        zip(packed_leads, packed_trails), key=lambda p: (_key(p[0], pk), _key(p[1], pk))
-    )
-    for lead, trail in by_key:
+    for lead, trail in sorted(elems, key=lambda p: (_key(p[0], pk), _key(p[1], pk))):
         if _first_reducer(lead, leads, guards) < 0:
             leads.append(lead)
             trails.append(trail)
@@ -688,15 +687,16 @@ def is_groebner(basis: BinomialBasis, step_bound: int = DEFAULT_STEP_BOUND) -> G
     pair shortcuts, so the certificate is a direct witness: it lists every
     failing pair together with its irreducible remainder.
     """
-    pk, leads, trails = _pack(basis)
+    pk, elems = _pack(basis)
+    leads = [lead for lead, _ in elems]
     failures: list[tuple[int, int, ExponentPair]] = []
-    for i in range(len(leads)):
-        for j, lcm in enumerate(_lcms(leads[i + 1:], leads[i], pk), i + 1):
+    for i, (lead, trail) in enumerate(elems):
+        for j, lcm in enumerate(_lcms(leads[i + 1:], lead, pk), i + 1):
             _degree(lcm, pk)
-            s = _s_pair(lcm, leads[i], trails[i], leads[j], trails[j], pk)
+            s = _s_pair(lcm, lead, trail, *elems[j], pk)
             if s is None:
                 continue
-            h = _normal_form(s[0], s[1], leads, trails, pk, step_bound)
+            h = _normal_form(*s, elems, pk, step_bound)
             if h is not None:
                 failures.append((i, j, (pk.unpack(h[0]), pk.unpack(h[1]))))
     return GroebnerCertificate(not failures, tuple(failures))

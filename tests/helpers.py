@@ -411,9 +411,8 @@ def normal_form(
     the normal form is unpacked; None means zero."""
     f = oriented(f, basis.order)
     pk = groebner.Packing(basis.order, bits)
-    leads = [pk.pack(lead) for lead, _ in basis]
-    trails = [pk.pack(trail) for _, trail in basis]
-    h = groebner._normal_form(pk.pack(f[0]), pk.pack(f[1]), leads, trails, pk, step_bound)
+    elems = [(pk.pack(lead), pk.pack(trail)) for lead, trail in basis]
+    h = groebner._normal_form(pk.pack(f[0]), pk.pack(f[1]), elems, pk, step_bound)
     return None if h is None else (pk.unpack(h[0]), pk.unpack(h[1]))
 
 

@@ -613,25 +613,28 @@ class TestPairCriteria:
             assert fast == expected, (data, m)
 
     def test_only_weighted_runs_weigh_their_entries(self, monkeypatch):
-        # without degrees every heap entry weighs 0 and `_weight` is not called
+        # without degrees every heap entry weighs 0 and `_weight` is not
+        # called; with them it weighs both sides of each of the five
+        # generators, and each of the 215 pairs the run pushes once
         data, m = self.LONG
         gens = generators(data, m)
         assert self._calls(monkeypatch, "_weight", lambda: buchberger(gens, AFFINE_ORDER)) == 0
         weighted = self._calls(monkeypatch, "_weight", lambda: groebner._buchberger(
             gens, AFFINE_ORDER, groebner.DEFAULT_STEP_BOUND, member_degrees(data, m)))
-        assert weighted > len(gens)
+        assert weighted == 2 * len(gens) + 215
 
     def test_the_stopping_lead_forms_no_pairs(self, monkeypatch):
         # every joining lead goes through the pair update, which forms its
-        # lcms with one `_lcms` call, except the lead that stops the run
+        # new pairs with one `_pair_rows` call, except the lead that stops
+        # the run
         calls = []
-        real = groebner._lcms
+        real = groebner._pair_rows
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(groebner, "_lcms", counting)
+        monkeypatch.setattr(groebner, "_pair_rows", counting)
         ends = set()
         for data, m in sample_applicable(53, 60) + sample_long_basis(11, 6):
             deg = member_degrees(data, m)
