@@ -216,8 +216,8 @@ WIDTHS = (groebner.FIELD_BITS, groebner._NARROW_FIELD_BITS)
 
 class TestPacking:
     """The packed primitives the engine runs (`_first_reducer`, `_lcms`,
-    `_degree`, `_key`, and the rewrite inside `_normal_form`) against the
-    tuple oracles of `tests/helpers.py`, `MonomialOrder` and
+    `_pair_rows`, `_degree`, `_key`, and the rewrite inside `_normal_form`)
+    against the tuple oracles of `tests/helpers.py`, `MonomialOrder` and
     `Binomial.rewrite`, on seeded random exponent vectors, at each field
     width of WIDTHS."""
 
@@ -262,6 +262,35 @@ class TestPacking:
                         assert (pl == pa + pb) == (m == times(a, b))
             by_key = sorted(monos, key=lambda m: groebner._key(pk.pack(m), pk))
             assert by_key == sorted(monos, key=lambda m: order.key(Monomial(m))), bits
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
+    def test_pair_rows_agree_with_tuple_operations(self, order):
+        # a row per live lead, by ascending lcm degree, equal lcms adjacent
+        # with a coprime one first and then by descending index; a row past
+        # the degree limit makes the whole call refuse
+        for bits in WIDTHS:
+            pk = Packing(order, bits)
+            rng = random.Random(sum(order.priority) * 37 + bits)
+            monos = self._vectors(rng, order.nvars, 40, pk.max_degree)
+            # small leads, two of them equal, and a new lead of any degree
+            leads = [a for k, a in enumerate(monos) if k % 3]
+            leads += [lcm(leads[0], leads[1])] * 2 + [(1,) + (0,) * (order.nvars - 1)]
+            live = [(i, pk.pack(a)) for i, a in enumerate(leads)]
+            refused = 0
+            for b in monos:
+                lcms = [lcm(a, b) for a in leads]
+                if max(map(sum, lcms)) > pk.max_degree:
+                    refused += 1
+                    with pytest.raises(OverflowError):
+                        groebner._pair_rows(live, pk.pack(b), pk)
+                    continue
+                rows = sorted(
+                    (sum(m), pk.pack(m), m != times(a, b), -i, pk.pack(a))
+                    for i, (a, m) in enumerate(zip(leads, lcms))
+                )
+                assert groebner._pair_rows(live, pk.pack(b), pk) == rows, (bits, b)
+            assert 0 < refused < len(monos), bits
+            assert groebner._pair_rows([], pk.pack(monos[0]), pk) == []
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
     def test_rewrites_agree_with_binomial_rewrite_at_the_limit(self, order):
