@@ -135,6 +135,14 @@ def acm_by_groebner(
     initial ideal from the moment it joins (see `groebner._buchberger`).
     So the run stops at the first lead that x4 divides, and that lead is
     the witness; a run that ends without one is ACM.
+
+    The generators must also generate the toric ideal I(a) itself, as
+    `generators(data, m)` do for a = `member_degrees(data, m)`: that is
+    the premise of the verdict.  The graded run relies on it, since it
+    skips every pair whose two trails share a variable, which needs a
+    prime ideal with no monomial (see `groebner._buchberger`).  For other
+    homogeneous generators the run still ends, but its leads need not
+    generate the initial ideal of their ideal.
     """
     x4 = _x4_leads(_checked_degrees(degrees), gens, step_bound, first=True)
     return GroebnerVerdict(not x4, x4[0] if x4 else None)
@@ -148,7 +156,8 @@ def x4_initial_generators(
     verdict keeps one witness; this runs the same graded Buchberger to the
     end for the whole list, which `analyze`'s table and the disagreement
     dump print.  It takes the generators that `acm_by_groebner` takes,
-    and refuses and rejects what it does."""
+    homogeneous for `degrees` and generating I(degrees), and refuses and
+    rejects what it does."""
     return _x4_leads(_checked_degrees(degrees), gens, step_bound)
 
 

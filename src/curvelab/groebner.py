@@ -23,6 +23,25 @@ ascending weight, so every lead is a minimal generator of the initial
 ideal as it joins (see `_buchberger`), and `acm.acm_by_groebner` stops at
 the first lead that x4 divides.  Without weights the generators join first.
 
+Trail criterion.  A weighted run also skips every pair whose two trails
+share a variable: the pair criterion of lattice ideals (Hemmecke-Malkin
+2009, J. Symbolic Comput. 44; Sturmfels 1996, Groebner Bases and Convex
+Polytopes, ch. 4).  It needs generators of the toric ideal I of the
+weights, as `bresinsky.generators` returns them.  I is prime and holds no
+monomial, so such a pair's S-binomial is a monomial g != 1 times a
+binomial h of I that weighs less than the pair; every lighter entry has
+popped, so the elements reduce h to zero, and g*h has a representation
+below the pair's lcm, which is all Buchberger's criterion asks.
+Unweighted runs (`buchberger`) keep these pairs and compute a Groebner
+basis of any ideal of pure-difference binomials.  `_buchberger` gives
+the full proof.  A weighted run tests the supports first and the
+minimal-lcm condition only for the few pairs that pass (`_toric_pairs`),
+which keeps exactly the pairs an unweighted update would keep, less
+those the criterion skips.  Unweighted runs keep the sorted pass of
+`_pair_rows`: there every pair whose leads share a variable passes, and
+testing each against every live lead made the unweighted runs of
+long-basis members 2.2x slower.
+
 Packed monomials.  A basis has one form: a tuple of (lead, trail)
 exponent-tuple pairs, each led by its larger side.  `buchberger`,
 `reduce_basis` and `is_groebner` take and return such pairs, and pack
@@ -83,8 +102,11 @@ there is no option.  The rerun is exact:
 - until its first overflow, a narrow run makes exactly the decisions a
   64-bit run makes: while no field reaches its guard bit, keys,
   divisibility tests, lcms, degrees and weights give the same answers;
-- every new monomial is degree-checked (the inputs and each new lcm),
-  and under a graded order the sides of an S-binomial and every rewrite
+- every new monomial is degree-checked (the inputs and each new lcm;
+  a weighted run checks its new lcms one by one only when the largest
+  lead degree plus the new lead's could pass the limit, since the degree
+  of an lcm is at most the sum of the two), and under a graded order
+  the sides of an S-binomial and every rewrite
   have at most the degree of their lcm, so none overflows unchecked;
 - the lcms of a stopping lead's pairs are never formed or checked, in
   either width: none of its pairs could pop before the run ends;
@@ -103,6 +125,9 @@ benchmark streams, CPython 3.11.7):
   costs 11-13% of kernel time;
 - the minimal lcms of the new pairs in `_run`: a `_first_reducer` call
   per row costs 11% on long-basis;
+- `_toric_pairs` forms the lcm of each pair that passes its support test
+  inline: an `_lcms` call costs about 7% on long-basis (it calls `_lcms`
+  in its rare second test);
 - the generator check in `_run`: a call, which needs a list of the
   leads, costs 5-8% on the short runs of small-members and recover-scan;
 - the reducer scans of `_normal_form` (a call per scan costs 1-2%), and
@@ -389,6 +414,42 @@ def _pair_rows(live: Iterable[tuple[int, int]], b: int, pk: Packing) -> list[tup
     return rows
 
 
+def _toric_pairs(
+    live: dict[int, int], supports: Sequence[tuple[int, int]], b: int, sb: tuple[int, int], pk: Packing
+) -> list[tuple[int, int]]:
+    """The new pairs (i, lcm(a, b)) that a weighted run queues as packed
+    lead b joins, for (i, a) in `live`, ascending by i.  `supports[i]`
+    and `sb` hold the supports of the lead and the trail of element i
+    and of b, as the guard bits of their nonzero fields.  They are the
+    pairs that `_pair_rows` and the minimal-lcm test keep (one per lcm
+    that no other new lcm divides: the last i, none when any pair of that
+    lcm has coprime leads) whose trails share no variable.  The support
+    test comes first, since it rejects most pairs: a pair (i, b) with
+    leads that share a variable and trails that do not stays unless,
+    for another j, a_j divides lcm(a, b) and pair (j, b) comes first:
+    lcm(a_j, b) is a proper divisor, or the same lcm with j > i or with
+    coprime leads."""
+    guards, top = pk.guards, pk.bits - 1
+    lead_b, trail_b = sb
+    out = []
+    for i, a in live.items():
+        lead_a, trail_a = supports[i]
+        if not lead_a & lead_b or trail_a & trail_b:
+            continue  # coprime leads, or trails that share a variable
+        lcm = b ^ ((a ^ b) & ((ge := ((a | guards) - b) & guards) - (ge >> top)))
+        x = lcm | guards
+        for j, c in live.items():
+            if j != i and (x - c) & guards == guards:  # lcm(c, b) divides lcm
+                if j > i:
+                    break
+                (m,) = _lcms((c,), b, pk)
+                if m != lcm or m == c + b:
+                    break
+        else:
+            out.append((i, lcm))
+    return out
+
+
 def _first_reducer(m: int, leads: Sequence[int], guards: int) -> int:
     """Index of the first packed lead that divides packed m, or -1."""
     x = m | guards
@@ -523,6 +584,43 @@ def _buchberger(
     later; for a pending pair (i, j) dropped by the chain criterion these
     are (i, t) and (j, t), whose lcms strictly divide lcm(i, j).
 
+    A weighted run requires generators that generate the toric ideal I
+    of `degrees`, the kernel of x_i -> s**degrees[i], as
+    `bresinsky.generators(data, m)` do for `member_degrees(data, m)`; I
+    is prime and holds no monomial.  It then queues a new pair (i, t)
+    only when the trails of i and t share no variable, the lattice-ideal
+    pair criterion (Hemmecke-Malkin 2009; Sturmfels 1996, ch. 4).  A
+    skipped pair's lcm still counts in the update, so the new pairs whose
+    lcm it divides are dropped as before.  This is sound:
+
+    - when an entry of weight W pops, every lighter entry has popped, so
+      the elements form a Groebner basis of I truncated below W: each
+      homogeneous element of I that weighs less than W reduces to zero
+      by them;
+    - if a variable x_k divides both trails, the S-binomial
+      S = (lcm/L_i)*T_i - (lcm/L_t)*T_t of leads L and trails T is g*h
+      with g = x_k != 1.  As I is prime and holds no monomial, h is in
+      I, and h weighs W minus the weight of g, less than W.  So h reduces
+      to zero, h = sum of c_k m_k f_k over elements f_k with every
+      m_k lead(f_k) <= lead(h), and g*h = sum of c_k (g m_k) f_k has
+      every term at most lead(S) < lcm(L_i, L_t).  Such a representation
+      is all Buchberger's criterion asks of a pair (Cox-Little-O'Shea,
+      §2.10), so the Gebauer-Moeller drops justified by a skipped pair
+      stay sound;
+    - the test reads only trails, which never change once an element
+      joins, so deciding as the pair is formed decides as it would pop;
+    - it forms no lcm, and the update still refuses exactly when a new
+      lcm passes the degree limit, so DegreeLimitExceeded and the exact
+      rerun with 64-bit fields are as they are without it.
+
+    Unweighted runs keep every such pair, with no assumption on the
+    ideal.  A weighted run keeps the supports of each element's lead and
+    trail as guard-bit masks and forms its new pairs with `_toric_pairs`,
+    which tests the supports before the minimal-lcm condition: the run
+    makes the same decisions as a minimal-lcm selection over all new
+    pairs followed by the support test, with the condition checked only
+    for the pairs that pass.
+
     `stop`, when given, is the index of a variable: the kernel returns as
     soon as a lead that this variable divides joins, with that lead last.
     That lead forms no pairs and drops none: none of them could pop.
@@ -574,6 +672,13 @@ def _run(
         raise ValueError("need at least one generator")
     heap.sort()  # a sorted list is a heap
     elems: list[tuple[int, int]] = []  # the packed (lead, trail) of each element
+    # in weighted runs, the supports of each element's lead and trail as
+    # the guard bits of their nonzero fields: a field is nonzero when its
+    # guard bit survives subtracting the field's bottom bit
+    supports: list[tuple[int, int]] = []
+    ones = guards >> (pk.bits - 1)
+    field, max_degree = pk.field, pk.max_degree
+    high = 0  # in weighted runs, the largest degree of a live lead
     live: dict[int, int] = {}  # index -> lead of the elements that still form new pairs
     pending: dict[tuple[int, int], int] = {}  # pair -> lcm of its leads
 
@@ -609,23 +714,42 @@ def _run(
             if _first_reducer(lcm, (lt,), guards) == 0:
                 if lcm not in _lcms((elems[i][0], elems[j][0]), lt, pk):
                     del pending[(i, j)]
-        # of the new pairs, one per lcm that no other new lcm divides: any
-        # divisor comes first, and the first row of an lcm decides for all
-        minimal: list[int] = []
-        for deg, lcm, plain, minus_i, lead in _pair_rows(live.items(), lt, pk):
-            if lcm == lead:
-                del live[-minus_i]  # lt divides this lead: it forms no further pairs
-            x = lcm | guards
-            for m in minimal:
-                if (x - m) & guards == guards:
-                    break
-            else:
-                minimal.append(lcm)
-                if plain:  # with coprime leads the S-binomial reduces to zero
-                    pending[(-minus_i, t)] = lcm
-                    w = _weight(lcm, fields, pk) if fields else 0
-                    # the key of lcm, as `_key` forms it from the degree
-                    heapq.heappush(heap, (w, (deg << shift) - lcm, -minus_i, t))
+        if fields:
+            # no lead of a weighted run divides another (see `_buchberger`),
+            # so every element stays live; deg lcm(a, lt) <= deg a + deg lt,
+            # so the new lcms are checked one by one only when that can pass
+            # the limit
+            sb = (((lt | guards) - ones) & guards, ((h[1] | guards) - ones) & guards)
+            dt = lt % field
+            if high + dt > max_degree:
+                _check_degree(max(lcm % field for lcm in _lcms(live.values(), lt, pk)), pk)
+            if dt > high:
+                high = dt
+            new = _toric_pairs(live, supports, lt, sb, pk)
+            supports.append(sb)
+        else:
+            # of the new pairs, one per lcm that no other new lcm divides:
+            # any divisor comes first, and the first row of an lcm decides
+            # for all; none with coprime leads, whose S-binomial reduces to
+            # zero
+            new = []
+            minimal: list[int] = []
+            for _, lcm, plain, minus_i, lead in _pair_rows(live.items(), lt, pk):
+                if lcm == lead:
+                    del live[-minus_i]  # lt divides this lead: it forms no further pairs
+                x = lcm | guards
+                for m in minimal:
+                    if (x - m) & guards == guards:
+                        break
+                else:
+                    minimal.append(lcm)
+                    if plain:
+                        new.append((-minus_i, lcm))
+        for i, lcm in new:
+            pending[(i, t)] = lcm
+            w = _weight(lcm, fields, pk) if fields else 0
+            # the key of lcm, as `_key` forms it
+            heapq.heappush(heap, (w, ((lcm % field) << shift) - lcm, i, t))
         live[t] = lt
         elems.append(h)
 

@@ -245,7 +245,7 @@ class TestGroebnerOracle:
         deg, gens = member_degrees(data, m), generators(data, m)
         x4_leads, calls = self._counted(monkeypatch, lambda: x4_initial_generators(deg, gens))
         assert len(x4_leads) == 35
-        assert calls == {"pack": 2 * len(gens), "unpack": 35, "binomial": 0, "_normal_form": 226}
+        assert calls == {"pack": 2 * len(gens), "unpack": 35, "binomial": 0, "_normal_form": 76}
 
     def test_early_verdict_unpacks_its_witness_only(self, monkeypatch):
         data, m = self.LONG_7
@@ -256,7 +256,7 @@ class TestGroebnerOracle:
         )
         assert not verdict.acm and verdict.witness == Monomial(m4(0, 0, 3, 41))
         assert verdict.witness in full
-        assert calls == {"pack": 2 * len(gens), "unpack": 1, "binomial": 0, "_normal_form": 43}
+        assert calls == {"pack": 2 * len(gens), "unpack": 1, "binomial": 0, "_normal_form": 22}
 
     def test_exponent_pairs_run_the_kernel_as_the_binomials_do(self, monkeypatch, basic_data):
         # the verdict hands the kernel the formulas' unoriented exponent
@@ -331,7 +331,7 @@ class TestGroebnerOracle:
         # stops at the witness
         data, m = self.LONG_7
         argv = ["analyze", "--d", "2,4,1,1,36,1,1,2", "--m", str(m)]
-        for fmt, normal_forms in (("table", 226), ("json", 43)):
+        for fmt, normal_forms in (("table", 76), ("json", 22)):
             rc, calls = self._counted(
                 monkeypatch, lambda: main([*argv, "--format", fmt], out=io.StringIO())
             )
@@ -361,6 +361,30 @@ class TestGroebnerOracle:
             assert verdict.witness in full if full else verdict.witness is None, (data, m)
             verdicts.append(verdict.acm)
         assert verdicts[:20] == [False] * 20 and True in verdicts
+
+    def test_trail_criterion_keeps_the_initial_ideal(self, basic_data):
+        # a weighted run skips the pairs whose trails share a variable, as
+        # generators of the toric ideal allow; `buchberger` runs unweighted
+        # and keeps them.  On each member both find the same minimal
+        # initial generators, so the same x4 leads and the same verdict
+        members = (
+            sample_applicable(seed=71, count=1900)
+            + sample_long_basis(71, 25)
+            + reordered_basic_members(basic_data, 65)
+        )
+        assert len(members) == 1990
+        for data, m in members:
+            gens, deg = generators(data, m), member_degrees(data, m)
+            pk, leads, _ = groebner_mod._buchberger(
+                gens, AFFINE_ORDER, groebner_mod.DEFAULT_STEP_BOUND, deg
+            )
+            reduced = [lead for lead, _ in reduce_basis(buchberger(gens, AFFINE_ORDER))]
+            assert len(leads) == len(reduced), (data, m)
+            assert {pk.unpack(p) for p in leads} == set(reduced), (data, m)
+            x4 = tuple(Monomial(lead) for lead in reduced if lead[3])
+            assert x4_initial_generators(deg, gens) == x4, (data, m)
+            verdict = acm_by_groebner(deg, gens)
+            assert verdict.acm == (not x4) == acm_by_criterion(data, m).all_pass, (data, m)
 
     def test_graded_leads_are_minimal_and_the_witness_is_the_last(self):
         # under the a-grading no lead of the kernel divides another, so the
@@ -455,8 +479,12 @@ class TestCrossValidate:
         # ACM members run Buchberger to the end, so one step trips each
         reports = cross_validate(family_data(2), range(0, 4), step_bound=1)
         assert [r.skip_reason for r in reports] == ["step bound exceeded"] * 4
-        # a non-ACM verdict may stop early: at m = 0 it still needs a step
+        # a non-ACM verdict may stop early: the anchor's witness at m = 0
+        # needs no reduction step, this member's still needs one
         reports = cross_validate(basic_data, range(0, 1), step_bound=0)
+        assert [r.skip_reason for r in reports] == [None]
+        assert not reports[0].verdict_criterion
+        reports = cross_validate(BresinskyData(6, 1, 3, 4, 4, 5, 1, 1), range(0, 1), step_bound=0)
         assert [r.skip_reason for r in reports] == ["step bound exceeded"]
 
     def test_refusal_inside_a_member_is_not_a_skip_row(self, monkeypatch, basic_data):

@@ -216,7 +216,8 @@ WIDTHS = (groebner.FIELD_BITS, groebner._NARROW_FIELD_BITS)
 
 class TestPacking:
     """The packed primitives the engine runs (`_first_reducer`, `_lcms`,
-    `_pair_rows`, `_degree`, `_key`, and the rewrite inside `_normal_form`)
+    `_pair_rows`, `_toric_pairs`, `_degree`, `_key`, and the rewrite
+    inside `_normal_form`)
     against the tuple oracles of `tests/helpers.py`, `MonomialOrder` and
     `Binomial.rewrite`, on seeded random exponent vectors, at each field
     width of WIDTHS."""
@@ -291,6 +292,49 @@ class TestPacking:
                 assert groebner._pair_rows(live, pk.pack(b), pk) == rows, (bits, b)
             assert 0 < refused < len(monos), bits
             assert groebner._pair_rows([], pk.pack(monos[0]), pk) == []
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
+    def test_toric_pairs_keep_the_minimal_lcms_with_disjoint_trails(self, order):
+        # of the new pairs, one per lcm that no other new lcm properly
+        # divides: the last i, none when any pair of that lcm has coprime
+        # leads; then only those whose trails share no variable
+        for bits in WIDTHS:
+            pk = Packing(order, bits)
+            n = order.nvars
+            rng = random.Random(sum(order.priority) * 41 + bits)
+
+            def support(e):
+                return sum(pk.variable_field(k) & pk.guards for k in range(n) if e[k])
+
+            x1, x2, one = ((1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2), (0,) * n)
+            # first a coprime pair (0, b) whose lcm x1*x2 that of (1, b) shares
+            cases = [([x2, times(x1, x2)], [one, one], x1, one)]
+            for _ in range(30):
+                leads = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(8)]
+                leads += [lcm(leads[0], leads[1])] * 2 + [x1]
+                trails = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)) for _ in leads]
+                b, tb = (tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(2))
+                cases.append((leads, trails, b, tb))
+            kept = skipped = 0
+            for leads, trails, b, tb in cases:
+                live = {i: pk.pack(a) for i, a in enumerate(leads)}
+                supports = [(support(a), support(t)) for a, t in zip(leads, trails)]
+                lcms = [lcm(a, b) for a in leads]
+                expected = []
+                for i, m in enumerate(lcms):
+                    if any(divides(other, m) and other != m for other in lcms):
+                        continue
+                    group = [k for k, other in enumerate(lcms) if other == m]
+                    if i != max(group) or any(lcms[k] == times(leads[k], b) for k in group):
+                        continue
+                    if any(x and y for x, y in zip(trails[i], tb)):
+                        skipped += 1
+                        continue
+                    expected.append((i, pk.pack(m)))
+                got = groebner._toric_pairs(live, supports, pk.pack(b), (support(b), support(tb)), pk)
+                assert got == expected, (bits, leads, trails, b, tb)
+                kept += len(expected)
+            assert kept and skipped, bits
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: ",".join(map(str, o.priority)))
     def test_rewrites_agree_with_binomial_rewrite_at_the_limit(self, order):
@@ -436,17 +480,19 @@ class TestFieldWidth:
 
     def test_an_lcm_past_the_narrow_limit_reruns_at_full_width(self):
         # both generators fit the narrow fields; the lcm of their leads
-        # does not, so the narrow run stops and the kernel reruns
+        # does not, so the narrow run stops and the kernel reruns, with
+        # weights too (both generators are homogeneous for them)
         limit = Packing(AFFINE_ORDER, self.NARROW).max_degree
         gens = [
             bino(m4(limit - 1, 1), m4(0, 0, 1)),
             bino(m4(0, 2), m4(0, 0, 0, 1)),
         ]
-        with pytest.raises(OverflowError, match=f"packed limit {limit}$"):
-            self._run(gens, self.NARROW)
-        wide = self._run(gens, groebner.FIELD_BITS)
-        assert self._kernel(gens) == (groebner.FIELD_BITS, wide)
-        assert buchberger(gens, AFFINE_ORDER).elements == tuple(wide)
+        for degrees in (None, (1, 1, limit, 2)):
+            with pytest.raises(OverflowError, match=f"packed limit {limit}$"):
+                self._run(gens, self.NARROW, degrees)
+            wide = self._run(gens, groebner.FIELD_BITS, degrees)
+            assert self._kernel(gens, degrees) == (groebner.FIELD_BITS, wide)
+        assert buchberger(gens, AFFINE_ORDER).elements == tuple(self._run(gens, groebner.FIELD_BITS))
 
     def test_a_generator_past_the_narrow_limit_runs_at_full_width(self, basic_data):
         gens = generators(basic_data, 10**6)  # degrees in the tens of millions
@@ -487,7 +533,8 @@ class TestFieldWidth:
                 return str(exc), len(calls)
             return None, len(calls)
 
-        # the least bound under which the full run to the end finishes
+        # the least bound under which the full run to the end finishes: 2,
+        # so the bounds below hold 0 and 1 twice
         need = next(
             b for b in range(10_000) if outcome(lambda: self._kernel(gens, deg, b))[0] is None
         )
@@ -498,7 +545,7 @@ class TestFieldWidth:
             assert narrow == wide, bound
             assert outcome(lambda: self._kernel(gens, deg, bound)) == narrow, bound
             tripped += narrow[0] is not None
-        assert tripped == 5
+        assert need == 2 and tripped == 4
 
 
 class TestBuchberger:
@@ -644,26 +691,26 @@ class TestPairCriteria:
     def test_only_weighted_runs_weigh_their_entries(self, monkeypatch):
         # without degrees every heap entry weighs 0 and `_weight` is not
         # called; with them it weighs both sides of each of the five
-        # generators, and each of the 215 pairs the run pushes once
+        # generators, and each of the 65 pairs the run pushes once
         data, m = self.LONG
         gens = generators(data, m)
         assert self._calls(monkeypatch, "_weight", lambda: buchberger(gens, AFFINE_ORDER)) == 0
         weighted = self._calls(monkeypatch, "_weight", lambda: groebner._buchberger(
             gens, AFFINE_ORDER, groebner.DEFAULT_STEP_BOUND, member_degrees(data, m)))
-        assert weighted == 2 * len(gens) + 215
+        assert weighted == 2 * len(gens) + 65
 
     def test_the_stopping_lead_forms_no_pairs(self, monkeypatch):
         # every joining lead goes through the pair update, which forms its
-        # new pairs with one `_pair_rows` call, except the lead that stops
-        # the run
+        # new pairs with one `_pair_rows` call, or in a weighted run one
+        # `_toric_pairs` call, except the lead that stops the run
         calls = []
-        real = groebner._pair_rows
+        for name in ("_pair_rows", "_toric_pairs"):
 
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
+            def counting(*args, real=getattr(groebner, name)):
+                calls.append(1)
+                return real(*args)
 
-        monkeypatch.setattr(groebner, "_pair_rows", counting)
+            monkeypatch.setattr(groebner, name, counting)
         ends = set()
         for data, m in sample_applicable(53, 60) + sample_long_basis(11, 6):
             deg = member_degrees(data, m)
@@ -678,6 +725,48 @@ class TestPairCriteria:
                 ends.add((stop, stopped))
         # runs that stop at x4 and runs that end by exhausting their pairs
         assert ends == {(None, False), (3, False), (3, True)}
+
+    def test_tied_pairs_pop_by_index_and_reduce_by_the_first_lead(self, monkeypatch):
+        # unweighted, so the generators join first.  The leads x1x2, x2x3
+        # and x1x3 pairwise have the lcm x1x2x3: (0, 1) stays pending as 2
+        # joins, and of (0, 2) and (1, 2) the update keeps (1, 2).  The tie
+        # pops (0, 1) first, whose S-binomial x1^2x4 - x3x4^2 joins (its
+        # trail reduced to x4^3) before that of (1, 2), x2^2x4 - x1^2x4,
+        # which then reduces by it.  Popped the other way round,
+        # x2^2x4 - x1^2x4 would join unreduced.  Each of
+        # the three leads divides the fourth generator's lead x1x2x3, and the
+        # first, x1x2, reduces it to x3x4^2; the last, x1x3, would give
+        # x2^2x4.  (Ordering the tied pairs by (j, i) pops them as (i, j)
+        # does: of two pending pairs (i, j), (k, l) with one lcm L and i < k,
+        # l < j is impossible.  When j joins, (k, l) stays pending only if k
+        # or l has the lcm L with j, and then that element, or the later
+        # element whose lead divides its lead and so stops it forming pairs,
+        # forms a pair with j whose lcm divides L and whose index exceeds
+        # i, so (i, j) is not queued.)
+        gens = [
+            bino(m4(1, 1), m4(0, 0, 0, 2)),
+            bino(m4(0, 1, 1), m4(1, 0, 0, 1)),
+            bino(m4(1, 0, 1), m4(0, 1, 0, 1)),
+            bino(m4(1, 1, 1), m4(0, 0, 0, 3)),
+        ]
+        lcms = []
+        real = groebner._s_pair
+
+        def recording(lcm, *args):
+            lcms.append(lcm)
+            return real(lcm, *args)
+
+        monkeypatch.setattr(groebner, "_s_pair", recording)
+        out = buchberger(gens, AFFINE_ORDER)
+        pk = groebner._packing(AFFINE_ORDER, groebner._NARROW_FIELD_BITS)
+        assert [pk.unpack(p) for p in lcms[:2]] == [m4(1, 1, 1)] * 2  # the tie
+        assert out.elements == (
+            *gens[:3],
+            (m4(0, 0, 1, 2), m4(0, 0, 0, 3)),  # the fourth generator, reduced by x1x2
+            (m4(2, 0, 0, 1), m4(0, 0, 0, 3)),  # pair (0, 1)
+            (m4(0, 2, 0, 1), m4(0, 0, 0, 3)),  # pair (1, 2)
+            (m4(0, 1, 0, 3), m4(1, 0, 0, 3)),
+        )
 
     def test_criterion_skips_pairs(self, monkeypatch, basic_data):
         # `buchberger` forms its S-pairs packed, in `_s_pair`; the oracle

@@ -150,7 +150,8 @@ def _report_corpus() -> list[AcmReport]:
     hand since seeded scans rarely produce one."""
     anchor, big = d_from_a((19, 29, 26, 43)), d_from_a((1191, 1239, 582, 2303))
     reports = cross_validate(anchor, range(0, 70)) + cross_validate(big, range(0, 16))
-    reports += cross_validate(anchor, range(0, 4), step_bound=0)
+    # ACM members run to the end, so every applicable one trips a bound of 0
+    reports += cross_validate(big, range(0, 4), step_bound=0)
     rng = Random(30)
     while len(reports) < 150:
         data = random_valid_data(rng, 8)
